@@ -1,11 +1,12 @@
 //! Frequency allocation (paper Algorithm 3).
 
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
 use qpd_topology::{Architecture, FrequencyPlan, ALLOWED_BAND_GHZ};
 use qpd_yield::{
-    AllocScratch, CollisionParams, CompiledRegions, FabricationModel, HardwareFamily,
-    LocalYieldEvaluator,
+    AllocScratch, CollisionParams, CompiledRegions, DecisionBuffers, FabricationModel,
+    HardwareFamily, LocalYieldEvaluator,
 };
 
 /// Center-out breadth-first frequency allocator.
@@ -149,136 +150,93 @@ impl FrequencyAllocator {
         &self.candidates
     }
 
-    /// Allocates a frequency for every qubit of `arch`.
-    ///
-    /// The local regions are compiled once per call
-    /// ([`CompiledRegions`]) and shared by every decision of the BFS
-    /// pass and all refinement sweeps; candidate evaluation fans out
-    /// over the `qpd-par` worker pool. The result is deterministic in
+    /// Allocates a frequency for every qubit of `arch`: a batch of one
+    /// through [`Self::allocate_batch`]. The result is deterministic in
     /// the seed and independent of the thread count.
-    ///
-    /// Callers allocating repeatedly (or for several proposals at once)
-    /// should prefer [`Self::allocate_with`] or
-    /// [`Self::allocate_batch`], which reuse compiled regions and
-    /// cached noise planes across calls; the emitted plans are
-    /// bit-identical either way.
     pub fn allocate(&self, arch: &Architecture) -> FrequencyPlan {
-        let regions = CompiledRegions::new(arch);
-        let mut scratch = AllocScratch::new();
-        self.allocate_with(arch, &regions, &mut scratch)
+        let job = AllocJob { allocator: self, arch };
+        let mut plans = Self::allocate_batch(&[job], &mut AllocScratch::new());
+        plans.pop().expect("one job in, one plan out")
     }
 
-    /// Allocates frequencies for every proposal in `archs`, sharing one
-    /// allocation scratch — and therefore the cached noise planes —
-    /// across the whole batch.
+    /// The allocation kernel: allocates every job of a batch
+    /// **seed-major**, returning plans in job order.
     ///
-    /// The common-random-numbers streams depend only on the allocator
-    /// seed, the qubit index, and the noise sigma, never on the
-    /// topology, so proposals after the first skip stream generation
-    /// entirely. Each plan is bit-identical to `allocate` on that
-    /// architecture alone; the test suite proves it.
-    pub fn allocate_batch(&self, archs: &[&Architecture]) -> Vec<FrequencyPlan> {
-        let mut scratch = AllocScratch::new();
-        archs
-            .iter()
-            .map(|arch| {
-                let regions = CompiledRegions::new(arch);
-                self.allocate_with(arch, &regions, &mut scratch)
-            })
-            .collect()
-    }
-
-    /// [`Self::allocate`] against a prebuilt [`CompiledRegions`] table
-    /// and a caller-held [`AllocScratch`] — the batched hot path.
+    /// Each allocation is a sequence of *steps* — the center-out BFS
+    /// pass (step 0), then refinement sweep `k` (step `k`) while the
+    /// plan still changes — and every step evaluates its decisions
+    /// under one evaluator seed. The kernel runs step 0 for every job,
+    /// then sweep 1 for every job still changing, and so on. Before each
+    /// step it prepares that step's noise planes in `scratch` once, one
+    /// per (seed, qubit, effective sigma) at the longest prefix any job
+    /// of the step reads, all drawn at once; the step's decisions then
+    /// read them shared and read-only. Jobs may differ in
+    /// any knob — hardware family, trials, seed, sweep budget,
+    /// candidates — and jobs that agree on a seed and sigma share its
+    /// planes.
     ///
-    /// `regions` must have been compiled from `arch`; the scratch may
-    /// be shared freely across calls, architectures, and allocator
-    /// configurations without affecting any plan.
+    /// A step with at least as many live jobs as pool threads fans the
+    /// jobs out over the pool, each running its decisions inline with
+    /// per-worker decision buffers; a smaller step runs its jobs one
+    /// after another with each decision's rows fanned out instead (the
+    /// singleton shape of serve and explore requests).
     ///
-    /// # Panics
-    ///
-    /// Panics if `regions` was compiled from an architecture with a
-    /// different qubit count.
-    pub fn allocate_with(
-        &self,
-        arch: &Architecture,
-        regions: &CompiledRegions,
-        scratch: &mut AllocScratch,
-    ) -> FrequencyPlan {
-        assert_eq!(regions.num_qubits(), arch.num_qubits(), "regions/architecture mismatch");
-        let n = arch.num_qubits();
-        let (lo, hi) = self.band;
-        let mid = (lo + hi) / 2.0;
-        let evaluate = |evaluator: &LocalYieldEvaluator,
-                        assigned: &[Option<f64>],
-                        q: usize,
-                        scratch: &mut AllocScratch|
-         -> Vec<u64> {
-            if self.reference_path {
-                evaluator.evaluate_candidates_reference(arch, assigned, q, &self.candidates)
-            } else {
-                evaluator.evaluate_candidates_compiled_with(
-                    regions,
-                    assigned,
-                    q,
-                    &self.candidates,
-                    scratch,
-                )
-            }
-        };
-        let evaluator = self.evaluator(self.seed);
-        let mut assigned: Vec<Option<f64>> = vec![None; n];
-
-        // Seed the BFS at the central qubit with the band midpoint, per
-        // Algorithm 3 line 1.
-        let center = arch.center_qubit();
-        assigned[center] = Some(self.snap_to_candidate(mid));
-
-        let mut queue = VecDeque::from([center]);
-        let mut enqueued = vec![false; n];
-        enqueued[center] = true;
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        while let Some(q) = queue.pop_front() {
-            order.push(q);
-            for &nb in arch.neighbors(q) {
-                if !enqueued[nb] {
-                    enqueued[nb] = true;
-                    queue.push_back(nb);
-                }
-            }
-        }
-        // Disconnected architectures (not produced by the flow, but legal
-        // inputs): append stragglers in index order.
-        order.extend((0..n).filter(|&q| !enqueued[q]));
-
-        for &q in order.iter().skip(1) {
-            let counts = evaluate(&evaluator, &assigned, q, scratch);
-            assigned[q] = Some(self.candidates[self.argmax(&counts)]);
-        }
-
-        // Refinement sweeps: re-optimize each qubit with full context.
-        for sweep in 0..self.refinement_sweeps {
-            let sweep_evaluator = self
-                .evaluator(self.seed ^ (0xa076_1d64_78bd_642fu64.wrapping_mul(sweep as u64 + 1)));
-            let mut changed = false;
-            for &q in &order {
-                let current = assigned[q].take().expect("assigned in first pass");
-                let counts = evaluate(&sweep_evaluator, &assigned, q, scratch);
-                let best = self.candidates[self.argmax(&counts)];
-                if (best - current).abs() > 1e-12 {
-                    changed = true;
-                }
-                assigned[q] = Some(best);
-            }
-            if !changed {
+    /// Every plan is bit-identical to allocating its job alone, for any
+    /// batch composition, scratch history, and thread count: noise
+    /// values depend only on (stream seed, sigma), and each job's
+    /// decisions run in its own order.
+    pub fn allocate_batch(jobs: &[AllocJob<'_>], scratch: &mut AllocScratch) -> Vec<FrequencyPlan> {
+        let mut states: Vec<JobState<'_>> = jobs.iter().map(JobState::new).collect();
+        let steps = jobs.iter().map(|j| j.allocator.refinement_sweeps).max().unwrap_or(0);
+        let pool: Mutex<Vec<DecisionBuffers>> = Mutex::new(Vec::new());
+        for step in 0..=steps {
+            let live = states.iter().filter(|s| s.runs(step)).count();
+            if live == 0 {
                 break;
             }
+            let evaluators: Vec<LocalYieldEvaluator> =
+                states.iter().map(|s| s.job.allocator.evaluator(step)).collect();
+            scratch.prepare(
+                states
+                    .iter()
+                    .zip(&evaluators)
+                    .filter(|(s, _)| s.runs(step))
+                    .flat_map(|(s, e)| s.demands(step).map(move |(q, m)| (e, q, m))),
+            );
+            let planes: &AllocScratch = scratch;
+            if live > 1 && live >= qpd_par::threads() {
+                qpd_par::par_chunks_mut(&mut states, 1, |i, state| {
+                    let state = &mut state[0];
+                    if !state.runs(step) {
+                        return;
+                    }
+                    let mut buffers =
+                        pool.lock().expect("buffer pool poisoned").pop().unwrap_or_default();
+                    qpd_par::with_threads(1, || {
+                        state.run_step(step, &evaluators[i], planes, &mut buffers)
+                    });
+                    pool.lock().expect("buffer pool poisoned").push(buffers);
+                });
+            } else {
+                let mut buffers = DecisionBuffers::default();
+                for (state, evaluator) in states.iter_mut().zip(&evaluators) {
+                    if state.runs(step) {
+                        state.run_step(step, evaluator, planes, &mut buffers);
+                    }
+                }
+            }
         }
-
-        FrequencyPlan::new(assigned.into_iter().map(|f| f.expect("all assigned")).collect())
+        states.into_iter().map(JobState::finish).collect()
     }
 
-    fn evaluator(&self, seed: u64) -> LocalYieldEvaluator {
+    /// The local-yield evaluator of `step`: seeded with the allocator
+    /// seed for the BFS pass, with a per-sweep derivation of it for
+    /// refinement sweep `step`.
+    fn evaluator(&self, step: usize) -> LocalYieldEvaluator {
+        let seed = match step {
+            0 => self.seed,
+            _ => self.seed ^ 0xa076_1d64_78bd_642fu64.wrapping_mul(step as u64),
+        };
         let model = FabricationModel::new(
             self.hardware.model().effective_sigma_ghz(self.model.sigma_ghz()),
         );
@@ -326,6 +284,137 @@ impl FrequencyAllocator {
             .iter()
             .min_by(|a, b| (*a - target).abs().total_cmp(&(*b - target).abs()))
             .expect("candidates non-empty")
+    }
+}
+
+/// One allocation of a batch ([`FrequencyAllocator::allocate_batch`]):
+/// an allocator configuration and the architecture it allocates.
+#[derive(Debug, Clone, Copy)]
+pub struct AllocJob<'a> {
+    /// Allocator configuration for this job.
+    pub allocator: &'a FrequencyAllocator,
+    /// Architecture to allocate.
+    pub arch: &'a Architecture,
+}
+
+/// One allocation in progress inside [`FrequencyAllocator::allocate_batch`].
+struct JobState<'a> {
+    job: AllocJob<'a>,
+    regions: CompiledRegions,
+    /// BFS visit order from the center qubit; stragglers of a
+    /// disconnected architecture are appended in index order.
+    order: Vec<usize>,
+    /// Position of every qubit in `order`.
+    rank: Vec<usize>,
+    assigned: Vec<Option<f64>>,
+    /// Whether the last step changed the plan: refinement stops at a
+    /// fixed point.
+    changing: bool,
+}
+
+impl<'a> JobState<'a> {
+    fn new(job: &AllocJob<'a>) -> Self {
+        let (arch, allocator) = (job.arch, job.allocator);
+        let n = arch.num_qubits();
+        let (lo, hi) = allocator.band;
+        // Seed the BFS at the central qubit with the band midpoint, per
+        // Algorithm 3 line 1.
+        let center = arch.center_qubit();
+        let mut assigned: Vec<Option<f64>> = vec![None; n];
+        assigned[center] = Some(allocator.snap_to_candidate((lo + hi) / 2.0));
+
+        let mut queue = VecDeque::from([center]);
+        let mut enqueued = vec![false; n];
+        enqueued[center] = true;
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        while let Some(q) = queue.pop_front() {
+            order.push(q);
+            for &nb in arch.neighbors(q) {
+                if !enqueued[nb] {
+                    enqueued[nb] = true;
+                    queue.push_back(nb);
+                }
+            }
+        }
+        order.extend((0..n).filter(|&q| !enqueued[q]));
+        let mut rank = vec![0; n];
+        for (pos, &q) in order.iter().enumerate() {
+            rank[q] = pos;
+        }
+        JobState {
+            job: *job,
+            regions: CompiledRegions::new(arch),
+            order,
+            rank,
+            assigned,
+            changing: true,
+        }
+    }
+
+    /// Whether this job takes part in `step`.
+    fn runs(&self, step: usize) -> bool {
+        step == 0 || (step <= self.job.allocator.refinement_sweeps && self.changing)
+    }
+
+    /// The BFS pass decides every qubit after the center; a sweep
+    /// re-decides every qubit.
+    fn first_decision(step: usize) -> usize {
+        usize::from(step == 0)
+    }
+
+    /// `(q, m)` for every decision of `step`: the qubit and its active
+    /// region columns. In the BFS pass exactly the qubits earlier in
+    /// the order are assigned; in a sweep every other qubit is.
+    fn demands(&self, step: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.order.iter().enumerate().skip(Self::first_decision(step)).map(move |(pos, &q)| {
+            let m = if step == 0 {
+                1 + self.regions.region(q).filter(|&r| self.rank[r] < pos).count()
+            } else {
+                self.regions.region_size(q)
+            };
+            (q, m)
+        })
+    }
+
+    /// Runs every decision of `step` in order against prepared planes.
+    fn run_step(
+        &mut self,
+        step: usize,
+        evaluator: &LocalYieldEvaluator,
+        planes: &AllocScratch,
+        buffers: &mut DecisionBuffers,
+    ) {
+        let allocator = self.job.allocator;
+        let mut changed = false;
+        for pos in Self::first_decision(step)..self.order.len() {
+            let q = self.order[pos];
+            let current = self.assigned[q].take();
+            let counts = if allocator.reference_path {
+                evaluator.evaluate_candidates_reference(
+                    self.job.arch,
+                    &self.assigned,
+                    q,
+                    &allocator.candidates,
+                )
+            } else {
+                evaluator.evaluate_prepared(
+                    &self.regions,
+                    &self.assigned,
+                    q,
+                    &allocator.candidates,
+                    planes,
+                    buffers,
+                )
+            };
+            let best = allocator.candidates[allocator.argmax(&counts)];
+            changed |= current.is_some_and(|c| (best - c).abs() > 1e-12);
+            self.assigned[q] = Some(best);
+        }
+        self.changing = step == 0 || changed;
+    }
+
+    fn finish(self) -> FrequencyPlan {
+        FrequencyPlan::new(self.assigned.into_iter().map(|f| f.expect("all assigned")).collect())
     }
 }
 
@@ -468,14 +557,19 @@ mod tests {
         }
     }
 
+    fn batch(allocator: &FrequencyAllocator, archs: &[Architecture]) -> Vec<FrequencyPlan> {
+        let jobs: Vec<AllocJob<'_>> =
+            archs.iter().map(|arch| AllocJob { allocator, arch }).collect();
+        FrequencyAllocator::allocate_batch(&jobs, &mut AllocScratch::new())
+    }
+
     #[test]
     fn batch_matches_singleton_allocations() {
         // The load-bearing batching contract: sharing noise planes
         // across proposals never changes a plan.
         let archs = [line(4), line(6), line(4), line(9)];
-        let refs: Vec<&Architecture> = archs.iter().collect();
         let allocator = fast_allocator();
-        let batched = allocator.allocate_batch(&refs);
+        let batched = batch(&allocator, &archs);
         for (arch, plan) in archs.iter().zip(&batched) {
             assert_eq!(*plan, allocator.allocate(arch), "arch {}", arch.name());
         }
@@ -486,14 +580,17 @@ mod tests {
         let arch = line(7);
         let allocator = fast_allocator();
         let fresh = allocator.allocate(&arch);
-        let regions = CompiledRegions::new(&arch);
-        let mut scratch = qpd_yield::AllocScratch::new();
+        let mut scratch = AllocScratch::new();
         // Warm the scratch on a different topology and config first.
         let other = line(5);
-        let other_regions = CompiledRegions::new(&other);
-        allocator.clone().with_trials(200).allocate_with(&other, &other_regions, &mut scratch);
+        let warmer = allocator.clone().with_trials(200);
+        FrequencyAllocator::allocate_batch(
+            &[AllocJob { allocator: &warmer, arch: &other }],
+            &mut scratch,
+        );
         for _ in 0..2 {
-            assert_eq!(allocator.allocate_with(&arch, &regions, &mut scratch), fresh);
+            let job = AllocJob { allocator: &allocator, arch: &arch };
+            assert_eq!(FrequencyAllocator::allocate_batch(&[job], &mut scratch)[0], fresh);
         }
     }
 
@@ -502,9 +599,8 @@ mod tests {
         // The retained pre-overhaul path ignores the scratch but must
         // flow through the batched entry points unchanged.
         let archs = [line(3), line(4)];
-        let refs: Vec<&Architecture> = archs.iter().collect();
         let allocator = fast_allocator().with_reference_path();
-        let batched = allocator.allocate_batch(&refs);
+        let batched = batch(&allocator, &archs);
         for (arch, plan) in archs.iter().zip(&batched) {
             assert_eq!(*plan, allocator.allocate(arch));
         }

@@ -59,7 +59,7 @@ pub use bus::{
     candidate_squares, select_buses_maximal, select_buses_random, select_buses_weighted,
 };
 pub use error::DesignError;
-pub use freq::FrequencyAllocator;
+pub use freq::{AllocJob, FrequencyAllocator};
 pub use pareto::{
     crowding_distances, dominates_nd, epsilon_cell, epsilon_dominates_nd,
     epsilon_weakly_dominates_nd, pareto_front, pareto_front_nd,

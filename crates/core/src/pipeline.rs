@@ -281,7 +281,9 @@ impl DesignFlow {
 
     /// Runs the flow once per bus count `0..=max`, returning the paper's
     /// performance/yield series (the blue `eff-full` curves of
-    /// Figure 10).
+    /// Figure 10). The whole series is one
+    /// [`StagePlan::assemble_batch`] submission, so its allocations run
+    /// seed-major and share their noise planes.
     ///
     /// # Errors
     ///
@@ -292,7 +294,11 @@ impl DesignFlow {
     ) -> Result<Vec<Architecture>, DesignError> {
         let coords = self.place(profile)?;
         let order = self.bus_order(profile)?;
-        (0..=order.len()).map(|k| self.assemble(&coords, &order[..k])).collect()
+        let stage = self.assemble_stage();
+        let jobs: Vec<AssembleJob<'_>> = (0..=order.len())
+            .map(|k| AssembleJob { stage: &stage, coords: &coords, squares: &order[..k] })
+            .collect();
+        self.plan.assemble_batch(&jobs)
     }
 
     /// Runs the back half of the flow on an **explicit layout**: the
@@ -323,8 +329,8 @@ impl DesignFlow {
 
     /// [`Self::design_with_layout`] for a whole batch of layouts at
     /// once, submitted through [`StagePlan::assemble_batch`] so every
-    /// stage-cache miss in the batch shares one allocation scratch
-    /// (compiled regions, noise planes, decision buffers).
+    /// stage-cache miss in the batch runs in one seed-major allocation
+    /// batch over shared noise planes.
     ///
     /// Each job may override the flow's frequency strategy and hardware
     /// family — the two knobs the explorer varies per candidate — while
@@ -394,8 +400,10 @@ impl DesignFlow {
         BusOrderStage { strategy: self.bus_strategy, max_buses: self.max_buses }
     }
 
-    /// The frequency/assembly stage this flow's knobs configure.
-    fn assemble_stage(&self) -> AssembleStage {
+    /// The frequency/assembly stage this flow's knobs configure — what
+    /// callers batching several flows' assembles into one
+    /// [`StagePlan::assemble_batch`] put in their [`AssembleJob`]s.
+    pub fn assemble_stage(&self) -> AssembleStage {
         AssembleStage {
             frequency: self.frequency,
             allocation_trials: self.allocation_trials,

@@ -35,15 +35,15 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use qpd_profile::CouplingProfile;
 use qpd_topology::{pattern_frequency_plan, Architecture, Coord, FrequencyPlan, Square};
-use qpd_yield::{AllocScratch, CompiledRegions, Fnv64, HardwareFamily};
+use qpd_yield::{AllocScratch, Fnv64, HardwareFamily};
 
 use crate::bus::{select_buses_random, select_buses_weighted};
 use crate::error::DesignError;
-use crate::freq::FrequencyAllocator;
+use crate::freq::{AllocJob, FrequencyAllocator};
 use crate::pipeline::{BusStrategy, FrequencyStrategy};
 use crate::placement::{place_auxiliary, place_qubits};
 
@@ -647,7 +647,12 @@ impl Stage for AssembleStage {
 
     fn run(&self, input: &Self::Input<'_>) -> Result<Architecture, DesignError> {
         let (coords, squares) = input;
-        self.run_with(coords, squares, &mut AssembleScratch::default())
+        let arch = self.build_architecture(coords, squares)?;
+        let plan = match self.frequency {
+            FrequencyStrategy::FiveFrequency => self.pattern_plan(&arch),
+            FrequencyStrategy::Optimized => self.allocator().allocate(&arch),
+        };
+        self.attach(arch, plan)
     }
 }
 
@@ -689,77 +694,22 @@ impl AssembleStage {
             .with_seed(self.allocation_seed)
     }
 
-    /// [`Stage::run`] against a caller-held [`AssembleScratch`]: the
-    /// compiled local regions come from the scratch's topology-keyed
-    /// cache and the allocation reuses its noise planes. The output is
-    /// bit-identical to a scratch-free run.
-    fn run_with(
-        &self,
-        coords: &[Coord],
-        squares: &[Square],
-        scratch: &mut AssembleScratch,
-    ) -> Result<Architecture, DesignError> {
-        let model = self.hardware.model();
-        let arch = self.build_architecture(coords, squares)?;
-        let plan: FrequencyPlan = match self.frequency {
-            FrequencyStrategy::FiveFrequency => {
-                pattern_frequency_plan(&arch, model.pattern_frequencies_ghz())
-            }
-            FrequencyStrategy::Optimized => {
-                let regions = scratch.regions_for(coords, squares, &arch);
-                self.allocator().allocate_with(&arch, &regions, &mut scratch.alloc)
-            }
-        };
-        Ok(arch.with_frequencies_in_band(plan, model.allowed_band_ghz())?)
+    /// The hardware family's pattern plan ([`FrequencyStrategy::FiveFrequency`]).
+    fn pattern_plan(&self, arch: &Architecture) -> FrequencyPlan {
+        pattern_frequency_plan(arch, self.hardware.model().pattern_frequencies_ghz())
     }
-}
 
-/// Reusable state shared across assemble-stage runs: compiled local
-/// regions keyed by topology, plus the frequency allocator's
-/// [`AllocScratch`] (noise planes and decision buffers).
-///
-/// Everything in here is *derived pure data* — regenerating it yields
-/// bit-identical values — so sharing it across runs, configurations, or
-/// cache clears never changes an output, only when work happens.
-#[derive(Debug, Default)]
-struct AssembleScratch {
-    /// Compiled local regions keyed by the layout's topology hash
-    /// (coords + squares — the region tables do not depend on any stage
-    /// knob), so a stage-cache miss on a revisited topology skips the
-    /// rebuild.
-    regions: HashMap<u64, Arc<CompiledRegions>>,
-    /// Noise planes and per-decision buffers for the allocator.
-    alloc: AllocScratch,
-}
-
-impl AssembleScratch {
-    /// Retained topologies before the region cache resets.
-    const REGION_CACHE_CAP: usize = 128;
-
-    /// The compiled regions of `arch`, from cache when the topology was
-    /// seen before.
-    fn regions_for(
-        &mut self,
-        coords: &[Coord],
-        squares: &[Square],
-        arch: &Architecture,
-    ) -> Arc<CompiledRegions> {
-        let mut h = Fnv64::new();
-        push_coords(&mut h, coords);
-        push_squares(&mut h, squares);
-        let key = h.finish();
-        if self.regions.len() >= Self::REGION_CACHE_CAP && !self.regions.contains_key(&key) {
-            self.regions.clear();
-        }
-        Arc::clone(self.regions.entry(key).or_insert_with(|| Arc::new(CompiledRegions::new(arch))))
+    /// Attaches `plan` to `arch` inside the family band.
+    fn attach(&self, arch: Architecture, plan: FrequencyPlan) -> Result<Architecture, DesignError> {
+        Ok(arch.with_frequencies_in_band(plan, self.hardware.model().allowed_band_ghz())?)
     }
 }
 
 /// One frequency/assembly request of a batched submission
 /// ([`StagePlan::assemble_batch`]): a stage configuration plus the
 /// layout it assembles. Jobs in one batch may differ in any knob —
-/// frequency strategy, hardware family, layout — and still share the
-/// scratch.
+/// frequency strategy, hardware family, layout — and still share one
+/// allocation batch.
 #[derive(Debug, Clone, Copy)]
 pub struct AssembleJob<'a> {
     /// Stage configuration for this job.
@@ -783,12 +733,12 @@ pub struct StagePlan {
     placement: StageCache<Vec<Coord>>,
     bus: StageCache<Vec<Square>>,
     assemble: StageCache<Architecture>,
-    /// Shared assemble scratch (compiled regions + noise planes),
-    /// parked here between runs. Takers swap it out so concurrent
-    /// assembles never serialize on it: a racing taker finds the slot
-    /// empty, runs with a fresh scratch (identical results by
-    /// construction), and the last finisher parks its scratch back.
-    assemble_scratch: Mutex<Option<AssembleScratch>>,
+    /// The allocator's noise-plane cache, parked here between batches.
+    /// Takers swap it out so concurrent batches never serialize on it:
+    /// a racing taker finds the slot empty, runs with a fresh scratch
+    /// (identical results by construction), and the last finisher parks
+    /// its scratch back.
+    assemble_scratch: Mutex<Option<AllocScratch>>,
 }
 
 impl StagePlan {
@@ -849,9 +799,11 @@ impl StagePlan {
         Ok(out.pop().expect("one job in, one architecture out"))
     }
 
-    /// Runs a whole batch of frequency/assembly jobs through the cache,
-    /// sharing one [`AllocScratch`] — compiled regions, noise planes,
-    /// decision buffers — across every cache miss in the batch.
+    /// Runs a whole batch of frequency/assembly jobs through the cache.
+    /// Every distinct missed key is assembled once, and all optimized
+    /// misses go through **one** seed-major
+    /// [`FrequencyAllocator::allocate_batch`] call against the plan's
+    /// noise-plane cache.
     ///
     /// Cache accounting matches the per-job path: every job counts one
     /// hit or one miss, and `unique_misses` grows once per distinct
@@ -861,8 +813,8 @@ impl StagePlan {
     ///
     /// # Errors
     ///
-    /// Propagates the first failing job's error (later jobs are not
-    /// run; nothing is cached for a failed job).
+    /// Propagates the first failing job's error, in job order (nothing
+    /// is cached when any job fails).
     pub fn assemble_batch(
         &self,
         jobs: &[AssembleJob<'_>],
@@ -873,47 +825,67 @@ impl StagePlan {
             jobs.iter().map(|j| j.stage.content_key(&(j.coords, j.squares))).collect();
         let mut out: Vec<Option<Architecture>> =
             keys.iter().map(|&k| self.assemble.get(k)).collect();
+        if out.iter().all(Option::is_some) {
+            return Ok(out.into_iter().flatten().collect());
+        }
 
-        if out.iter().any(Option::is_none) {
-            // Pass 2 — run each distinct missed key once, in first-
-            // occurrence order, against the shared scratch. The scratch
-            // is swapped out of its slot (not locked across the runs) so
-            // concurrent batches never serialize; see the field docs.
-            let mut scratch = self
-                .assemble_scratch
-                .lock()
-                .expect("assemble scratch poisoned")
-                .take()
-                .unwrap_or_default();
-            let mut computed: HashMap<u64, Architecture> = HashMap::new();
-            for ((slot, &key), job) in out.iter().zip(&keys).zip(jobs) {
-                if slot.is_some() || computed.contains_key(&key) {
-                    continue;
-                }
-                let arch = job.stage.run_with(job.coords, job.squares, &mut scratch);
-                let arch = match arch {
-                    Ok(arch) => arch,
-                    Err(e) => {
-                        // Park the scratch before propagating: the work
-                        // done so far stays reusable.
-                        *self.assemble_scratch.lock().expect("assemble scratch poisoned") =
-                            Some(scratch);
-                        return Err(e);
-                    }
-                };
-                computed.insert(key, arch);
+        // Pass 2 — build each distinct missed key's chip once, in
+        // first-occurrence order, then allocate every optimized one in
+        // one batch. The scratch is swapped out of its slot (not locked
+        // across the allocation) so concurrent batches never serialize;
+        // see the field docs.
+        let mut missed: Vec<(u64, &AssembleJob<'_>)> = Vec::new();
+        let mut seen: HashSet<u64> = HashSet::new();
+        for ((slot, &key), job) in out.iter().zip(&keys).zip(jobs) {
+            if slot.is_none() && seen.insert(key) {
+                missed.push((key, job));
             }
-            *self.assemble_scratch.lock().expect("assemble scratch poisoned") = Some(scratch);
+        }
+        let built: Vec<Result<Architecture, DesignError>> = missed
+            .iter()
+            .map(|(_, job)| job.stage.build_architecture(job.coords, job.squares))
+            .collect();
+        let allocators: Vec<Option<FrequencyAllocator>> = missed
+            .iter()
+            .zip(&built)
+            .map(|((_, job), arch)| {
+                (arch.is_ok() && job.stage.frequency == FrequencyStrategy::Optimized)
+                    .then(|| job.stage.allocator())
+            })
+            .collect();
+        let alloc_jobs: Vec<AllocJob<'_>> = allocators
+            .iter()
+            .zip(&built)
+            .filter_map(|(allocator, arch)| {
+                Some(AllocJob { allocator: allocator.as_ref()?, arch: arch.as_ref().ok()? })
+            })
+            .collect();
+        let mut scratch = self
+            .assemble_scratch
+            .lock()
+            .expect("assemble scratch poisoned")
+            .take()
+            .unwrap_or_default();
+        let mut plans = FrequencyAllocator::allocate_batch(&alloc_jobs, &mut scratch).into_iter();
+        *self.assemble_scratch.lock().expect("assemble scratch poisoned") = Some(scratch);
+        let mut computed: HashMap<u64, Architecture> = HashMap::new();
+        for (((key, job), arch), allocator) in missed.iter().zip(built).zip(&allocators) {
+            let arch = arch?;
+            let plan = match allocator {
+                Some(_) => plans.next().expect("one plan per allocation job"),
+                None => job.stage.pattern_plan(&arch),
+            };
+            computed.insert(*key, job.stage.attach(arch, plan)?);
+        }
 
-            // Pass 3 — fill and cache every missed occurrence (each one
-            // counts a miss, exactly as sequential per-job calls that
-            // raced would).
-            for (slot, &key) in out.iter_mut().zip(&keys) {
-                if slot.is_none() {
-                    let arch = computed.get(&key).expect("computed every missed key").clone();
-                    self.assemble.insert(key, arch.clone());
-                    *slot = Some(arch);
-                }
+        // Pass 3 — fill and cache every missed occurrence (each one
+        // counts a miss, exactly as sequential per-job calls that raced
+        // would).
+        for (slot, &key) in out.iter_mut().zip(&keys) {
+            if slot.is_none() {
+                let arch = computed.get(&key).expect("computed every missed key").clone();
+                self.assemble.insert(key, arch.clone());
+                *slot = Some(arch);
             }
         }
         Ok(out.into_iter().map(|a| a.expect("every job resolved")).collect())
@@ -945,8 +917,7 @@ impl StagePlan {
 
     /// Drops every cached value (counters keep accumulating).
     ///
-    /// The assemble scratch — compiled regions and noise planes — is
-    /// *kept*: it holds derived pure data a fresh process would
+    /// The allocator's noise-plane cache is *kept*: it holds derived pure data a fresh process would
     /// regenerate bit-identically, not memoized stage results, so
     /// clearing caches changes when allocation work happens but never
     /// what is computed.

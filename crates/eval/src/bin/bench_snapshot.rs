@@ -64,10 +64,10 @@
 //!   kernel);
 //! - `alloc/singletons` and `alloc/batched` — the same mixed-topology
 //!   allocation workload as independent `allocate` calls vs one
-//!   `allocate_batch` (PR 10's kernel: the batch carries one scratch —
-//!   noise planes keyed by stream, decision buffers — across every
-//!   allocation, where each singleton regenerates its noise from
-//!   scratch; plans are bit-identical either way).
+//!   seed-major `allocate_batch` (each step's noise planes are drawn
+//!   once for the whole batch and the allocations fan out over the
+//!   pool, where each singleton draws its own; plans are bit-identical
+//!   either way).
 //!
 //! Since PR 10 the `explore/eval_cold` / `explore/eval_warm` sweep runs
 //! through `Explorer::evaluate_all` — the batched round path (one
@@ -88,7 +88,7 @@
 //! timing values are ever compared.
 
 use criterion::Criterion;
-use qpd_core::{place_qubits, FrequencyAllocator, FrequencyStrategy};
+use qpd_core::{place_qubits, AllocJob, FrequencyAllocator, FrequencyStrategy};
 use qpd_eval::runner::run_benchmark;
 use qpd_eval::EvalSettings;
 use qpd_explore::{
@@ -311,21 +311,23 @@ fn main() {
     });
 
     // Batched cross-proposal allocation: the same mixed-topology
-    // workload as independent `allocate` calls (each regenerates its
-    // noise and decision state) vs one `allocate_batch` carrying one
-    // scratch across the batch. Same seed and sigma throughout, so the
-    // batch re-slices every noise plane after the first allocation.
+    // workload as independent `allocate` calls (each draws its own
+    // noise) vs one seed-major `allocate_batch`. Same seed and sigma
+    // throughout, so each step's planes are drawn once for all four.
     let alloc_batch_archs: Vec<Architecture> = vec![
         arch.clone(),
         ibm::ibm_16q_2x8(BusMode::TwoQubitOnly),
         ibm::ibm_16q_2x8(BusMode::MaxFourQubit),
         ibm::ibm_20q_4x5(BusMode::TwoQubitOnly),
     ];
-    let alloc_batch: Vec<&Architecture> = alloc_batch_archs.iter().collect();
+    let alloc_batch: Vec<AllocJob<'_>> =
+        alloc_batch_archs.iter().map(|arch| AllocJob { allocator: &compiled, arch }).collect();
     group.bench_function("alloc/singletons", |b| {
-        b.iter(|| alloc_batch.iter().map(|a| compiled.allocate(a)).collect::<Vec<_>>())
+        b.iter(|| alloc_batch.iter().map(|j| compiled.allocate(j.arch)).collect::<Vec<_>>())
     });
-    group.bench_function("alloc/batched", |b| b.iter(|| compiled.allocate_batch(&alloc_batch)));
+    group.bench_function("alloc/batched", |b| {
+        b.iter(|| FrequencyAllocator::allocate_batch(&alloc_batch, &mut AllocScratch::new()))
+    });
 
     // Yield-simulation kernel: §5.1's Monte Carlo on the densest IBM
     // baseline.

@@ -3,9 +3,9 @@
 use std::fmt;
 use std::sync::Arc;
 
-use qpd_core::{BusStrategy, DesignFlow, FrequencyStrategy, StagePlan};
+use qpd_core::{AssembleJob, AssembleStage, BusStrategy, DesignFlow, FrequencyStrategy, StagePlan};
 use qpd_profile::CouplingProfile;
-use qpd_topology::{ibm, pattern_frequency_plan, Architecture, BusMode};
+use qpd_topology::{ibm, pattern_frequency_plan, Architecture, BusMode, Coord, Square};
 
 use crate::runner::{EvalError, EvalSettings};
 
@@ -57,10 +57,7 @@ impl fmt::Display for ConfigKind {
 }
 
 /// Generates the architectures a configuration contributes for one
-/// profiled benchmark. Every design flow attaches to `plan`, the
-/// benchmark's shared stage plan: the five configurations place the
-/// same profile, so the placement (and any repeated assembly) is
-/// computed once per benchmark instead of once per configuration.
+/// profiled benchmark: [`generate`] for a single kind.
 ///
 /// # Errors
 ///
@@ -71,77 +68,136 @@ pub fn architectures(
     settings: &EvalSettings,
     plan: &Arc<StagePlan>,
 ) -> Result<Vec<Architecture>, EvalError> {
+    Ok(generate(&[kind], profile, settings, plan)?.pop().expect("one kind in, one list out"))
+}
+
+/// One assemble request of an `eff-*` configuration: the flow's
+/// assemble stage plus the layout it assembles.
+struct EffJob {
+    /// Index of the configuration in the caller's `kinds`.
+    kind: usize,
+    stage: AssembleStage,
+    coords: Vec<Coord>,
+    squares: Vec<Square>,
+}
+
+/// Generates the architectures of every configuration in `kinds`, one
+/// list per kind in order. Every design flow attaches to `plan`, the
+/// benchmark's shared stage plan: the configurations place the same
+/// profile, so the placement is computed once per benchmark. The
+/// `eff-*` configurations contribute job lists — the `eff-full` and
+/// `eff-5-freq` bus series and the `eff-rd-bus` samples — that are
+/// assembled as **one** [`StagePlan::assemble_batch`], so all of the
+/// program's optimized allocations run seed-major over one set of noise
+/// planes.
+///
+/// # Errors
+///
+/// Propagates design-flow failures ([`EvalError::Design`]).
+pub fn generate(
+    kinds: &[ConfigKind],
+    profile: &CouplingProfile,
+    settings: &EvalSettings,
+    plan: &Arc<StagePlan>,
+) -> Result<Vec<Vec<Architecture>>, EvalError> {
     let base_flow =
         || DesignFlow::new().with_plan(Arc::clone(plan)).with_hardware(settings.hardware);
-    match kind {
-        ConfigKind::Ibm => Ok(ibm::all_baselines().to_vec()),
-        ConfigKind::EffFull => {
-            let flow = base_flow()
-                .with_allocation_trials(settings.alloc_trials)
-                .with_allocation_seed(settings.seed)
-                .with_sigma_ghz(settings.sigma_ghz);
-            Ok(flow.design_series(profile)?)
-        }
-        ConfigKind::Eff5Freq => {
-            let flow = base_flow()
-                .with_frequency_strategy(FrequencyStrategy::FiveFrequency)
-                .with_name_prefix("eff5");
-            Ok(flow.design_series(profile)?)
-        }
-        ConfigKind::EffRdBus => {
-            // One point per sample: a seeded random bus set whose size
-            // sweeps the available range, so the samples scatter across
-            // the trade-off plane like the paper's orange points.
-            let coords = base_flow().place(profile)?;
-            let max = qpd_core::select_buses_maximal(&coords).len();
-            let mut archs = Vec::new();
-            for s in 0..settings.rd_bus_samples {
-                let budget =
-                    if max == 0 { 0 } else { 1 + s * max / settings.rd_bus_samples.max(1) };
-                if budget == 0 {
-                    continue;
-                }
+    let optimized = || {
+        base_flow()
+            .with_allocation_trials(settings.alloc_trials)
+            .with_allocation_seed(settings.seed)
+            .with_sigma_ghz(settings.sigma_ghz)
+    };
+    let mut out: Vec<Vec<Architecture>> = vec![Vec::new(); kinds.len()];
+    let mut jobs: Vec<EffJob> = Vec::new();
+    // Every bus-count prefix of the flow's order: the Figure 10 series.
+    let series = |kind: usize, flow: DesignFlow, jobs: &mut Vec<EffJob>| {
+        let coords = flow.place(profile)?;
+        let order = flow.bus_order(profile)?;
+        let stage = flow.assemble_stage();
+        jobs.extend((0..=order.len()).map(|k| EffJob {
+            kind,
+            stage: stage.clone(),
+            coords: coords.clone(),
+            squares: order[..k].to_vec(),
+        }));
+        Ok::<_, EvalError>(())
+    };
+    for (i, &kind) in kinds.iter().enumerate() {
+        match kind {
+            ConfigKind::Ibm => out[i] = ibm::all_baselines().to_vec(),
+            ConfigKind::EffFull => series(i, optimized(), &mut jobs)?,
+            ConfigKind::Eff5Freq => {
                 let flow = base_flow()
-                    .with_bus_strategy(BusStrategy::Random { seed: settings.seed + s as u64 })
-                    .with_max_buses(Some(budget))
-                    .with_allocation_trials(settings.alloc_trials)
-                    .with_allocation_seed(settings.seed)
-                    .with_sigma_ghz(settings.sigma_ghz)
-                    .with_name_prefix(format!("effrd{s}"));
-                archs.push(flow.design(profile)?);
+                    .with_frequency_strategy(FrequencyStrategy::FiveFrequency)
+                    .with_name_prefix("eff5");
+                series(i, flow, &mut jobs)?;
             }
-            Ok(archs)
-        }
-        ConfigKind::EffLayoutOnly => {
-            let coords = base_flow().place(profile)?;
-            let model = settings.hardware.model();
-            let menu = model.pattern_frequencies_ghz();
-            let band = model.allowed_band_ghz();
-            let mut out = Vec::new();
-            // Option A: 2-qubit buses only.
-            let mut builder =
-                Architecture::builder(format!("efflayout-{}q-2qbus", profile.num_qubits()));
-            builder.qubits(coords.iter().copied());
-            let plain = builder.build().map_err(qpd_core::DesignError::from)?;
-            let freqs = pattern_frequency_plan(&plain, menu);
-            out.push(
-                plain.with_frequencies_in_band(freqs, band).map_err(qpd_core::DesignError::from)?,
-            );
-            // Option B: as many 4-qubit buses as possible.
-            let mut builder =
-                Architecture::builder(format!("efflayout-{}q-max4q", profile.num_qubits()));
-            builder.qubits(coords.iter().copied());
-            for s in qpd_core::select_buses_maximal(&coords) {
-                builder.four_qubit_bus_at(s);
+            ConfigKind::EffRdBus => {
+                // One point per sample: a seeded random bus set whose
+                // size sweeps the available range, so the samples
+                // scatter across the trade-off plane like the paper's
+                // orange points.
+                let coords = base_flow().place(profile)?;
+                let max = qpd_core::select_buses_maximal(&coords).len();
+                for s in 0..settings.rd_bus_samples {
+                    let budget =
+                        if max == 0 { 0 } else { 1 + s * max / settings.rd_bus_samples.max(1) };
+                    if budget == 0 {
+                        continue;
+                    }
+                    let flow = optimized()
+                        .with_bus_strategy(BusStrategy::Random { seed: settings.seed + s as u64 })
+                        .with_max_buses(Some(budget))
+                        .with_name_prefix(format!("effrd{s}"));
+                    let squares = flow.bus_order(profile)?;
+                    let stage = flow.assemble_stage();
+                    jobs.push(EffJob { kind: i, stage, coords: coords.clone(), squares });
+                }
             }
-            let dense = builder.build().map_err(qpd_core::DesignError::from)?;
-            let freqs = pattern_frequency_plan(&dense, menu);
-            out.push(
-                dense.with_frequencies_in_band(freqs, band).map_err(qpd_core::DesignError::from)?,
-            );
-            Ok(out)
+            ConfigKind::EffLayoutOnly => {
+                out[i] = layout_only(&base_flow().place(profile)?, profile, settings)?;
+            }
         }
     }
+    let batch: Vec<AssembleJob<'_>> = jobs
+        .iter()
+        .map(|j| AssembleJob { stage: &j.stage, coords: &j.coords, squares: &j.squares })
+        .collect();
+    for (job, arch) in jobs.iter().zip(plan.assemble_batch(&batch)?) {
+        out[job.kind].push(arch);
+    }
+    Ok(out)
+}
+
+/// The `eff-layout-only` pair on the placed `coords`: 2-qubit buses
+/// only, and as many 4-qubit buses as possible, both on the family's
+/// frequency pattern.
+fn layout_only(
+    coords: &[Coord],
+    profile: &CouplingProfile,
+    settings: &EvalSettings,
+) -> Result<Vec<Architecture>, EvalError> {
+    let model = settings.hardware.model();
+    let menu = model.pattern_frequencies_ghz();
+    let band = model.allowed_band_ghz();
+    let mut out = Vec::new();
+    // Option A: 2-qubit buses only.
+    let mut builder = Architecture::builder(format!("efflayout-{}q-2qbus", profile.num_qubits()));
+    builder.qubits(coords.iter().copied());
+    let plain = builder.build().map_err(qpd_core::DesignError::from)?;
+    let freqs = pattern_frequency_plan(&plain, menu);
+    out.push(plain.with_frequencies_in_band(freqs, band).map_err(qpd_core::DesignError::from)?);
+    // Option B: as many 4-qubit buses as possible.
+    let mut builder = Architecture::builder(format!("efflayout-{}q-max4q", profile.num_qubits()));
+    builder.qubits(coords.iter().copied());
+    for s in qpd_core::select_buses_maximal(coords) {
+        builder.four_qubit_bus_at(s);
+    }
+    let dense = builder.build().map_err(qpd_core::DesignError::from)?;
+    let freqs = pattern_frequency_plan(&dense, menu);
+    out.push(dense.with_frequencies_in_band(freqs, band).map_err(qpd_core::DesignError::from)?);
+    Ok(out)
 }
 
 /// The IBM baseline bus modes, used by reports.
@@ -167,8 +223,20 @@ mod tests {
         EvalSettings::quick()
     }
 
-    fn generate(kind: ConfigKind, settings: &EvalSettings) -> Vec<Architecture> {
+    fn designs(kind: ConfigKind, settings: &EvalSettings) -> Vec<Architecture> {
         architectures(kind, &profile(), settings, &Arc::new(StagePlan::new())).unwrap()
+    }
+
+    #[test]
+    fn one_batch_over_all_kinds_matches_per_kind_generation() {
+        // run_circuit's shape: every configuration's assembles in one
+        // batch, against per-kind batches on fresh plans.
+        let kinds = ConfigKind::all();
+        let plan = Arc::new(StagePlan::new());
+        let together = generate(&kinds, &profile(), &quick(), &plan).unwrap();
+        for (kind, archs) in kinds.iter().zip(&together) {
+            assert_eq!(archs, &designs(*kind, &quick()), "{kind}");
+        }
     }
 
     #[test]
@@ -180,12 +248,12 @@ mod tests {
 
     #[test]
     fn ibm_contributes_four() {
-        assert_eq!(generate(ConfigKind::Ibm, &quick()).len(), 4);
+        assert_eq!(designs(ConfigKind::Ibm, &quick()).len(), 4);
     }
 
     #[test]
     fn eff_full_series_has_bus_range() {
-        let archs = generate(ConfigKind::EffFull, &quick());
+        let archs = designs(ConfigKind::EffFull, &quick());
         assert!(!archs.is_empty());
         assert_eq!(archs[0].four_qubit_buses().len(), 0);
         for a in &archs {
@@ -195,7 +263,7 @@ mod tests {
 
     #[test]
     fn layout_only_has_two_options() {
-        let archs = generate(ConfigKind::EffLayoutOnly, &quick());
+        let archs = designs(ConfigKind::EffLayoutOnly, &quick());
         assert_eq!(archs.len(), 2);
         assert!(archs[0].four_qubit_buses().is_empty());
         assert!(archs[1].four_qubit_buses().len() >= archs[0].four_qubit_buses().len());
@@ -203,7 +271,7 @@ mod tests {
 
     #[test]
     fn rd_bus_samples_are_bounded() {
-        let archs = generate(ConfigKind::EffRdBus, &quick());
+        let archs = designs(ConfigKind::EffRdBus, &quick());
         assert!(archs.len() <= quick().rd_bus_samples);
         for a in &archs {
             assert!(!a.four_qubit_buses().is_empty());
@@ -229,9 +297,9 @@ mod tests {
     #[test]
     fn hardware_family_reshapes_the_designs() {
         use qpd_yield::HardwareFamily;
-        let fixed = generate(ConfigKind::EffLayoutOnly, &quick());
+        let fixed = designs(ConfigKind::EffLayoutOnly, &quick());
         let hh =
-            generate(ConfigKind::EffLayoutOnly, &quick().with_hardware(HardwareFamily::HeavyHex));
+            designs(ConfigKind::EffLayoutOnly, &quick().with_hardware(HardwareFamily::HeavyHex));
         let (lo, hi) = HardwareFamily::HeavyHex.model().allowed_band_ghz();
         let freqs = |a: &Architecture| a.frequencies().unwrap().as_slice().to_vec();
         assert_ne!(freqs(&fixed[0]), freqs(&hh[0]), "family change left the plan unchanged");

@@ -9,9 +9,9 @@ use qpd_core::{DesignError, StagePlan};
 use qpd_mapping::{MappingError, SabreRouter};
 use qpd_profile::CouplingProfile;
 use qpd_topology::Architecture;
-use qpd_yield::{HardwareFamily, YieldError, YieldSimulator};
+use qpd_yield::{BatchRequest, HardwareFamily, YieldError, YieldSimulator};
 
-use crate::configs::{architectures, ConfigKind};
+use crate::configs::{generate, ConfigKind};
 
 /// Tunable experiment parameters; defaults follow the paper's setup
 /// (§5.1): 10,000 yield trials, sigma = 30 MHz.
@@ -181,11 +181,13 @@ pub fn run_benchmark(name: &str, settings: &EvalSettings) -> Result<BenchmarkRun
 /// Runs the five configurations on an arbitrary circuit (used by
 /// examples to design chips for user programs).
 ///
-/// Architecture generation fans out over the configurations and point
-/// evaluation (routing + yield simulation) over the individual
-/// architectures, both on the shared `qpd-par` pool. Results are
-/// assembled in configuration order, so the output is identical to the
-/// serial iteration for any thread count.
+/// Architecture generation submits every `eff-*` assemble of the
+/// program as one seed-major batch ([`generate`]); routing then fans out
+/// over the individual architectures on the shared `qpd-par` pool, and
+/// every point's yield comes from one
+/// [`YieldSimulator::evaluate_batch`]. Results are assembled in
+/// configuration order, so the output is identical for any thread
+/// count.
 ///
 /// # Errors
 ///
@@ -209,23 +211,24 @@ pub fn run_circuit(
 
     // One stage plan for the whole benchmark: every configuration's
     // design flow attaches to it, so the placement the configurations
-    // share is computed once and the assembly cache is common across
-    // the eff-* families. Stages are pure, so sharing is result-neutral.
+    // share is computed once. Stages are pure, so sharing is
+    // result-neutral.
     let plan = Arc::new(StagePlan::new());
     let kinds = ConfigKind::all();
-    let generated =
-        qpd_par::par_map(&kinds, |&kind| architectures(kind, &profile, settings, &plan));
-    let mut flat: Vec<(ConfigKind, Architecture)> = Vec::new();
-    for (kind, archs) in kinds.iter().zip(generated) {
-        for arch in archs? {
-            flat.push((*kind, arch));
-        }
-    }
+    let flat: Vec<(ConfigKind, Architecture)> = kinds
+        .iter()
+        .zip(generate(&kinds, &profile, settings, &plan)?)
+        .flat_map(|(&kind, archs)| archs.into_iter().map(move |arch| (kind, arch)))
+        .collect();
 
-    let evaluated = qpd_par::par_map(&flat, |(kind, arch)| -> Result<DataPoint, EvalError> {
-        let (total_gates, swaps) = route_gates_swaps(circuit, arch)?;
-        let estimate = sim.estimate(arch)?;
-        Ok(DataPoint {
+    let routed = qpd_par::par_map(&flat, |(_, arch)| route_gates_swaps(circuit, arch));
+    let requests: Vec<BatchRequest<'_>> =
+        flat.iter().map(|(_, arch)| BatchRequest { simulator: sim, arch }).collect();
+    let yields = YieldSimulator::evaluate_batch(&requests);
+    let mut points = Vec::with_capacity(flat.len());
+    for (((kind, arch), route), estimate) in flat.iter().zip(routed).zip(yields) {
+        let (total_gates, swaps) = route?;
+        points.push(DataPoint {
             config: *kind,
             arch: arch.name().to_string(),
             qubits: arch.num_qubits(),
@@ -233,11 +236,10 @@ pub fn run_circuit(
             coupling_edges: arch.coupling_edges().len(),
             total_gates,
             swaps,
-            yield_rate: estimate.rate(),
+            yield_rate: estimate?.rate(),
             normalized_perf: baseline_gates as f64 / total_gates as f64,
-        })
-    });
-    let points = evaluated.into_iter().collect::<Result<Vec<_>, _>>()?;
+        });
+    }
     Ok(BenchmarkRun { benchmark: name.to_string(), qubits: circuit.num_qubits(), points })
 }
 

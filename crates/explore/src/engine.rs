@@ -730,8 +730,9 @@ impl Explorer {
     /// public face of the batched round path (`evaluate_batch_at` at
     /// the configured yield-trial budget). Results are bit-identical
     /// to per-spec [`Self::evaluate`] calls, in input order; the batch
-    /// only shares work — assemble-stage misses share one allocation
-    /// scratch, and yield-cache misses group into SoA simulation runs.
+    /// only shares work — assemble-stage misses run as one seed-major
+    /// allocation batch, and yield-cache misses group into SoA
+    /// simulation runs.
     ///
     /// # Errors
     ///
@@ -775,9 +776,9 @@ impl Explorer {
     /// Layout resolution fans out per candidate on the worker pool,
     /// then the whole round assembles as one
     /// [`DesignFlow::design_with_layout_batch`] submission: the
-    /// assemble-stage misses of the round share one compiled-region
-    /// cache and one set of fabrication-noise planes instead of
-    /// rebuilding them per candidate, while cache accounting stays
+    /// assemble-stage misses of the round run as one seed-major
+    /// allocation batch over one set of fabrication-noise planes
+    /// instead of regenerating them per candidate, while cache accounting stays
     /// per-job (every candidate still contributes exactly one assemble
     /// hit or miss, and each plan is bit-identical to its singleton
     /// [`Self::evaluate`] result). Routing then fans out per

@@ -87,8 +87,8 @@ struct LaneGroup {
     members: Vec<usize>,
     /// Lane width: member count padded up to the SIMD tier's lane count.
     width: usize,
-    /// Designed `f_a` per (pair, lane); NaN in pad lanes (every compare
-    /// is ordered, so pad lanes never collide and their tallies are
+    /// Designed `f_a` per (pair, lane); NaN in pad lanes (the SIMD
+    /// kernels mark pad lanes collided up front, and their tallies are
     /// discarded).
     pair_a: Vec<f64>,
     /// Designed `f_b` per (pair, lane).
@@ -356,8 +356,8 @@ mod batch_avx2 {
     pub const LANES: usize = 4;
 
     /// As [`super::run_rows_scalar`]; `lg.width` is a multiple of
-    /// [`LANES`], pad lanes hold NaN operands (ordered compares never
-    /// fire on them) and their tallies are discarded by the caller.
+    /// [`LANES`], pad lanes hold NaN operands, start every row marked
+    /// collided, and their tallies are discarded by the caller.
     ///
     /// # Safety
     ///
@@ -379,11 +379,21 @@ mod batch_avx2 {
         let ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
         let abs = |x: __m256d| _mm256_andnot_pd(sign, x);
         let w = lg.width;
+        // Pad lanes start collided: their NaN operands never register a
+        // collision, so otherwise a partly filled block could never take
+        // the all-lanes-collided exit.
+        let members = lg.members.len();
+        let pads: Vec<__m256d> = (0..w / LANES)
+            .map(|block| {
+                let pad = |lane: usize| -i64::from(block * LANES + lane >= members);
+                _mm256_castsi256_pd(_mm256_set_epi64x(pad(3), pad(2), pad(1), pad(0)))
+            })
+            .collect();
 
         for row in noise.chunks_exact(n) {
-            for block in 0..w / LANES {
+            for (block, &pad) in pads.iter().enumerate() {
                 let base = block * LANES;
-                let mut coll = _mm256_setzero_pd();
+                let mut coll = pad;
                 for (pi, &(a, b)) in lg.pairs.iter().enumerate() {
                     let fa = _mm256_add_pd(
                         _mm256_loadu_pd(lg.pair_a.as_ptr().add(pi * w + base)),
@@ -489,11 +499,18 @@ mod batch_avx512 {
         let v_2 = _mm512_set1_pd(2.0);
         let one = _mm512_set1_epi64(1);
         let w = lg.width;
+        // Pad lanes start collided, as in the AVX2 kernel.
+        let members = lg.members.len();
+        let pads: Vec<__mmask8> = (0..w / LANES)
+            .map(|block| {
+                (0..LANES).filter(|&lane| block * LANES + lane >= members).map(|l| 1 << l).sum()
+            })
+            .collect();
 
         for row in noise.chunks_exact(n) {
-            for block in 0..w / LANES {
+            for (block, &pad) in pads.iter().enumerate() {
                 let base = block * LANES;
-                let mut coll: __mmask8 = 0;
+                let mut coll: __mmask8 = pad;
                 for (pi, &(a, b)) in lg.pairs.iter().enumerate() {
                     let fa = _mm512_add_pd(
                         _mm512_loadu_pd(lg.pair_a.as_ptr().add(pi * w + base)),
@@ -677,11 +694,18 @@ mod tests {
             return;
         }
         // A synthetic lane group over a 5-qubit chip: 4 pairs, 4 triples,
-        // 11 members (ragged: pads exercise the NaN lanes).
+        // and 1, 5 or 11 members (ragged: pads exercise the pre-collided
+        // NaN lanes, and a 1-member group is mostly padding).
+        for members in [1usize, 5, 11] {
+            simd_kernels_match_scalar_kernel_at(members);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn simd_kernels_match_scalar_kernel_at(members: usize) {
         let params = CollisionParams::default();
         let pairs: Vec<(u32, u32)> = vec![(0, 1), (1, 2), (2, 3), (3, 4)];
         let triples: Vec<(u32, u32, u32)> = vec![(1, 0, 2), (2, 1, 3), (3, 2, 4), (1, 2, 0)];
-        let members = 11usize;
         let build = |width: usize| {
             let mut lg = LaneGroup {
                 params,
@@ -727,13 +751,13 @@ mod tests {
         let avx2_lg = build(members.div_ceil(batch_avx2::LANES) * batch_avx2::LANES);
         let mut avx2 = vec![0i64; avx2_lg.width];
         unsafe { batch_avx2::run_rows(&noise, n, &avx2_lg, &mut avx2) };
-        assert_eq!(scalar, avx2[..members].to_vec(), "avx2");
+        assert_eq!(scalar, avx2[..members].to_vec(), "avx2, {members} members");
 
         if std::arch::is_x86_feature_detected!("avx512f") {
             let avx512_lg = build(members.div_ceil(batch_avx512::LANES) * batch_avx512::LANES);
             let mut avx512 = vec![0i64; avx512_lg.width];
             unsafe { batch_avx512::run_rows(&noise, n, &avx512_lg, &mut avx512) };
-            assert_eq!(scalar, avx512[..members].to_vec(), "avx512");
+            assert_eq!(scalar, avx512[..members].to_vec(), "avx512, {members} members");
         }
     }
 

@@ -37,6 +37,6 @@ pub use hardware::{
     FixedFrequencyTransmon, HardwareFamily, HardwareModel, HeavyHex, TunableCoupler,
     HARDWARE_KEY_SALT,
 };
-pub use local::{AllocScratch, CompiledRegions, LocalYieldEvaluator};
+pub use local::{AllocScratch, CompiledRegions, DecisionBuffers, LocalYieldEvaluator};
 pub use model::FabricationModel;
 pub use simulator::{Fnv64, YieldError, YieldEstimate, YieldSimulator};

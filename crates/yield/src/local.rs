@@ -22,6 +22,9 @@
 //! - trials that survive the candidate-independent *context* constraints
 //!   are stored in flat structure-of-arrays records holding exactly the
 //!   operands the per-candidate constraints read (no per-trial vectors);
+//! - the noise blocks are prefixes of per-(seed, qubit) planes that
+//!   [`AllocScratch::prepare`] draws once for a whole allocation step,
+//!   which every decision of the step then reads shared;
 //! - candidate evaluation fans out over the [`qpd_par`] worker pool; the
 //!   common-random-numbers scheme makes the counts — and therefore the
 //!   ranking — bit-identical for any thread count, including one.
@@ -31,6 +34,7 @@
 //! proves count-equality between the two on every architecture it tries.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -791,6 +795,15 @@ impl CompiledRegions {
         self.regions[q].members.len()
     }
 
+    /// The qubits of `q`'s local region (including `q`), ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
+    pub fn region(&self, q: usize) -> impl Iterator<Item = usize> + '_ {
+        self.regions[q].members.iter().map(|&r| r as usize)
+    }
+
     fn compile_region(arch: &Architecture, q: usize, slot_of: &mut [u32]) -> RegionTemplate {
         let members: Vec<u32> = arch.ball(q, 2).into_iter().map(|r| r as u32).collect();
         for (slot, &r) in members.iter().enumerate() {
@@ -858,44 +871,212 @@ impl CompiledRegions {
     }
 }
 
-/// Reusable state for a run of allocation decisions: cached noise
-/// planes plus every per-decision buffer, so adjacent decisions (and
-/// whole batches of allocations) stop paying per-call allocations and
-/// stream regeneration.
+/// The fabrication-noise plane cache of frequency allocation.
 ///
 /// # Noise planes
 ///
 /// The common-random-numbers block of a decision for qubit `q` is a
-/// prefix of one flat stream that depends **only** on the evaluator
-/// seed, `q`, and the noise sigma — not on the architecture, the
-/// partial assignment, or the trial count. The scratch therefore keeps
-/// each stream it has generated as a *plane* keyed by the stream seed:
-/// a later decision against the same stream (another proposal in a
-/// batch, a re-allocation after caches were dropped) slices the plane
+/// prefix of one flat stream that depends **only** on the stream seed
+/// (a pure function of the evaluator seed and `q`) and the effective
+/// noise sigma — not on the architecture, the partial assignment, or
+/// the trial count. The scratch keeps each stream it has generated as a
+/// *plane* keyed by (stream seed, sigma): every later decision against
+/// the same stream (another allocation of a batch, a later batch, a
+/// re-allocation after stage caches were dropped) slices the plane
 /// instead of re-deriving the samples. Planes grow in place when a
 /// longer prefix is needed; growth restarts at the last
 /// fixed-size-chunk boundary, so the bytes are identical to a direct
 /// fill of the longer buffer.
 ///
-/// Total plane storage is capped (64 MiB); exceeding the cap drops all
-/// planes and regenerates on demand. Planes are derived pure data —
-/// regenerating them from scratch yields bit-identical values — so
-/// holding them across cache clears never changes any result.
+/// Planes are generated only by [`AllocScratch::prepare`], which fills
+/// every plane a set of decisions will read at once; the
+/// decisions then read the scratch shared and read-only
+/// ([`LocalYieldEvaluator::evaluate_prepared`]). A decision whose plane
+/// was not prepared — or whose block is odd-length or uses the legacy
+/// noise scheme, neither of which is a plane prefix — fills its own
+/// buffer instead, with identical values.
 ///
-/// The cache is bypassed for the legacy noise scheme and for
-/// odd-length blocks (whose tail samples are drawn differently by
-/// [`FabricationModel::sample_into`], breaking prefix reuse).
-#[derive(Debug, Default)]
+/// # Seed families and the storage bound
+///
+/// Planes are grouped into *seed families*: all planes of one evaluator
+/// seed at one sigma, i.e. one allocation pass or one refinement sweep.
+/// Retained storage is capped (64 MiB); when a `prepare` would exceed
+/// it, whole families are evicted, least recently prepared first. The
+/// families the current `prepare` serves are never evicted, so peak
+/// plane memory is the cap plus one step's demand. Planes are derived
+/// pure data, so eviction only changes when samples are drawn, never
+/// any result.
+#[derive(Debug)]
 pub struct AllocScratch {
-    /// Noise planes keyed by stream base seed (a pure function of the
-    /// evaluator seed and the decided qubit's index).
-    planes: HashMap<u64, Vec<f64>>,
+    /// Seed families keyed by (evaluator seed, sigma bits).
+    families: HashMap<(u64, u64), PlaneFamily>,
     /// Total samples across all planes, for the storage cap.
     plane_samples: usize,
-    /// Sigma identity of the cached planes; a different sigma draws
-    /// different values from the same uniform stream, so it clears them.
-    sigma_bits: u64,
-    /// Direct-fill buffer for the legacy / odd-length paths.
+    /// Retained-sample bound ([`Self::PLANE_CAP_SAMPLES`] outside tests).
+    cap: usize,
+    /// `prepare` call counter: the recency stamp of family eviction.
+    clock: u64,
+    /// Noise samples drawn through this scratch, planes and direct
+    /// fills alike (diagnostics and tests).
+    drawn: AtomicU64,
+}
+
+impl Default for AllocScratch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The planes of one seed family, keyed by stream seed.
+#[derive(Debug, Default)]
+struct PlaneFamily {
+    planes: HashMap<u64, Vec<f64>>,
+    samples: usize,
+    /// The `prepare` call that last demanded this family.
+    last_used: u64,
+}
+
+impl AllocScratch {
+    /// Total plane samples retained across `prepare` calls: 8 Mi
+    /// `f64`s = 64 MiB.
+    const PLANE_CAP_SAMPLES: usize = 8 << 20;
+
+    /// Fills of fewer stream chunks than this (2 MiB of samples) run on
+    /// the caller's thread. A step of a few-hundred-trial allocation —
+    /// a serve or explore request — draws well under it, and drawing it
+    /// inline leaves the other cores to concurrent requests: fanned
+    /// out, it cost the daemon's warm requests about 25% at p90 on a
+    /// 2-core host.
+    const POOL_MIN_FILL_CHUNKS: usize = 64;
+
+    /// An empty scratch; planes are built on first use.
+    pub fn new() -> Self {
+        Self::with_cap(Self::PLANE_CAP_SAMPLES)
+    }
+
+    fn with_cap(cap: usize) -> Self {
+        AllocScratch {
+            families: HashMap::new(),
+            plane_samples: 0,
+            cap,
+            clock: 0,
+            drawn: AtomicU64::new(0),
+        }
+    }
+
+    /// Number of cached noise planes (diagnostics and tests).
+    pub fn cached_planes(&self) -> usize {
+        self.families.values().map(|f| f.planes.len()).sum()
+    }
+
+    /// Total cached noise samples across planes (diagnostics and tests).
+    pub fn cached_samples(&self) -> usize {
+        self.plane_samples
+    }
+
+    /// Noise samples drawn through this scratch so far, into planes and
+    /// into per-decision buffers alike (diagnostics and tests).
+    pub fn samples_drawn(&self) -> u64 {
+        self.drawn.load(Ordering::Relaxed)
+    }
+
+    /// Makes every plane the given decisions read available: each
+    /// `(evaluator, q, m)` names a decision for qubit `q` over `m`
+    /// active region columns, i.e. a prefix of `trials x m` samples of
+    /// the evaluator's stream for `q`. Demands on one plane merge to the
+    /// longest, and every missing sample of every plane is drawn in one
+    /// fan-out over the pool (inline when small). Legacy-noise and
+    /// odd-length demands are skipped (those decisions fill directly).
+    pub fn prepare<'e>(
+        &mut self,
+        demands: impl IntoIterator<Item = (&'e LocalYieldEvaluator, usize, usize)>,
+    ) {
+        self.clock += 1;
+        let clock = self.clock;
+        let mut wanted: HashMap<((u64, u64), u64), usize> = HashMap::new();
+        for (evaluator, q, m) in demands {
+            let needed = evaluator.trials * m;
+            if let Some(key) = evaluator.plane_key(q, needed) {
+                let slot = wanted.entry(key).or_default();
+                *slot = (*slot).max(needed);
+            }
+        }
+
+        // Pin the demanded families, then evict the least recently used
+        // others until the growth fits under the cap.
+        let mut growth = 0;
+        for (&(family, stream), &needed) in &wanted {
+            let fam = self.families.entry(family).or_default();
+            fam.last_used = clock;
+            growth += needed.saturating_sub(fam.planes.get(&stream).map_or(0, Vec::len));
+        }
+        while self.plane_samples + growth > self.cap {
+            let Some((&victim, _)) = self
+                .families
+                .iter()
+                .filter(|(_, f)| f.last_used < clock)
+                .min_by_key(|(&key, f)| (f.last_used, key))
+            else {
+                break;
+            };
+            let evicted = self.families.remove(&victim).expect("victim present");
+            self.plane_samples -= evicted.samples;
+        }
+
+        // Grow every short plane, then draw all missing chunks at once.
+        // Growth restarts at the last chunk boundary: chunk contents
+        // depend only on (stream seed, chunk index) and even prefixes of
+        // a chunk are bit-identical to shorter fills, so a grown plane
+        // equals a direct fill of its new length.
+        let chunk = LocalYieldEvaluator::NOISE_STREAM_SAMPLES;
+        let mut starts: HashMap<((u64, u64), u64), usize> = HashMap::new();
+        for (&(family, stream), &needed) in &wanted {
+            let fam = self.families.get_mut(&family).expect("family pinned above");
+            let plane = fam.planes.entry(stream).or_default();
+            if needed > plane.len() {
+                starts.insert((family, stream), (plane.len() / chunk) * chunk);
+                fam.samples += needed - plane.len();
+                self.plane_samples += needed - plane.len();
+                plane.resize(needed, 0.0);
+            }
+        }
+        let mut fills: Vec<(&mut [f64], u64, u64, FabricationModel)> = Vec::new();
+        for (&family, fam) in &mut self.families {
+            let model = FabricationModel::new(f64::from_bits(family.1));
+            for (&stream, plane) in &mut fam.planes {
+                let Some(&start) = starts.get(&(family, stream)) else { continue };
+                for (i, part) in plane[start..].chunks_mut(chunk).enumerate() {
+                    fills.push((part, stream, (start / chunk + i) as u64, model));
+                }
+            }
+        }
+        let drawn: usize = fills.iter().map(|f| f.0.len()).sum();
+        self.drawn.fetch_add(drawn as u64, Ordering::Relaxed);
+        let fill =
+            |(part, stream, absolute, model): &mut (&mut [f64], u64, u64, FabricationModel)| {
+                LocalYieldEvaluator::fill_stream_chunk(*stream, *absolute, model, part);
+            };
+        if fills.len() < Self::POOL_MIN_FILL_CHUNKS {
+            fills.iter_mut().for_each(fill);
+        } else {
+            qpd_par::par_chunks_mut(&mut fills, 1, |_, f| fill(&mut f[0]));
+        }
+    }
+
+    /// The first `needed` samples of `evaluator`'s stream for `q`, when
+    /// a prepared plane holds them.
+    fn plane(&self, evaluator: &LocalYieldEvaluator, q: usize, needed: usize) -> Option<&[f64]> {
+        let (family, stream) = evaluator.plane_key(q, needed)?;
+        self.families.get(&family)?.planes.get(&stream)?.get(..needed)
+    }
+}
+
+/// Per-decision work buffers: one per worker, reused across the
+/// decisions it runs so the decision kernel allocates nothing in steady
+/// state. Contents never carry over between decisions.
+#[derive(Debug, Default)]
+pub struct DecisionBuffers {
+    /// Direct-fill noise for decisions without a prepared plane.
     noise: Vec<f64>,
     /// Packed-column map of the decision's region slots.
     active: Vec<u32>,
@@ -909,27 +1090,6 @@ pub struct AllocScratch {
     ctx_triples: Vec<(u32, u32, u32)>,
     /// Concatenated surviving pass-1 records.
     live: Vec<f64>,
-}
-
-impl AllocScratch {
-    /// Total plane samples retained before the cache resets: 8 Mi
-    /// `f64`s = 64 MiB.
-    const PLANE_CAP_SAMPLES: usize = 8 << 20;
-
-    /// An empty scratch; buffers and planes are built on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached noise planes (diagnostics and tests).
-    pub fn cached_planes(&self) -> usize {
-        self.planes.len()
-    }
-
-    /// Total cached noise samples across planes (diagnostics and tests).
-    pub fn cached_samples(&self) -> usize {
-        self.plane_samples
-    }
 }
 
 /// Evaluates candidate frequencies for one qubit against the already
@@ -994,21 +1154,7 @@ impl LocalYieldEvaluator {
         q: usize,
         candidates: &[f64],
     ) -> Vec<u64> {
-        assert!(q < arch.num_qubits(), "qubit out of range");
-        let mut slot_of = vec![INACTIVE; arch.num_qubits()];
-        let region = CompiledRegions {
-            num_qubits: arch.num_qubits(),
-            regions: vec![CompiledRegions::compile_region(arch, q, &mut slot_of)],
-        };
-        let mut scratch = AllocScratch::new();
-        self.evaluate_region(
-            &region.regions[0],
-            region.num_qubits,
-            assigned,
-            q,
-            candidates,
-            &mut scratch,
-        )
+        self.evaluate_candidates_compiled(&CompiledRegions::new(arch), assigned, q, candidates)
     }
 
     /// [`Self::evaluate_candidates`] against a prebuilt
@@ -1030,8 +1176,8 @@ impl LocalYieldEvaluator {
     }
 
     /// [`Self::evaluate_candidates_compiled`] with a caller-held
-    /// [`AllocScratch`]: decision buffers are reused and noise planes
-    /// are sliced from the scratch's cache instead of re-derived. The
+    /// [`AllocScratch`]: the decision's noise plane is prepared in (or
+    /// sliced from) the scratch's cache instead of re-derived. The
     /// counts are bit-identical to the scratch-free entry point for any
     /// sequence of calls, scratch sharing, and thread count.
     ///
@@ -1047,14 +1193,10 @@ impl LocalYieldEvaluator {
         scratch: &mut AllocScratch,
     ) -> Vec<u64> {
         assert!(q < regions.num_qubits, "qubit out of range");
-        self.evaluate_region(
-            &regions.regions[q],
-            regions.num_qubits,
-            assigned,
-            q,
-            candidates,
-            scratch,
-        )
+        let m = 1 + regions.region(q).filter(|&r| r != q && assigned[r].is_some()).count();
+        scratch.prepare([(self, q, m)]);
+        let mut buffers = DecisionBuffers::default();
+        self.evaluate_prepared(regions, assigned, q, candidates, scratch, &mut buffers)
     }
 
     /// Samples per independent noise stream in the modern fill: the
@@ -1064,15 +1206,25 @@ impl LocalYieldEvaluator {
     /// depend on the worker count).
     const NOISE_STREAM_SAMPLES: usize = 4_096;
 
-    /// The base seed of qubit `q`'s noise stream family — a pure
-    /// function of the evaluator seed and `q`, which is what makes the
+    /// The base seed of qubit `q`'s noise stream — a pure function of
+    /// the evaluator seed and `q`, which is what makes the
     /// [`AllocScratch`] plane cache valid across architectures.
     fn stream_seed(&self, q: usize) -> u64 {
         self.seed ^ (0xd134_2543_de82_ef95u64.wrapping_mul(q as u64 + 1))
     }
 
+    /// The plane key — (seed family, stream seed), the family being
+    /// (evaluator seed, sigma bits) — of a `needed`-sample decision for
+    /// `q`; `None` for the legacy stream and for odd blocks (whose tail
+    /// sample is drawn by the single-draw path), neither of which is a
+    /// plane prefix.
+    fn plane_key(&self, q: usize, needed: usize) -> Option<((u64, u64), u64)> {
+        (!self.legacy_noise && needed.is_multiple_of(2))
+            .then(|| ((self.seed, self.model.sigma_ghz().to_bits()), self.stream_seed(q)))
+    }
+
     /// Draws the common-random-numbers noise block for qubit `q`'s
-    /// decision: `trials x m` samples from the per-qubit stream family.
+    /// decision: `trials x m` samples from the per-qubit stream.
     fn fill_noise(&self, q: usize, noise: &mut [f64]) {
         let base_seed = self.stream_seed(q);
         if self.legacy_noise {
@@ -1082,45 +1234,56 @@ impl LocalYieldEvaluator {
             self.model.sample_into_unpaired(&mut rng, noise);
         } else {
             let model = self.model;
-            Self::fill_stream_chunks(base_seed, 0, &model, noise);
+            qpd_par::par_chunks_mut(noise, Self::NOISE_STREAM_SAMPLES, |i, chunk| {
+                Self::fill_stream_chunk(base_seed, i as u64, &model, chunk);
+            });
         }
     }
 
-    /// Fills `noise` with the modern stream starting at absolute chunk
-    /// index `first_chunk` (the slice must start on a chunk boundary of
-    /// the flat stream). Chunk contents depend only on the base seed and
-    /// the absolute chunk index, so suffix fills splice bit-identically
-    /// into a longer buffer.
-    fn fill_stream_chunks(
+    /// Fills `chunk` with chunk number `absolute` of the modern stream
+    /// of `base_seed`. Chunk contents depend only on the base seed and
+    /// the absolute chunk index, so chunks splice bit-identically into
+    /// a buffer of any length.
+    fn fill_stream_chunk(
         base_seed: u64,
-        first_chunk: usize,
+        absolute: u64,
         model: &FabricationModel,
-        noise: &mut [f64],
+        chunk: &mut [f64],
     ) {
-        qpd_par::par_chunks_mut(noise, Self::NOISE_STREAM_SAMPLES, |chunk_idx, chunk| {
-            let absolute = (first_chunk + chunk_idx) as u64;
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                base_seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(absolute + 1)),
-            );
-            model.sample_into(&mut rng, chunk);
-        });
+        let mut rng = ChaCha8Rng::seed_from_u64(
+            base_seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(absolute + 1)),
+        );
+        model.sample_into(&mut rng, chunk);
     }
 
-    fn evaluate_region(
+    /// The allocator's batch hot path: [`Self::evaluate_candidates_compiled`]
+    /// reading its noise from planes an earlier [`AllocScratch::prepare`]
+    /// drew, with caller-owned (per-worker) decision buffers. `planes` is
+    /// only read, so one scratch serves every worker of a batch at once;
+    /// an unprepared plane falls back to a direct fill with identical
+    /// values.
+    ///
+    /// Pass 1 and pass 2 fan their rows out over the pool; a caller that
+    /// fans decisions out itself pins its workers to one thread
+    /// ([`qpd_par::with_threads`]) and each decision then runs inline.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::evaluate_candidates_compiled`].
+    pub fn evaluate_prepared(
         &self,
-        tpl: &RegionTemplate,
-        num_qubits: usize,
+        regions: &CompiledRegions,
         assigned: &[Option<f64>],
         q: usize,
         candidates: &[f64],
-        scratch: &mut AllocScratch,
+        planes: &AllocScratch,
+        buffers: &mut DecisionBuffers,
     ) -> Vec<u64> {
-        assert_eq!(assigned.len(), num_qubits, "assignment length mismatch");
+        assert!(q < regions.num_qubits, "qubit out of range");
+        assert_eq!(assigned.len(), regions.num_qubits, "assignment length mismatch");
         assert!(assigned[q].is_none(), "qubit {q} already assigned");
-        let AllocScratch {
-            planes,
-            plane_samples,
-            sigma_bits,
+        let tpl = &regions.regions[q];
+        let DecisionBuffers {
             noise: noise_buf,
             active,
             base,
@@ -1131,7 +1294,7 @@ impl LocalYieldEvaluator {
             triples_k,
             ctx_triples,
             live,
-        } = scratch;
+        } = buffers;
 
         // Activate the assigned members (plus q) in ascending-qubit
         // order; `active` maps full-region slots to packed noise columns.
@@ -1177,51 +1340,21 @@ impl LocalYieldEvaluator {
 
         // Common random numbers: one noise block shared by every
         // candidate, drawn from fixed counter-derived streams so the
-        // values never depend on the thread count. Even-length blocks
-        // are served from the scratch's plane cache — a prefix slice of
-        // the flat per-(seed, q) stream, generated at most once and
-        // shared by later decisions against the same stream.
+        // values never depend on the thread count — a prefix of the
+        // prepared per-(seed, q) plane, or a direct fill of the same
+        // values when there is none (legacy stream, odd block whose tail
+        // sample is drawn by the non-prefix-stable single-draw path, or
+        // a plane nobody prepared).
         let needed = self.trials * m;
-        let noise: &[f64] = if self.legacy_noise || !needed.is_multiple_of(2) {
-            // Legacy stream, or an odd block whose tail sample is drawn
-            // by the non-prefix-stable single-draw path: fill directly.
-            noise_buf.clear();
-            noise_buf.resize(needed, 0.0);
-            self.fill_noise(q, noise_buf);
-            noise_buf
-        } else {
-            let bits = self.model.sigma_ghz().to_bits();
-            if *sigma_bits != bits {
-                planes.clear();
-                *plane_samples = 0;
-                *sigma_bits = bits;
+        let noise: &[f64] = match planes.plane(self, q, needed) {
+            Some(plane) => plane,
+            None => {
+                noise_buf.clear();
+                noise_buf.resize(needed, 0.0);
+                self.fill_noise(q, noise_buf);
+                planes.drawn.fetch_add(needed as u64, Ordering::Relaxed);
+                noise_buf
             }
-            let base_seed = self.stream_seed(q);
-            let cached = planes.get(&base_seed).map_or(0, Vec::len);
-            if needed > cached
-                && *plane_samples + (needed - cached) > AllocScratch::PLANE_CAP_SAMPLES
-            {
-                planes.clear();
-                *plane_samples = 0;
-            }
-            let plane = planes.entry(base_seed).or_default();
-            if needed > plane.len() {
-                // Grow from the last chunk boundary: chunk contents
-                // depend only on (seed, chunk index) and even prefixes
-                // of a chunk are bit-identical to shorter fills, so the
-                // grown plane equals a direct fill of `needed` samples.
-                let start = (plane.len() / Self::NOISE_STREAM_SAMPLES) * Self::NOISE_STREAM_SAMPLES;
-                *plane_samples += needed - plane.len();
-                plane.resize(needed, 0.0);
-                let model = self.model;
-                Self::fill_stream_chunks(
-                    base_seed,
-                    start / Self::NOISE_STREAM_SAMPLES,
-                    &model,
-                    &mut plane[start..],
-                );
-            }
-            &plane[..needed]
         };
 
         let p = self.params;
@@ -1256,17 +1389,23 @@ impl LocalYieldEvaluator {
             triples_k,
             ctx_triples,
         };
-        let chunk_rows =
-            self.trials.div_ceil(4 * qpd_par::threads()).max(64).min(self.trials.max(1));
-        let blocks: Vec<Vec<f64>> = qpd_par::par_chunks(noise, chunk_rows * m, |_, slice| {
-            let mut block = Vec::with_capacity((slice.len() / m) * ctx.stride);
-            ctx.filter_rows(slice, &mut block);
-            block
-        });
+        // Records land in row order however the rows are split, so the
+        // serial path filters straight into `live`.
+        let threads = qpd_par::threads();
         live.clear();
-        live.reserve(blocks.iter().map(Vec::len).sum());
-        for block in &blocks {
-            live.extend_from_slice(block);
+        if threads == 1 {
+            ctx.filter_rows(noise, live);
+        } else {
+            let chunk_rows = self.trials.div_ceil(4 * threads).max(64).min(self.trials.max(1));
+            let blocks: Vec<Vec<f64>> = qpd_par::par_chunks(noise, chunk_rows * m, |_, slice| {
+                let mut block = Vec::with_capacity((slice.len() / m) * ctx.stride);
+                ctx.filter_rows(slice, &mut block);
+                block
+            });
+            live.reserve(blocks.iter().map(Vec::len).sum());
+            for block in &blocks {
+                live.extend_from_slice(block);
+            }
         }
 
         // Pass 2 — every candidate against only the q-involving
@@ -1284,7 +1423,10 @@ impl LocalYieldEvaluator {
             ti_end: 1 + qp + 2 * (nj + ni),
         };
         let live_rows = live.len() / stride;
-        let rows_per_block = live_rows.div_ceil(4 * qpd_par::threads()).max(128);
+        if threads == 1 || live_rows <= 128 {
+            return pass2_block(live, layout, candidates, &p);
+        }
+        let rows_per_block = live_rows.div_ceil(4 * threads).max(128);
         let partials: Vec<Vec<u64>> =
             qpd_par::par_chunks(live.as_slice(), rows_per_block * stride, |_, rows| {
                 pass2_block(rows, layout, candidates, &p)
@@ -1762,15 +1904,19 @@ mod tests {
         assert_eq!(scratch.cached_planes(), 0, "odd blocks must not populate planes");
     }
 
-    /// Changing sigma invalidates cached planes (same uniform stream,
-    /// different values) and the evaluations still match fresh ones.
+    /// A different sigma draws different values from the same uniform
+    /// stream, so sigma keys planes apart: mixed-sigma use (a mixed
+    /// hardware-family batch) keeps both sets of planes instead of
+    /// wiping the cache at every switch, and evaluations still match
+    /// fresh ones.
     #[test]
     fn sigma_change_resets_planes() {
         let arch = path3();
         let assigned = vec![Some(5.00), None, Some(5.23)];
         let compiled = CompiledRegions::new(&arch);
         let mut scratch = AllocScratch::new();
-        for sigma in [0.030, 0.050, 0.030] {
+        let mut drawn = Vec::new();
+        for sigma in [0.030, 0.050, 0.030, 0.050] {
             let e = LocalYieldEvaluator::new(
                 1_000,
                 FabricationModel::new(sigma),
@@ -1786,7 +1932,52 @@ mod tests {
             );
             let fresh = e.evaluate_candidates_compiled(&compiled, &assigned, 1, &[5.08, 5.12]);
             assert_eq!(shared, fresh, "sigma {sigma}");
+            drawn.push(scratch.samples_drawn());
         }
+        assert_eq!(scratch.cached_planes(), 2, "one plane per sigma");
+        assert_eq!(drawn[1], drawn[3], "switching sigma back re-drew a cached plane");
+    }
+
+    /// Over the storage cap, whole seed families are evicted least
+    /// recently prepared first, never a family the current `prepare`
+    /// serves; evicted planes regenerate bit-identically.
+    #[test]
+    fn cap_evicts_whole_seed_families() {
+        let arch = ibm::ibm_16q_2x8(BusMode::TwoQubitOnly);
+        let compiled = CompiledRegions::new(&arch);
+        let assigned: Vec<Option<f64>> =
+            (0..arch.num_qubits()).map(|q| (q != 3).then_some(5.0 + 0.02 * q as f64)).collect();
+        let m = compiled.region_size(3);
+        let evaluator = |seed| {
+            LocalYieldEvaluator::new(
+                500,
+                FabricationModel::new(0.030),
+                CollisionParams::default(),
+                seed,
+            )
+        };
+        let (a, b, c) = (evaluator(1), evaluator(2), evaluator(3));
+        // Room for two families' planes for qubits 3 and 4, not three.
+        let mut scratch = AllocScratch::with_cap(4 * 500 * m + 100);
+        let demand = |e| [(e, 3, m), (e, 4, m)];
+        scratch.prepare(demand(&a));
+        scratch.prepare(demand(&b));
+        assert_eq!(scratch.cached_planes(), 4);
+        scratch.prepare(demand(&a)); // refreshes a: b is now the oldest
+        let before = scratch.samples_drawn();
+        scratch.prepare(demand(&c)); // evicts b only
+        assert_eq!(scratch.cached_planes(), 4);
+        assert_eq!(scratch.samples_drawn() - before, 2 * 500 * m as u64);
+        scratch.prepare(demand(&a));
+        assert_eq!(scratch.samples_drawn() - before, 2 * 500 * m as u64, "a was evicted");
+        let candidates = [5.08, 5.12, 5.30];
+        let counts =
+            b.evaluate_candidates_compiled_with(&compiled, &assigned, 3, &candidates, &mut scratch);
+        assert_eq!(counts, b.evaluate_candidates_compiled(&compiled, &assigned, 3, &candidates));
+        // One demand larger than the whole cap is still served in full.
+        let mut tiny = AllocScratch::with_cap(10);
+        tiny.prepare(demand(&a));
+        assert_eq!(tiny.cached_samples(), 2 * 500 * m);
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! The cold-eval allocator contract (PR 10 tentpole): the overhauled
-//! allocation path — shared fabrication-noise planes, reusable decision
-//! scratch, and batched cross-proposal allocation — produces
-//! **bit-identical** `FrequencyPlan`s to the retained reference path
-//! and to fresh singleton calls, for every hardware family, with
-//! refinement sweeps on, across scratch reuse, and for every
-//! `QPD_THREADS` value.
+//! The allocator contract: the seed-major batch kernel
+//! (`FrequencyAllocator::allocate_batch`) — noise planes prepared once
+//! per allocation step and shared read-only across the batch, decisions
+//! fanned out per job or per row — produces **bit-identical**
+//! `FrequencyPlan`s to fresh singleton allocations and to the retained
+//! reference decision path, for every hardware family, sweep budget,
+//! trial budget, scratch history, and `QPD_THREADS` value.
 
 use proptest::prelude::*;
 
 use std::sync::Arc;
 
-use qpd::design::{LayoutJob, StagePlan};
+use qpd::design::{AllocJob, LayoutJob, StagePlan};
+use qpd::eval::runner::{run_benchmark, EvalSettings};
 use qpd::prelude::*;
 use qpd::yield_sim::{
     AllocScratch, CompiledRegions, FabricationModel, HardwareFamily, LocalYieldEvaluator,
@@ -33,13 +34,23 @@ fn allocator(family: HardwareFamily, seed: u64) -> FrequencyAllocator {
         .with_seed(seed)
 }
 
+/// Allocates `jobs` as one batch on `scratch`.
+fn batch(
+    jobs: &[(&FrequencyAllocator, &Architecture)],
+    scratch: &mut AllocScratch,
+) -> Vec<FrequencyPlan> {
+    let jobs: Vec<AllocJob<'_>> =
+        jobs.iter().map(|&(allocator, arch)| AllocJob { allocator, arch }).collect();
+    FrequencyAllocator::allocate_batch(&jobs, scratch)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The new compiled + shared-scratch decision kernel counts exactly
+    /// The compiled + shared-scratch decision kernel counts exactly
     /// what the retained per-decision path
     /// ([`LocalYieldEvaluator::evaluate_candidates`], which compiles the
-    /// region on the fly with a fresh scratch) counts — per qubit, per
+    /// regions on the fly with a fresh scratch) counts — per qubit, per
     /// candidate, for every hardware family, with one scratch carried
     /// across every decision.
     #[test]
@@ -76,29 +87,45 @@ proptest! {
         }
     }
 
-    /// One `allocate_batch` over a mixed-family, mixed-topology batch
-    /// (with a duplicate entry) equals per-arch singleton `allocate`
-    /// calls, at every worker count — the planes and decision buffers
-    /// shared across the batch never leak between entries.
+    /// One seed-major batch over mixed hardware families, sweep budgets
+    /// in {0, 1, 8}, two trial budgets (one odd, so some decisions fill
+    /// directly instead of slicing a plane), two topologies, and
+    /// duplicate entries equals per-job singleton `allocate` calls, at
+    /// every worker count — shared planes and per-worker buffers never
+    /// leak between jobs, and a job that reaches its fixed point (or
+    /// its sweep budget) early leaves the others' steps unchanged.
     #[test]
     fn batch_equals_singletons_across_thread_counts(seed in 0u64..1_000) {
-        for family in HardwareFamily::ALL {
-            let pool = arches();
-            let batch = [&pool[0], &pool[1], &pool[0]];
-            let alloc = allocator(family, seed);
-            let singles: Vec<FrequencyPlan> =
-                batch.iter().map(|arch| alloc.allocate(arch)).collect();
-            for threads in [1usize, 2, 8] {
-                let batched =
-                    qpd::par::with_threads(threads, || alloc.allocate_batch(&batch));
-                prop_assert_eq!(&batched, &singles,
-                    "batch/singleton divergence for {:?} at {} threads", family, threads);
+        let pool = arches();
+        let mut configs: Vec<FrequencyAllocator> = Vec::new();
+        for (i, family) in HardwareFamily::ALL.into_iter().enumerate() {
+            for (j, sweeps) in [0usize, 1, 8].into_iter().enumerate() {
+                let trials = if (i + j) % 2 == 0 { 160 } else { 75 };
+                configs.push(
+                    allocator(family, seed).with_trials(trials).with_refinement_sweeps(sweeps),
+                );
             }
+        }
+        let mut jobs: Vec<(&FrequencyAllocator, &Architecture)> = configs
+            .iter()
+            .enumerate()
+            .map(|(i, alloc)| (alloc, &pool[i % 2]))
+            .collect();
+        jobs.push(jobs[0]);
+        jobs.push(jobs[4]);
+        let singles: Vec<FrequencyPlan> =
+            jobs.iter().map(|(alloc, arch)| alloc.allocate(arch)).collect();
+        for threads in [1usize, 2, 8] {
+            let batched = qpd::par::with_threads(threads, || {
+                batch(&jobs, &mut AllocScratch::new())
+            });
+            prop_assert_eq!(&batched, &singles,
+                "batch/singleton divergence at {} threads", threads);
         }
     }
 
     /// A scratch warmed by allocations for *other* topologies, trial
-    /// budgets, and families is transparent: `allocate_with` on it
+    /// budgets, and families is transparent: a batch of one on it
     /// reproduces a fresh `allocate` bit-for-bit.
     #[test]
     fn warmed_scratch_is_transparent(seed in 0u64..1_000) {
@@ -107,25 +134,56 @@ proptest! {
         // Warm with a different family, budget, and topology mix.
         let warmer = allocator(HardwareFamily::TunableCoupler, seed ^ 0x5a5a)
             .with_trials(120);
-        let regions = CompiledRegions::new(&pool[1]);
-        warmer.allocate_with(&pool[1], &regions, &mut scratch);
+        batch(&[(&warmer, &pool[1])], &mut scratch);
         for family in HardwareFamily::ALL {
             let alloc = allocator(family, seed);
             for arch in &pool {
-                let regions = CompiledRegions::new(arch);
-                let reused = alloc.allocate_with(arch, &regions, &mut scratch);
-                prop_assert_eq!(reused, alloc.allocate(arch),
+                let reused = batch(&[(&alloc, arch)], &mut scratch);
+                prop_assert_eq!(&reused[0], &alloc.allocate(arch),
                     "warmed scratch diverges for {:?}", family);
             }
         }
     }
 }
 
+/// A batch draws every (seed, qubit) noise plane exactly once: no
+/// sample is drawn twice (the draw counter equals the retained plane
+/// storage), duplicate jobs add no draws, and a repeat of the batch on
+/// the same scratch draws nothing.
+#[test]
+fn batch_draws_each_plane_once() {
+    let pool = arches();
+    let alloc = allocator(HardwareFamily::FixedFrequencyTransmon, 9);
+    let mut single = AllocScratch::new();
+    batch(&[(&alloc, &pool[1])], &mut single);
+    assert!(single.samples_drawn() > 0);
+    assert_eq!(single.samples_drawn(), single.cached_samples() as u64);
+
+    let mut scratch = AllocScratch::new();
+    batch(&[(&alloc, &pool[1]), (&alloc, &pool[1]), (&alloc, &pool[1])], &mut scratch);
+    assert_eq!(scratch.samples_drawn(), single.samples_drawn(), "duplicates drew again");
+
+    // A second topology shares every plane of the first it can: the
+    // 16-qubit chip's regions are no larger than the 20-qubit chip's
+    // for most qubits, so the mixed batch draws far less than the two
+    // singletons together, and still draws each sample once.
+    let mut other = AllocScratch::new();
+    batch(&[(&alloc, &pool[0])], &mut other);
+    let mut mixed = AllocScratch::new();
+    batch(&[(&alloc, &pool[0]), (&alloc, &pool[1])], &mut mixed);
+    assert_eq!(mixed.samples_drawn(), mixed.cached_samples() as u64);
+    assert!(mixed.samples_drawn() < other.samples_drawn() + single.samples_drawn());
+
+    let before = mixed.samples_drawn();
+    batch(&[(&alloc, &pool[0]), (&alloc, &pool[1])], &mut mixed);
+    assert_eq!(mixed.samples_drawn(), before, "a warm repeat drew samples");
+}
+
 /// The stage-graph face of the batch path: `design_with_layout_batch`
 /// over mixed frequency/hardware jobs equals per-job
 /// `design_with_layout` calls on correspondingly configured flows, and
-/// the shared assemble scratch surviving `StagePlan::clear` (the
-/// cold-eval lever) never changes a result.
+/// the shared noise-plane cache surviving `StagePlan::clear` never
+/// changes a result.
 #[test]
 fn layout_batch_matches_singleton_flows_and_survives_clear() {
     let mut c = Circuit::new(6);
@@ -162,11 +220,26 @@ fn layout_batch_matches_singleton_flows_and_survives_clear() {
         let batched =
             qpd::par::with_threads(threads, || base.design_with_layout_batch(&jobs).unwrap());
         assert_eq!(batched, singles, "layout batch diverges at {threads} threads");
-        // Cold caches, warm scratch — the bench_snapshot cold-eval
-        // shape. The surviving scratch must be invisible in results.
+        // Cold caches, warm planes — the bench_snapshot cold-eval
+        // shape. The surviving planes must be invisible in results.
         base.plan().clear();
         let after_clear =
             qpd::par::with_threads(threads, || base.design_with_layout_batch(&jobs).unwrap());
         assert_eq!(after_clear, singles, "post-clear batch diverges at {threads} threads");
+    }
+}
+
+/// The evaluation harness submits a program's eff-* assembles as one
+/// batch and its yields as one `evaluate_batch`; the whole run is
+/// identical at every worker count.
+#[test]
+fn run_circuit_is_thread_invariant() {
+    let settings = EvalSettings::quick();
+    let serial = qpd::par::with_threads(1, || run_benchmark("sym6_145", &settings).unwrap());
+    assert!(serial.points.len() > 8);
+    for threads in [2usize, 8] {
+        let pooled =
+            qpd::par::with_threads(threads, || run_benchmark("sym6_145", &settings).unwrap());
+        assert_eq!(pooled, serial, "run_circuit diverges at {threads} threads");
     }
 }
