@@ -43,7 +43,9 @@ impl Default for FrequencyAllocator {
 impl FrequencyAllocator {
     /// An allocator with 35 candidates at 10 MHz steps and local
     /// simulations at `sigma = 30 MHz` (the paper's grid), plus up to
-    /// eight refinement sweeps (they stop early at a fixed point).
+    /// eight refinement sweeps. A sweep that changes no frequency ends
+    /// refinement early, but at Figure 10 settings every allocation runs
+    /// all eight.
     pub fn new() -> Self {
         FrequencyAllocator {
             candidates: Self::grid(ALLOWED_BAND_GHZ),
@@ -178,8 +180,9 @@ impl FrequencyAllocator {
     /// A step with at least as many live jobs as pool threads fans the
     /// jobs out over the pool, each running its decisions inline with
     /// per-worker decision buffers; a smaller step runs its jobs one
-    /// after another with each decision's rows fanned out instead (the
-    /// singleton shape of serve and explore requests).
+    /// after another, each decision of at least 1,350 trials fanning its
+    /// rows out instead (decisions below that, the singleton shape of
+    /// serve and explore requests, run inline).
     ///
     /// Every plan is bit-identical to allocating its job alone, for any
     /// batch composition, scratch history, and thread count: noise

@@ -1,6 +1,9 @@
 //! Perf snapshot: times the repo's hot kernels and writes a
 //! machine-readable baseline (`BENCH_<pr>.json`) extending the perf
-//! trajectory started by `BENCH_2.json`.
+//! trajectory started by `BENCH_2.json`. Besides the kernels, a snapshot
+//! records the pool size (`threads`) and the host's core count
+//! (`host_cores`, `available_parallelism`): snapshots whose two differ
+//! from another's were taken on hosts that are not comparable.
 //!
 //! Kernels:
 //!
@@ -79,7 +82,7 @@
 //! default 3), `QPD_BENCH_QUICK=1` shrinks trial counts for CI smoke
 //! runs, `QPD_THREADS` sizes the worker pool.
 //!
-//! Usage: `bench_snapshot [--out PATH]` (default `BENCH_10.json`), or
+//! Usage: `bench_snapshot [--out PATH]` (default `BENCH_14.json`), or
 //! `bench_snapshot --check-schema FRESH.json COMMITTED.json...` to
 //! validate snapshot *schemas* without timing anything: every file must
 //! carry the snapshot fields and well-formed kernel entries, and the
@@ -105,7 +108,7 @@ use qpd_yield::{
 
 /// The current perf-trajectory point; bump alongside the default
 /// `--out` path when a later PR appends a snapshot.
-const PR: u64 = 10;
+const PR: u64 = 14;
 
 fn designed_topology(name: &str) -> Architecture {
     let circuit = qpd_benchmarks::build(name).expect("benchmark");
@@ -185,6 +188,12 @@ fn check_snapshot_schema(path: &str, failures: &mut Vec<String>) -> Option<(u64,
     // must keep reporting its speedup.
     if pr >= 10 && !speedups.iter().any(|(k, _)| k == "alloc_batched_over_singletons") {
         return fail(failures, "missing `speedups.alloc_batched_over_singletons` (PR >= 10)");
+    }
+    // From trajectory point 14 on, snapshots record the host core count
+    // next to `threads`, so snapshots from different hosts are visibly
+    // not comparable.
+    if pr >= 14 && doc.get("host_cores").and_then(Json::as_u64).is_none() {
+        return fail(failures, "missing numeric `host_cores` (snapshot 14 on)");
     }
     let Some(kernels) = doc.get("kernels").and_then(Json::as_arr) else {
         return fail(failures, "missing `kernels` array");
@@ -535,12 +544,14 @@ fn main() {
     let evals_per_s = |id: &str| candidates.len() as f64 / median_of(id);
 
     let threads = qpd_par::threads();
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let round3 = |v: f64| (v * 1_000.0).round() / 1_000.0;
     let round6 = |v: f64| (v * 1_000_000.0).round() / 1_000_000.0;
     let mut top = vec![
         ("schema", Json::str("qpd-bench-snapshot/1")),
         ("pr", Json::int(PR)),
         ("threads", Json::int(threads as u64)),
+        ("host_cores", Json::int(host_cores as u64)),
     ];
     if threads == 1 {
         // The pool contributes nothing on one worker: these numbers

@@ -19,21 +19,41 @@
 //!   qubit's region membership, its q-vs-context pair/triple constraint
 //!   lists, and the inverse slot table — the per-decision `position()`
 //!   scans of the naive formulation disappear entirely;
-//! - trials that survive the candidate-independent *context* constraints
-//!   are stored in flat structure-of-arrays records holding exactly the
-//!   operands the per-candidate constraints read (no per-trial vectors);
 //! - the noise blocks are prefixes of per-(seed, qubit) planes that
 //!   [`AllocScratch::prepare`] draws once for a whole allocation step,
-//!   which every decision of the step then reads shared;
-//! - candidate evaluation fans out over the [`qpd_par`] worker pool; the
-//!   common-random-numbers scheme makes the counts — and therefore the
-//!   ranking — bit-identical for any thread count, including one.
+//!   which every decision of the step then reads shared; a plane grows
+//!   into its spare capacity, never zero-filling samples it then draws;
+//! - one fused kernel filters and tallies. Pass 1 gathers each block of
+//!   8 trial rows (4 on AVX2) straight from the plane, one gather at
+//!   stride `m` per column, checks the candidate-independent *context*
+//!   constraints across the block, and stores the survivors' operands
+//!   field-major into a per-worker tile (a compress-store per field on
+//!   AVX-512, a permutation-table pack on AVX2);
+//! - pass 2 scores each tile by *windows* whenever the candidates form a
+//!   regular ascending grid of at most 63 values (every family's
+//!   allocator grid: 35, 61 and 31 candidates). Each q-involving
+//!   condition collides on a few index intervals of the grid, so about
+//!   31 windows per survivor, eight survivors per vector, OR into a
+//!   64-bit collided mask, and bit-sliced counters add up the clean
+//!   masks. Any survivor with a window edge within `eps` of a candidate
+//!   index is re-scored by the dense predicate, `eps` exceeding the
+//!   floating-point error bound plus the grid tolerance (see
+//!   `Windows`), so counts stay exact. Irregular or longer candidate
+//!   lists run the dense kernel;
+//! - a decision of at least the yield simulator's `POOL_MIN_TRIALS`
+//!   (1,350) trials fans its rows out over the [`qpd_par`] worker pool,
+//!   each chunk filtering and tallying its own rows; smaller decisions
+//!   (serve and explore requests) run inline. The common-random-numbers
+//!   scheme makes the counts — and therefore the ranking — bit-identical
+//!   for any thread count and SIMD tier.
 //!
 //! The naive formulation is retained as
 //! [`LocalYieldEvaluator::evaluate_candidates_reference`]; the test suite
 //! proves count-equality between the two on every architecture it tries.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::SeedableRng;
@@ -42,317 +62,388 @@ use rand_chacha::ChaCha8Rng;
 use qpd_topology::Architecture;
 
 use crate::collision::CollisionParams;
-use crate::model::FabricationModel;
+use crate::model::{as_uninit, FabricationModel};
+use crate::simulator::POOL_MIN_TRIALS;
 
 /// Sentinel for "member not active in this decision".
 const INACTIVE: u32 = u32::MAX;
 
-/// Record-layout offsets of one surviving trial in the pass-2 SoA block:
-/// `[noise_q, pair operands, j==q triples, i==q triples, k==q triples]`.
+/// Field layout of one pass-1 survivor in a [`Tile`]:
+/// `[noise_q, f_other per q-pair, (f_i, f_k) per j==q triple,
+/// (2 f_j - gap, f_k) per i==q triple, ((2 f_j - gap) - f_i, f_i) per
+/// k==q triple]` — exactly the operands the q-involving constraints
+/// read, with the candidate-independent halves of the two-photon terms
+/// prefolded.
 #[derive(Debug, Clone, Copy)]
-struct RecordLayout {
-    /// Total `f64`s per record.
-    stride: usize,
+struct Fields {
+    /// Fields per survivor.
+    count: usize,
     /// End of the pair operands (`1..pairs_end`).
     pairs_end: usize,
-    /// End of the `(f_i, f_k)` operands of the j==q triples.
+    /// End of the j==q triple operands.
     tj_end: usize,
-    /// End of the `(2 f_j - gap, f_k)` operands of the i==q triples.
+    /// End of the i==q triple operands.
     ti_end: usize,
 }
 
-/// Counts, for every candidate, the records in `rows` whose q-involving
-/// constraints stay collision-free — the scalar pass-2 kernel and the
-/// semantic definition the SIMD kernel must match bit-for-bit.
+impl Fields {
+    fn new(pairs: usize, triples_j: usize, triples_i: usize, triples_k: usize) -> Self {
+        let pairs_end = 1 + pairs;
+        let tj_end = pairs_end + 2 * triples_j;
+        let ti_end = tj_end + 2 * triples_i;
+        Fields { count: ti_end + 2 * triples_k, pairs_end, tj_end, ti_end }
+    }
+}
+
+/// Whether a survivor collides with `q` at frequency `fq` under its
+/// q-involving constraints; `op(f)` reads field `f` ([`Fields`]). This
+/// dense predicate is the semantic definition of pass 2: the window
+/// tally must match it bit for bit, and re-scores with it every survivor
+/// whose window edges it cannot place exactly.
+fn q_collides(op: impl Fn(usize) -> f64, fields: Fields, fq: f64, p: &CollisionParams) -> bool {
+    let gap = -p.anharmonicity_ghz;
+    let g2 = gap / 2.0;
+    let two_fq = 2.0 * fq - gap;
+    (1..fields.pairs_end).any(|f| {
+        let d = (fq - op(f)).abs();
+        d < p.t_degenerate_ghz
+            || (d - g2).abs() < p.t_half_ghz
+            || (d - gap).abs() < p.t_full_ghz
+            || d > gap
+    }) || (fields.pairs_end..fields.tj_end)
+        .step_by(2)
+        .any(|f| ((two_fq - op(f)) - op(f + 1)).abs() < p.t_two_photon_ghz)
+        || (fields.tj_end..fields.ti_end).step_by(2).any(|f| {
+            let (t1, fk) = (op(f), op(f + 1));
+            let d = (fq - fk).abs();
+            d < p.t_degenerate_ghz
+                || (d - gap).abs() < p.t_full_ghz
+                || ((t1 - fq) - fk).abs() < p.t_two_photon_ghz
+        })
+        || (fields.ti_end..fields.count).step_by(2).any(|f| {
+            let (t2, fi) = (op(f), op(f + 1));
+            let d = (fi - fq).abs();
+            d < p.t_degenerate_ghz
+                || (d - gap).abs() < p.t_full_ghz
+                || (t2 - fq).abs() < p.t_two_photon_ghz
+        })
+}
+
+/// Counts, for every candidate, the first `n` survivors of `tile` whose
+/// q-involving constraints stay collision-free — the dense pass-2
+/// kernel: the oracle of the window tally, and the path for candidate
+/// lists that are not a regular grid ([`Windows::new`]).
 fn pass2_block_scalar(
-    rows: &[f64],
-    layout: RecordLayout,
+    tile: &Tile,
+    n: usize,
+    fields: Fields,
     candidates: &[f64],
     p: &CollisionParams,
     counts: &mut [u64],
 ) {
-    let RecordLayout { stride, pairs_end, tj_end, ti_end } = layout;
-    let gap = -p.anharmonicity_ghz;
-    let g2 = gap / 2.0;
-    for row in rows.chunks_exact(stride) {
-        let noise_q = row[0];
-        for (slot, &candidate) in counts.iter_mut().zip(candidates) {
-            let fq = noise_q + candidate;
-            let mut collided = false;
-            for &fo in &row[1..pairs_end] {
-                let d = (fq - fo).abs();
-                if d < p.t_degenerate_ghz
-                    || (d - g2).abs() < p.t_half_ghz
-                    || (d - gap).abs() < p.t_full_ghz
-                    || d > gap
-                {
-                    collided = true;
-                    break;
-                }
-            }
-            if !collided && tj_end > pairs_end {
-                let two_fq = 2.0 * fq - gap;
-                for ik in row[pairs_end..tj_end].chunks_exact(2) {
-                    if ((two_fq - ik[0]) - ik[1]).abs() < p.t_two_photon_ghz {
-                        collided = true;
-                        break;
-                    }
-                }
-            }
-            if !collided {
-                for t in row[tj_end..ti_end].chunks_exact(2) {
-                    let (t1, fk) = (t[0], t[1]);
-                    let d = (fq - fk).abs();
-                    if d < p.t_degenerate_ghz
-                        || (d - gap).abs() < p.t_full_ghz
-                        || ((t1 - fq) - fk).abs() < p.t_two_photon_ghz
-                    {
-                        collided = true;
-                        break;
-                    }
-                }
-            }
-            if !collided {
-                for t in row[ti_end..].chunks_exact(2) {
-                    let (t2, fi) = (t[0], t[1]);
-                    let d = (fi - fq).abs();
-                    if d < p.t_degenerate_ghz
-                        || (d - gap).abs() < p.t_full_ghz
-                        || (t2 - fq).abs() < p.t_two_photon_ghz
-                    {
-                        collided = true;
-                        break;
-                    }
-                }
-            }
-            *slot += !collided as u64;
+    for s in 0..n {
+        let op = |f: usize| tile.get(f, s);
+        for (slot, &c) in counts.iter_mut().zip(candidates) {
+            *slot += u64::from(!q_collides(op, fields, op(0) + c, p));
         }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod pass2_avx2 {
-    //! Four candidates per vector. Every operation is an IEEE-exact
-    //! counterpart of the scalar kernel (add/sub/mul/abs/compare — no
-    //! FMA, no reassociation), so the counts are bit-identical to
-    //! [`super::pass2_block_scalar`]; the test suite asserts it.
+/// Survivor `s`'s collided-candidate mask under the dense predicate.
+fn dense_mask(
+    tile: &Tile,
+    s: usize,
+    fields: Fields,
+    candidates: &[f64],
+    p: &CollisionParams,
+) -> u64 {
+    let op = |f: usize| tile.get(f, s);
+    candidates
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (i, &c)| mask | u64::from(q_collides(op, fields, op(0) + c, p)) << i)
+}
 
-    use std::arch::x86_64::*;
+/// Survivors a tile collects before it is tallied.
+const TILE_ROWS: usize = 64;
 
-    use super::RecordLayout;
-    use crate::collision::CollisionParams;
+/// Slots per tile field: [`TILE_ROWS`] plus room for one more filter
+/// block.
+const TILE_CAP: usize = TILE_ROWS + 8;
 
-    /// Lanes per vector.
-    pub const LANES: usize = 4;
+/// One worker's pass-1 survivors, field-major: field `f` of survivor `s`
+/// sits at `data[f * TILE_CAP + s]`, so the tally loads one field of a
+/// vector of survivors with one load, and the AVX-512 filter appends a
+/// block's survivors to a field with one compress-store.
+#[derive(Debug, Default)]
+struct Tile {
+    data: Vec<f64>,
+    /// Survivors held.
+    len: usize,
+}
 
-    /// As [`super::pass2_block_scalar`], on candidate/count slices padded
-    /// to a multiple of [`LANES`] (pad candidates with NaN: every compare
-    /// is ordered, so NaN lanes never collide and their counts are
-    /// discarded by the caller).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; `candidates.len() == counts.len()` and a multiple
-    /// of [`LANES`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn pass2_block(
-        rows: &[f64],
-        layout: RecordLayout,
-        candidates: &[f64],
-        p: &CollisionParams,
-        counts: &mut [i64],
-    ) {
-        debug_assert_eq!(candidates.len(), counts.len());
-        debug_assert_eq!(candidates.len() % LANES, 0);
-        let RecordLayout { stride, pairs_end, tj_end, ti_end } = layout;
-        let gap = -p.anharmonicity_ghz;
-        let sign = _mm256_set1_pd(-0.0);
-        let v_gap = _mm256_set1_pd(gap);
-        let v_g2 = _mm256_set1_pd(gap / 2.0);
-        let v_deg = _mm256_set1_pd(p.t_degenerate_ghz);
-        let v_half = _mm256_set1_pd(p.t_half_ghz);
-        let v_full = _mm256_set1_pd(p.t_full_ghz);
-        let v_two = _mm256_set1_pd(p.t_two_photon_ghz);
-        let v_2 = _mm256_set1_pd(2.0);
-        let ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-        let abs = |x: __m256d| _mm256_andnot_pd(sign, x);
+thread_local! {
+    /// Each worker's tile, reused by every decision the worker runs.
+    static TILE: RefCell<Tile> = RefCell::default();
+}
 
-        for row in rows.chunks_exact(stride) {
-            let noise_q = _mm256_set1_pd(row[0]);
-            for (cand4, count4) in
-                candidates.chunks_exact(LANES).zip(counts.chunks_exact_mut(LANES))
-            {
-                let c = _mm256_loadu_pd(cand4.as_ptr());
-                let fq = _mm256_add_pd(noise_q, c);
-                let mut coll = _mm256_setzero_pd();
-                for &fo in &row[1..pairs_end] {
-                    let d = abs(_mm256_sub_pd(fq, _mm256_set1_pd(fo)));
-                    let m = _mm256_or_pd(
-                        _mm256_or_pd(
-                            _mm256_cmp_pd::<_CMP_LT_OQ>(d, v_deg),
-                            _mm256_cmp_pd::<_CMP_LT_OQ>(abs(_mm256_sub_pd(d, v_g2)), v_half),
-                        ),
-                        _mm256_or_pd(
-                            _mm256_cmp_pd::<_CMP_LT_OQ>(abs(_mm256_sub_pd(d, v_gap)), v_full),
-                            _mm256_cmp_pd::<_CMP_GT_OQ>(d, v_gap),
-                        ),
-                    );
-                    coll = _mm256_or_pd(coll, m);
-                }
-                if _mm256_movemask_pd(coll) != 0xF {
-                    let two_fq = _mm256_sub_pd(_mm256_mul_pd(v_2, fq), v_gap);
-                    for ik in row[pairs_end..tj_end].chunks_exact(2) {
-                        let term = _mm256_sub_pd(
-                            _mm256_sub_pd(two_fq, _mm256_set1_pd(ik[0])),
-                            _mm256_set1_pd(ik[1]),
-                        );
-                        coll = _mm256_or_pd(coll, _mm256_cmp_pd::<_CMP_LT_OQ>(abs(term), v_two));
-                    }
-                    for t in row[tj_end..ti_end].chunks_exact(2) {
-                        let (t1, fk) = (_mm256_set1_pd(t[0]), _mm256_set1_pd(t[1]));
-                        let d = abs(_mm256_sub_pd(fq, fk));
-                        let term = _mm256_sub_pd(_mm256_sub_pd(t1, fq), fk);
-                        let m = _mm256_or_pd(
-                            _mm256_or_pd(
-                                _mm256_cmp_pd::<_CMP_LT_OQ>(d, v_deg),
-                                _mm256_cmp_pd::<_CMP_LT_OQ>(abs(_mm256_sub_pd(d, v_gap)), v_full),
-                            ),
-                            _mm256_cmp_pd::<_CMP_LT_OQ>(abs(term), v_two),
-                        );
-                        coll = _mm256_or_pd(coll, m);
-                    }
-                    for t in row[ti_end..].chunks_exact(2) {
-                        let (t2, fi) = (_mm256_set1_pd(t[0]), _mm256_set1_pd(t[1]));
-                        let d = abs(_mm256_sub_pd(fi, fq));
-                        let term = _mm256_sub_pd(t2, fq);
-                        let m = _mm256_or_pd(
-                            _mm256_or_pd(
-                                _mm256_cmp_pd::<_CMP_LT_OQ>(d, v_deg),
-                                _mm256_cmp_pd::<_CMP_LT_OQ>(abs(_mm256_sub_pd(d, v_gap)), v_full),
-                            ),
-                            _mm256_cmp_pd::<_CMP_LT_OQ>(abs(term), v_two),
-                        );
-                        coll = _mm256_or_pd(coll, m);
-                    }
-                }
-                // Clean lanes are all-ones after andnot; subtracting the
-                // -1 pattern increments their counts.
-                let clean = _mm256_andnot_pd(coll, ones);
-                let tallies = _mm256_loadu_si256(count4.as_ptr().cast::<__m256i>());
-                let updated = _mm256_sub_epi64(tallies, _mm256_castpd_si256(clean));
-                _mm256_storeu_si256(count4.as_mut_ptr().cast::<__m256i>(), updated);
-            }
+impl Tile {
+    /// Empties the tile and sizes it for `fields` fields. Storage only
+    /// grows and is never cleared: the filter writes every slot the tally
+    /// reads for a live survivor, and vector lanes past `len` are masked.
+    fn reset(&mut self, fields: usize) {
+        let needed = fields * TILE_CAP;
+        if self.data.len() < needed {
+            self.data.resize(needed, 0.0);
         }
+        self.len = 0;
+    }
+
+    fn get(&self, f: usize, s: usize) -> f64 {
+        self.data[f * TILE_CAP + s]
+    }
+
+    /// Moves survivors `from..len` to the front of every field.
+    fn keep_tail(&mut self, from: usize, fields: usize) {
+        for f in 0..fields {
+            let start = f * TILE_CAP;
+            self.data.copy_within(start + from..start + self.len, start);
+        }
+        self.len -= from;
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod pass2_avx512 {
-    //! Eight candidates per vector on AVX-512F; same exactness contract
-    //! as [`super::pass2_avx2`].
+/// Bit planes per clean-candidate counter.
+const TALLY_PLANES: usize = 8;
 
-    use std::arch::x86_64::*;
+/// Bit-sliced per-candidate counters, one set per vector lane: plane `k`
+/// holds bit `k` of every (lane, candidate) counter, so adding one
+/// 64-candidate clean mask per lane is a ripple of AND/XOR over the
+/// planes. The planes are flushed into the exact integer counts before
+/// any counter can pass `2^TALLY_PLANES - 1`.
+#[derive(Debug, Default)]
+struct BitTally {
+    planes: [[u64; 8]; TALLY_PLANES],
+    /// Masks added per lane since the last flush.
+    rounds: u32,
+}
 
-    use super::RecordLayout;
-    use crate::collision::CollisionParams;
+impl BitTally {
+    /// Adds one clean mask in lane 0 (the scalar tier).
+    fn add(&mut self, clean: u64, counts: &mut [u64]) {
+        let mut carry = clean;
+        for plane in &mut self.planes {
+            let word = plane[0];
+            plane[0] = word ^ carry;
+            carry &= word;
+        }
+        self.end_round(counts);
+    }
 
-    /// Lanes per vector.
-    pub const LANES: usize = 8;
+    /// Closes one round of at most one add per lane.
+    fn end_round(&mut self, counts: &mut [u64]) {
+        self.rounds += 1;
+        if self.rounds == (1 << TALLY_PLANES) - 1 {
+            self.flush(counts);
+        }
+    }
 
-    /// As [`super::pass2_block_scalar`], on slices padded to a multiple
-    /// of [`LANES`] (candidates padded with NaN).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F; `candidates.len() == counts.len()` and a
-    /// multiple of [`LANES`].
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn pass2_block(
-        rows: &[f64],
-        layout: RecordLayout,
-        candidates: &[f64],
-        p: &CollisionParams,
-        counts: &mut [i64],
-    ) {
-        debug_assert_eq!(candidates.len(), counts.len());
-        debug_assert_eq!(candidates.len() % LANES, 0);
-        let RecordLayout { stride, pairs_end, tj_end, ti_end } = layout;
-        let gap = -p.anharmonicity_ghz;
-        let v_gap = _mm512_set1_pd(gap);
-        let v_g2 = _mm512_set1_pd(gap / 2.0);
-        let v_deg = _mm512_set1_pd(p.t_degenerate_ghz);
-        let v_half = _mm512_set1_pd(p.t_half_ghz);
-        let v_full = _mm512_set1_pd(p.t_full_ghz);
-        let v_two = _mm512_set1_pd(p.t_two_photon_ghz);
-        let v_2 = _mm512_set1_pd(2.0);
-        let one = _mm512_set1_epi64(1);
-
-        for row in rows.chunks_exact(stride) {
-            let noise_q = _mm512_set1_pd(row[0]);
-            for (cand8, count8) in
-                candidates.chunks_exact(LANES).zip(counts.chunks_exact_mut(LANES))
-            {
-                let c = _mm512_loadu_pd(cand8.as_ptr());
-                let fq = _mm512_add_pd(noise_q, c);
-                let mut coll: __mmask8 = 0;
-                for &fo in &row[1..pairs_end] {
-                    let d = _mm512_abs_pd(_mm512_sub_pd(fq, _mm512_set1_pd(fo)));
-                    coll |= _mm512_cmp_pd_mask::<_CMP_LT_OQ>(d, v_deg)
-                        | _mm512_cmp_pd_mask::<_CMP_LT_OQ>(
-                            _mm512_abs_pd(_mm512_sub_pd(d, v_g2)),
-                            v_half,
-                        )
-                        | _mm512_cmp_pd_mask::<_CMP_LT_OQ>(
-                            _mm512_abs_pd(_mm512_sub_pd(d, v_gap)),
-                            v_full,
-                        )
-                        | _mm512_cmp_pd_mask::<_CMP_GT_OQ>(d, v_gap);
+    /// Adds every counter into `counts` and clears the planes.
+    fn flush(&mut self, counts: &mut [u64]) {
+        for (k, plane) in self.planes.iter_mut().enumerate() {
+            for word in plane.iter_mut() {
+                let mut w = std::mem::take(word);
+                while w != 0 {
+                    counts[w.trailing_zeros() as usize] += 1 << k;
+                    w &= w - 1;
                 }
-                if coll != 0xFF {
-                    let two_fq = _mm512_sub_pd(_mm512_mul_pd(v_2, fq), v_gap);
-                    for ik in row[pairs_end..tj_end].chunks_exact(2) {
-                        let term = _mm512_sub_pd(
-                            _mm512_sub_pd(two_fq, _mm512_set1_pd(ik[0])),
-                            _mm512_set1_pd(ik[1]),
-                        );
-                        coll |= _mm512_cmp_pd_mask::<_CMP_LT_OQ>(_mm512_abs_pd(term), v_two);
-                    }
-                    for t in row[tj_end..ti_end].chunks_exact(2) {
-                        let (t1, fk) = (_mm512_set1_pd(t[0]), _mm512_set1_pd(t[1]));
-                        let d = _mm512_abs_pd(_mm512_sub_pd(fq, fk));
-                        let term = _mm512_sub_pd(_mm512_sub_pd(t1, fq), fk);
-                        coll |= _mm512_cmp_pd_mask::<_CMP_LT_OQ>(d, v_deg)
-                            | _mm512_cmp_pd_mask::<_CMP_LT_OQ>(
-                                _mm512_abs_pd(_mm512_sub_pd(d, v_gap)),
-                                v_full,
-                            )
-                            | _mm512_cmp_pd_mask::<_CMP_LT_OQ>(_mm512_abs_pd(term), v_two);
-                    }
-                    for t in row[ti_end..].chunks_exact(2) {
-                        let (t2, fi) = (_mm512_set1_pd(t[0]), _mm512_set1_pd(t[1]));
-                        let d = _mm512_abs_pd(_mm512_sub_pd(fi, fq));
-                        let term = _mm512_sub_pd(t2, fq);
-                        coll |= _mm512_cmp_pd_mask::<_CMP_LT_OQ>(d, v_deg)
-                            | _mm512_cmp_pd_mask::<_CMP_LT_OQ>(
-                                _mm512_abs_pd(_mm512_sub_pd(d, v_gap)),
-                                v_full,
-                            )
-                            | _mm512_cmp_pd_mask::<_CMP_LT_OQ>(_mm512_abs_pd(term), v_two);
-                    }
-                }
-                let tallies = _mm512_loadu_si512(count8.as_ptr().cast::<__m512i>());
-                let updated = _mm512_mask_add_epi64(tallies, !coll, tallies, one);
-                _mm512_storeu_si512(count8.as_mut_ptr().cast::<__m512i>(), updated);
             }
         }
+        self.rounds = 0;
+    }
+}
+
+/// Bits of the candidate indices below `n`, for `n` in `0..=63`.
+fn below(n: f64) -> u64 {
+    (1u64 << n as u32) - 1
+}
+
+/// The window tally's view of a regular candidate grid: per-decision
+/// constants in grid-index units (GHz divided by the grid step).
+///
+/// # Windows
+///
+/// Each q-involving condition holds for `fq` inside a few open windows:
+///
+/// - a pair operand `f_o`: within `t_deg` of `f_o`, within `t_half` of
+///   `f_o ± gap/2`, and beyond `f_o ± (gap - t_full)` — conditions 3 and
+///   4 merge, since `|d - gap| < t_full || d > gap` is exactly
+///   `fl(d - gap) > -t_full`;
+/// - a j==q triple: within `t_two / 2` of `(gap + f_i + f_k) / 2`;
+/// - an i==q or k==q triple: within `t_deg` of the other endpoint,
+///   within `t_full` of it `± gap`, and within `t_two` of its two-photon
+///   center (`t1 - f_k` or `t2`).
+///
+/// Mapped through `u = (fq - noise_q - c0) / step`, every window is an
+/// interval of candidate indices; its bits OR into the survivor's 64-bit
+/// collided mask. That is about 31 windows per survivor where the dense
+/// kernel checks 35 candidates against 14 operands.
+///
+/// # Exactness
+///
+/// Each predicate is a threshold on a piecewise-linear function of `fq`
+/// with slopes of magnitude 1 or 2 and no kink near the threshold (the
+/// parameter conditions of [`Self::new`]), so the dense floating-point
+/// predicate at candidate `i` equals "`noise_q + c_i` lies in the real
+/// window" unless that point is within the predicate's rounding error of
+/// a real edge. Every operand is below 64 GHz in magnitude — candidates
+/// and designed frequencies within 32 GHz, noise within 12.1 sigma (the
+/// largest draw the polar sampler can make) at sigma ≤ 1 GHz — so each
+/// of the at most six roundings of a predicate costs under
+/// `2^-53 · 256 GHz`, under `2e-13` GHz in all. The grid deviates from
+/// `c0 + step · i` by at most [`Self::GRID_TOL_GHZ`] (1e-12 GHz), and
+/// placing an edge in index units costs under `2e-13` GHz more. An index
+/// farther than `eps` = [`Self::EDGE_EPS_GHZ`] (1e-10 GHz, over 70 times
+/// that 1.4e-12 GHz budget) from every edge is therefore classified
+/// exactly; a survivor with any edge nearer an index is re-scored by the
+/// dense predicate ([`q_collides`]).
+#[derive(Debug, Clone, Copy)]
+struct Windows {
+    /// First candidate, GHz.
+    c0: f64,
+    /// Reciprocal grid step, 1/GHz.
+    inv_step: f64,
+    /// Candidate count.
+    k: f64,
+    /// Bits of the candidate indices.
+    valid: u64,
+    /// Edge ambiguity band, index units.
+    eps: f64,
+    deg: f64,
+    /// `gap/2 ∓ t_half`.
+    half_lo: f64,
+    half_hi: f64,
+    /// `gap ∓ t_full`.
+    full_lo: f64,
+    full_hi: f64,
+    two: f64,
+    /// Half-width of the j==q window, `t_two / 2`.
+    two_j: f64,
+    /// `gap / 2` in GHz (the j==q center offset).
+    g2_ghz: f64,
+}
+
+impl Windows {
+    /// Candidates per grid: masks are 64-bit and `1 << k` must not
+    /// overflow.
+    const MAX_CANDIDATES: usize = 63;
+    /// Largest deviation of a candidate from its grid point.
+    const GRID_TOL_GHZ: f64 = 1e-12;
+    /// Edges nearer a candidate index than this fall back (see the type
+    /// docs for the error budget it covers).
+    const EDGE_EPS_GHZ: f64 = 1e-10;
+    /// Bound on candidates and designed frequencies.
+    const MAX_FREQ_GHZ: f64 = 32.0;
+    /// Bound on the noise sigma.
+    const MAX_SIGMA_GHZ: f64 = 1.0;
+
+    /// The window constants of a decision, or `None` — the dense path —
+    /// unless `candidates` is a regular ascending grid of 2 to 63 values
+    /// within 32 GHz, the designed frequencies `base` are within 32 GHz,
+    /// `sigma_ghz` is at most 1 GHz, and the collision parameters are
+    /// well-conditioned (`0 < t_half < gap/2`, `0 < t_full < gap < 1`
+    /// GHz, `0 < t_deg, t_two < 1` GHz). Every hardware family's
+    /// allocator grid qualifies (35, 61 and 31 candidates).
+    fn new(candidates: &[f64], p: &CollisionParams, sigma_ghz: f64, base: &[f64]) -> Option<Self> {
+        let k = candidates.len();
+        if !(2..=Self::MAX_CANDIDATES).contains(&k) {
+            return None;
+        }
+        let in_range = |f: f64| f.abs() <= Self::MAX_FREQ_GHZ;
+        let c0 = candidates[0];
+        let step = (candidates[k - 1] - c0) / (k - 1) as f64;
+        let regular = step > 0.0
+            && candidates.iter().enumerate().all(|(i, &c)| {
+                in_range(c) && (c - (c0 + step * i as f64)).abs() <= Self::GRID_TOL_GHZ
+            });
+        let bounded = sigma_ghz <= Self::MAX_SIGMA_GHZ && base.iter().all(|&f| in_range(f));
+        let gap = -p.anharmonicity_ghz;
+        let g2 = gap / 2.0;
+        let unit = |t: f64| 0.0 < t && t < 1.0;
+        let conditioned = gap < 1.0
+            && unit(p.t_degenerate_ghz)
+            && unit(p.t_two_photon_ghz)
+            && 0.0 < p.t_half_ghz
+            && p.t_half_ghz < g2
+            && 0.0 < p.t_full_ghz
+            && p.t_full_ghz < gap;
+        (regular && bounded && conditioned).then(|| {
+            let inv = 1.0 / step;
+            Windows {
+                c0,
+                inv_step: inv,
+                k: k as f64,
+                valid: (1u64 << k) - 1,
+                eps: Self::EDGE_EPS_GHZ * inv,
+                deg: p.t_degenerate_ghz * inv,
+                half_lo: (g2 - p.t_half_ghz) * inv,
+                half_hi: (g2 + p.t_half_ghz) * inv,
+                full_lo: (gap - p.t_full_ghz) * inv,
+                full_hi: (gap + p.t_full_ghz) * inv,
+                two: p.t_two_photon_ghz * inv,
+                two_j: 0.5 * p.t_two_photon_ghz * inv,
+                g2_ghz: g2,
+            }
+        })
+    }
+
+    /// The first candidate index above the edge at index coordinate `x`,
+    /// clamped to `0..=k`; `None` when `x` lies within `eps` of an index.
+    fn above(&self, x: f64) -> Option<f64> {
+        let floor = x.floor();
+        ((x - floor - 0.5).abs() < 0.5 - self.eps).then(|| (floor + 1.0).clamp(0.0, self.k))
+    }
+
+    /// Survivor `s`'s collided-candidate mask by windows, or `None` when
+    /// an edge lands within `eps` of a candidate index.
+    fn collided(&self, tile: &Tile, s: usize, fields: Fields) -> Option<u64> {
+        let op = |f: usize| tile.get(f, s);
+        let origin = op(0) + self.c0;
+        let at = |f: f64| (f - origin) * self.inv_step;
+        let window = |lo: f64, hi: f64| Some(below(self.above(hi)?) & !below(self.above(lo)?));
+        let mut coll = 0;
+        for f in 1..fields.pairs_end {
+            let c = at(op(f));
+            coll |= window(c - self.deg, c + self.deg)?
+                | window(c + self.half_lo, c + self.half_hi)?
+                | window(c - self.half_hi, c - self.half_lo)?
+                | !below(self.above(c + self.full_lo)?)
+                | below(self.above(c - self.full_lo)?);
+        }
+        for f in (fields.pairs_end..fields.tj_end).step_by(2) {
+            let c = at(0.5 * (op(f) + op(f + 1)) + self.g2_ghz);
+            coll |= window(c - self.two_j, c + self.two_j)?;
+        }
+        for f in (fields.tj_end..fields.count).step_by(2) {
+            // (t1, f_k) of an i==q triple, centered at t1 - f_k;
+            // (t2, f_i) of a k==q triple, centered at t2.
+            let (t, other) = (op(f), op(f + 1));
+            let center = if f < fields.ti_end { t - other } else { t };
+            let (c, ct) = (at(other), at(center));
+            coll |= window(c - self.deg, c + self.deg)?
+                | window(c + self.full_lo, c + self.full_hi)?
+                | window(c - self.full_hi, c - self.full_lo)?
+                | window(ct - self.two, ct + self.two)?;
+        }
+        Some(coll & self.valid)
     }
 }
 
 /// SIMD tier for the vectorized kernels, detected once per process.
-/// Shared by the pass-1 context filter, the pass-2 candidate kernels,
-/// and the batch evaluator ([`crate::batch`]) — one detection serves
-/// every dispatch site instead of per-call `is_x86_feature_detected!`.
-#[derive(Clone, Copy, PartialEq)]
+/// Shared by the decision kernel (filter and window tally) and the batch
+/// evaluator ([`crate::batch`]) — one detection serves every dispatch
+/// site instead of per-call `is_x86_feature_detected!`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum SimdTier {
     Scalar,
     #[cfg(target_arch = "x86_64")]
@@ -362,14 +453,14 @@ pub(crate) enum SimdTier {
 }
 
 impl SimdTier {
-    /// Candidate lanes per vector at this tier (1 = scalar).
+    /// Lanes per vector at this tier (1 = scalar).
     pub(crate) fn lanes(self) -> usize {
         match self {
             SimdTier::Scalar => 1,
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => pass2_avx2::LANES,
+            SimdTier::Avx2 => 4,
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx512 => pass2_avx512::LANES,
+            SimdTier::Avx512 => 8,
         }
     }
 }
@@ -405,46 +496,32 @@ pub(crate) fn simd_tier() -> SimdTier {
     SimdTier::Scalar
 }
 
-/// Dispatches one pass-2 rows-block to the best kernel. All kernels are
-/// bit-identical (compares and arithmetic are IEEE-exact in each), so
-/// host SIMD support never changes results.
-fn pass2_block(
-    rows: &[f64],
-    layout: RecordLayout,
-    candidates: &[f64],
-    p: &CollisionParams,
-) -> Vec<u64> {
-    let tier = simd_tier();
-    #[cfg(target_arch = "x86_64")]
-    if tier != SimdTier::Scalar {
-        let lanes = if tier == SimdTier::Avx512 { pass2_avx512::LANES } else { pass2_avx2::LANES };
-        let padded = candidates.len().div_ceil(lanes) * lanes;
-        let mut cands = Vec::with_capacity(padded);
-        cands.extend_from_slice(candidates);
-        cands.resize(padded, f64::NAN);
-        let mut tallies = vec![0i64; padded];
-        // SAFETY: the required feature was detected; slices are padded
-        // to the kernel's lane count.
-        unsafe {
-            if tier == SimdTier::Avx512 {
-                pass2_avx512::pass2_block(rows, layout, &cands, p, &mut tallies);
-            } else {
-                pass2_avx2::pass2_block(rows, layout, &cands, p, &mut tallies);
+/// `_mm256_permutevar8x32_epi32` indices packing the kept `f64` lanes of
+/// a 4-lane keep mask to the front (the AVX2 filter's compress).
+#[cfg(target_arch = "x86_64")]
+const PACK4: [[i32; 8]; 16] = {
+    let mut table = [[0i32; 8]; 16];
+    let mut mask = 0;
+    while mask < 16 {
+        let (mut lane, mut out) = (0, 0);
+        while lane < 4 {
+            if mask >> lane & 1 == 1 {
+                table[mask][2 * out] = 2 * lane;
+                table[mask][2 * out + 1] = 2 * lane + 1;
+                out += 1;
             }
+            lane += 1;
         }
-        return tallies.into_iter().take(candidates.len()).map(|t| t as u64).collect();
+        mask += 1;
     }
-    let _ = tier;
-    let mut counts = vec![0u64; candidates.len()];
-    pass2_block_scalar(rows, layout, candidates, p, &mut counts);
-    counts
-}
+    table
+};
 
-/// The candidate-independent context of one decision: the remapped
-/// constraint lists pass 1 filters trials against, shared by the scalar
-/// and SIMD filter kernels (and by the record emitter, which reads
-/// frequencies through an accessor so both layouts reuse it).
-struct Pass1Ctx<'a> {
+/// One decision's kernel: the remapped constraint lists, the candidates
+/// and their window constants. Pass 1 filters trials against the
+/// candidate-independent context constraints into a per-worker [`Tile`];
+/// pass 2 tallies the tile's survivors per candidate.
+struct DecisionCtx<'a> {
     params: &'a CollisionParams,
     /// Designed frequencies of the active columns (`0.0` at `qi`).
     base: &'a [f64],
@@ -452,17 +529,45 @@ struct Pass1Ctx<'a> {
     m: usize,
     /// Column of the qubit being decided.
     qi: usize,
-    /// `f64`s per emitted record.
-    stride: usize,
+    fields: Fields,
     q_pair_others: &'a [u32],
     ctx_pairs: &'a [(u32, u32)],
     triples_j: &'a [(u32, u32)],
     triples_i: &'a [(u32, u32)],
     triples_k: &'a [(u32, u32)],
     ctx_triples: &'a [(u32, u32, u32)],
+    candidates: &'a [f64],
+    /// `None`: the candidates take the dense path.
+    windows: Option<Windows>,
 }
 
-impl Pass1Ctx<'_> {
+impl DecisionCtx<'_> {
+    /// Per-candidate collision-free counts over the trial rows of
+    /// `noise` (row-major, `m` columns) on `tier`. Every tier filters
+    /// and tallies with IEEE-exact operations (add/sub/mul/abs/ordered
+    /// compare, no FMA, no reassociation) and the window tally is exact
+    /// by construction, so the counts never depend on the tier.
+    fn filter_tally(&self, tier: SimdTier, noise: &[f64]) -> Vec<u64> {
+        let mut counts = vec![0u64; self.candidates.len()];
+        let mut bits = BitTally::default();
+        TILE.with_borrow_mut(|tile| {
+            tile.reset(self.fields.count);
+            match tier {
+                // SAFETY: each tier was runtime-detected in `simd_tier`.
+                #[cfg(target_arch = "x86_64")]
+                SimdTier::Avx512 => unsafe {
+                    self.filter_avx512(noise, tile, &mut bits, &mut counts)
+                },
+                #[cfg(target_arch = "x86_64")]
+                SimdTier::Avx2 => unsafe { self.filter_avx2(noise, tile, &mut bits, &mut counts) },
+                SimdTier::Scalar => self.filter_scalar(tier, noise, tile, &mut bits, &mut counts),
+            }
+            self.tally(tier, tile, tile.len, &mut bits, &mut counts);
+        });
+        bits.flush(&mut counts);
+        counts
+    }
+
     /// Whether a trial's candidate-independent constraints collide: the
     /// pure-context pairs and triples, plus conditions 5/6 of the j==q
     /// triples (which never read q's frequency). `get` maps an active
@@ -480,112 +585,187 @@ impl Pass1Ctx<'_> {
             })
     }
 
-    /// Appends one surviving trial's flat record (see the layout comment
-    /// in [`LocalYieldEvaluator::evaluate_region`]).
-    fn emit_record(&self, get: impl Fn(usize) -> f64 + Copy, block: &mut Vec<f64>) {
+    /// Appends one surviving trial's operands ([`Fields`]) to the tile.
+    fn push_survivor(&self, get: impl Fn(usize) -> f64 + Copy, tile: &mut Tile) {
         let gap = -self.params.anharmonicity_ghz;
-        block.push(get(self.qi));
+        let at = tile.len;
+        let mut f = 0;
+        let mut put = |v: f64| {
+            tile.data[f * TILE_CAP + at] = v;
+            f += 1;
+        };
+        put(get(self.qi));
         for &o in self.q_pair_others {
-            block.push(get(o as usize));
+            put(get(o as usize));
         }
         for &(i, k) in self.triples_j {
-            block.push(get(i as usize));
-            block.push(get(k as usize));
+            put(get(i as usize));
+            put(get(k as usize));
         }
         for &(j, k) in self.triples_i {
-            block.push(2.0 * get(j as usize) - gap);
-            block.push(get(k as usize));
+            put(2.0 * get(j as usize) - gap);
+            put(get(k as usize));
         }
         for &(j, i) in self.triples_k {
             let fi = get(i as usize);
-            block.push((2.0 * get(j as usize) - gap) - fi);
-            block.push(fi);
+            put((2.0 * get(j as usize) - gap) - fi);
+            put(fi);
+        }
+        tile.len += 1;
+    }
+
+    /// Once the tile holds [`TILE_ROWS`] survivors, tallies its whole
+    /// vectors and keeps the ragged rest.
+    fn drain(&self, tier: SimdTier, tile: &mut Tile, bits: &mut BitTally, counts: &mut [u64]) {
+        if tile.len >= TILE_ROWS {
+            let whole = tile.len - tile.len % tier.lanes();
+            self.tally(tier, tile, whole, bits, counts);
+            tile.keep_tail(whole, self.fields.count);
         }
     }
 
-    /// Filters a row-major block of noise rows into surviving records,
-    /// on the best kernel the host supports. All kernels use the same
-    /// IEEE-exact operations, so the surviving set — and the record
-    /// bytes — never depend on host SIMD support (or on the dispatch
-    /// heuristic below, which only picks who computes them).
-    fn filter_rows(&self, noise: &[f64], block: &mut Vec<f64>) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // The vector kernels pay a per-row-block transpose; with
-            // only a couple of context constraints the scalar kernel's
-            // early exit wins, so dispatch on the constraint count. The
-            // tier itself comes from the process-wide cached detection
-            // shared with pass 2 ([`simd_tier`]).
-            let constraints = self.ctx_pairs.len() + self.ctx_triples.len() + self.triples_j.len();
-            if constraints >= 3 {
-                // SAFETY: each tier was runtime-detected in `simd_tier`.
-                match simd_tier() {
-                    SimdTier::Avx512 => {
-                        unsafe { self.filter_rows_avx512(noise, block) };
-                        return;
-                    }
-                    SimdTier::Avx2 => {
-                        unsafe { self.filter_rows_avx2(noise, block) };
-                        return;
-                    }
-                    SimdTier::Scalar => {}
-                }
-            }
+    /// Tallies the tile's first `n` survivors: by windows on `tier` when
+    /// the candidates allow it, densely otherwise. Returns how many
+    /// survivors the window tally re-scored densely.
+    fn tally(
+        &self,
+        tier: SimdTier,
+        tile: &Tile,
+        n: usize,
+        bits: &mut BitTally,
+        counts: &mut [u64],
+    ) -> usize {
+        let Some(w) = &self.windows else {
+            pass2_block_scalar(tile, n, self.fields, self.candidates, self.params, counts);
+            return 0;
+        };
+        match tier {
+            // SAFETY: each tier was runtime-detected in `simd_tier`.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512 => unsafe { self.tally_avx512(w, tile, n, bits, counts) },
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => unsafe { self.tally_avx2(w, tile, n, bits, counts) },
+            SimdTier::Scalar => self.tally_scalar(w, tile, n, bits, counts),
         }
-        self.filter_rows_scalar(noise, block);
     }
 
-    fn filter_rows_scalar(&self, noise: &[f64], block: &mut Vec<f64>) {
+    /// One survivor at a time: the scalar tier's tally, and the
+    /// reference the vector tallies mirror lane for lane.
+    fn tally_scalar(
+        &self,
+        w: &Windows,
+        tile: &Tile,
+        n: usize,
+        bits: &mut BitTally,
+        counts: &mut [u64],
+    ) -> usize {
+        let mut fallbacks = 0;
+        for s in 0..n {
+            let coll = w.collided(tile, s, self.fields).unwrap_or_else(|| {
+                fallbacks += 1;
+                dense_mask(tile, s, self.fields, self.candidates, self.params)
+            });
+            bits.add(!coll & w.valid, counts);
+        }
+        fallbacks
+    }
+
+    fn filter_scalar(
+        &self,
+        tier: SimdTier,
+        noise: &[f64],
+        tile: &mut Tile,
+        bits: &mut BitTally,
+        counts: &mut [u64],
+    ) {
         let mut freqs = vec![0.0f64; self.m];
         for noise_row in noise.chunks_exact(self.m) {
             for ((f, &b), &n) in freqs.iter_mut().zip(self.base).zip(noise_row) {
                 *f = b + n;
             }
             if !self.context_collides(|i| freqs[i]) {
-                self.emit_record(|i| freqs[i], block);
+                self.push_survivor(|i| freqs[i], tile);
+                self.drain(tier, tile, bits, counts);
             }
         }
     }
 
-    /// Four trials per vector: rows are transposed into column-major
-    /// lanes, every context constraint is checked across the four trials
-    /// at once, and survivors are emitted in row order. The ragged tail
-    /// falls back to the scalar kernel.
+    /// Four trials per vector: each block's columns are gathered from
+    /// the plane at stride `m` (plus the scalar kernel's `base + noise`
+    /// addition), every context constraint is checked across the four
+    /// trials at once, and each survivor field is packed into the tile
+    /// through a [`PACK4`] permutation. The ragged tail runs the scalar
+    /// filter.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn filter_rows_avx2(&self, noise: &[f64], block: &mut Vec<f64>) {
+    unsafe fn filter_avx2(
+        &self,
+        noise: &[f64],
+        tile: &mut Tile,
+        bits: &mut BitTally,
+        counts: &mut [u64],
+    ) {
+        use std::arch::x86_64::*;
         const LANES: usize = 4;
         let m = self.m;
-        let rows = noise.len() / m;
-        let full_blocks = rows / LANES;
-        let mut tf = vec![0.0f64; m * LANES];
-        for blk in 0..full_blocks {
-            let quad = &noise[blk * LANES * m..(blk + 1) * LANES * m];
-            // Transpose: tf[c * LANES + lane] = base[c] + noise[lane][c]
-            // — the same addition the scalar kernel performs.
-            for (lane, row) in quad.chunks_exact(m).enumerate() {
-                for ((c, &b), &n) in self.base.iter().enumerate().zip(row) {
-                    tf[c * LANES + lane] = b + n;
-                }
+        let blocks = noise.len() / m / LANES;
+        let stride = m as i32;
+        let rows = _mm_setr_epi32(0, stride, 2 * stride, 3 * stride);
+        let v_gap = _mm256_set1_pd(-self.params.anharmonicity_ghz);
+        let v_2 = _mm256_set1_pd(2.0);
+        let mut cols = vec![0.0f64; m * LANES];
+        for blk in 0..blocks {
+            let block = noise.as_ptr().add(blk * LANES * m);
+            for (c, &b) in self.base.iter().enumerate() {
+                let n = _mm256_i32gather_pd::<8>(block.add(c), rows);
+                _mm256_storeu_pd(
+                    cols.as_mut_ptr().add(c * LANES),
+                    _mm256_add_pd(_mm256_set1_pd(b), n),
+                );
             }
-            let collided = self.context_collided_avx2(&tf);
-            for lane in 0..LANES {
-                if collided & (1 << lane) == 0 {
-                    self.emit_record(|i| tf[i * LANES + lane], block);
-                }
+            let keep = !self.context_collided_avx2(&cols) & 0xF;
+            if keep == 0 {
+                continue;
             }
+            let col = |i: u32| _mm256_loadu_pd(cols.as_ptr().add(i as usize * LANES));
+            let pack = _mm256_loadu_si256(PACK4[keep as usize].as_ptr().cast());
+            let (data, at) = (tile.data.as_mut_ptr(), tile.len);
+            let mut f = 0;
+            let mut put = |v: __m256d| {
+                let packed = _mm256_permutevar8x32_epi32(_mm256_castpd_si256(v), pack);
+                _mm256_storeu_pd(data.add(f * TILE_CAP + at), _mm256_castsi256_pd(packed));
+                f += 1;
+            };
+            put(col(self.qi as u32));
+            for &o in self.q_pair_others {
+                put(col(o));
+            }
+            for &(i, k) in self.triples_j {
+                put(col(i));
+                put(col(k));
+            }
+            for &(j, k) in self.triples_i {
+                put(_mm256_sub_pd(_mm256_mul_pd(v_2, col(j)), v_gap));
+                put(col(k));
+            }
+            for &(j, i) in self.triples_k {
+                let fi = col(i);
+                put(_mm256_sub_pd(_mm256_sub_pd(_mm256_mul_pd(v_2, col(j)), v_gap), fi));
+                put(fi);
+            }
+            tile.len += keep.count_ones() as usize;
+            self.drain(SimdTier::Avx2, tile, bits, counts);
         }
-        self.filter_rows_scalar(&noise[full_blocks * LANES * m..], block);
+        self.filter_scalar(SimdTier::Avx2, &noise[blocks * LANES * m..], tile, bits, counts);
     }
 
-    /// Lane mask (bit set = collided) of the four transposed trials in
-    /// `tf`. Every operation is an IEEE-exact counterpart of
-    /// [`Self::context_collides`] — add/sub/mul/abs/ordered-compare, no
-    /// FMA, no reassociation — so the mask is bit-identical to four
-    /// scalar evaluations.
+    /// Lane mask (bit set = collided) of the four trials in `cols`
+    /// (column-major, four lanes per column). Every operation is an
+    /// IEEE-exact counterpart of [`Self::context_collides`], so the mask
+    /// is bit-identical to four scalar evaluations.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn context_collided_avx2(&self, tf: &[f64]) -> u32 {
+    unsafe fn context_collided_avx2(&self, cols: &[f64]) -> u32 {
         use std::arch::x86_64::*;
         const LANES: usize = 4;
         const ALL: u32 = 0xF;
@@ -600,7 +780,7 @@ impl Pass1Ctx<'_> {
         let v_two = _mm256_set1_pd(p.t_two_photon_ghz);
         let v_2 = _mm256_set1_pd(2.0);
         let abs = |x: __m256d| _mm256_andnot_pd(sign, x);
-        let col = |i: u32| _mm256_loadu_pd(tf.as_ptr().add(i as usize * LANES));
+        let col = |i: u32| _mm256_loadu_pd(cols.as_ptr().add(i as usize * LANES));
 
         let mut coll = _mm256_setzero_pd();
         for &(a, b) in self.ctx_pairs {
@@ -649,42 +829,170 @@ impl Pass1Ctx<'_> {
         _mm256_movemask_pd(coll) as u32
     }
 
-    /// Eight trials per vector on AVX-512F; otherwise exactly
-    /// [`Self::filter_rows_avx2`] — transpose, lane-parallel context
-    /// checks, survivors emitted in row order, scalar ragged tail.
+    /// Four survivors per vector: [`Self::tally_scalar`] lane for lane.
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn filter_rows_avx512(&self, noise: &[f64], block: &mut Vec<f64>) {
-        const LANES: usize = 8;
-        let m = self.m;
-        let rows = noise.len() / m;
-        let full_blocks = rows / LANES;
-        let mut tf = vec![0.0f64; m * LANES];
-        for blk in 0..full_blocks {
-            let oct = &noise[blk * LANES * m..(blk + 1) * LANES * m];
-            // Transpose: tf[c * LANES + lane] = base[c] + noise[lane][c]
-            // — the same addition the scalar kernel performs.
-            for (lane, row) in oct.chunks_exact(m).enumerate() {
-                for ((c, &b), &n) in self.base.iter().enumerate().zip(row) {
-                    tf[c * LANES + lane] = b + n;
-                }
+    #[target_feature(enable = "avx2")]
+    unsafe fn tally_avx2(
+        &self,
+        w: &Windows,
+        tile: &Tile,
+        n: usize,
+        bits: &mut BitTally,
+        counts: &mut [u64],
+    ) -> usize {
+        use std::arch::x86_64::*;
+        let v = _mm256_set1_pd;
+        let (zero, half, one_pd) = (v(0.0), v(0.5), v(1.0));
+        let (band, k, c0, inv) = (v(0.5 - w.eps), v(w.k), v(w.c0), v(w.inv_step));
+        let (deg, half_lo, half_hi) = (v(w.deg), v(w.half_lo), v(w.half_hi));
+        let (full_lo, full_hi, two, two_j, g2) =
+            (v(w.full_lo), v(w.full_hi), v(w.two), v(w.two_j), v(w.g2_ghz));
+        let sign = v(-0.0);
+        let one = _mm256_set1_epi64x(1);
+        let ones = _mm256_set1_epi64x(-1);
+        let valid = _mm256_set1_epi64x(w.valid as i64);
+        let lane_ids = _mm256_setr_epi64x(0, 1, 2, 3);
+        let (add, sub) = (|a, b| _mm256_add_pd(a, b), |a, b| _mm256_sub_pd(a, b));
+        // Bits below the first index above each lane's edge, plus the
+        // lanes whose edge lies within eps of an index.
+        let edge = |x: __m256d| -> (__m256i, i32) {
+            let floor = _mm256_floor_pd(x);
+            let off = _mm256_andnot_pd(sign, sub(sub(x, floor), half));
+            let near = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NLT_UQ>(off, band));
+            let n = _mm256_min_pd(_mm256_max_pd(add(floor, one_pd), zero), k);
+            let shift = _mm256_cvtepi32_epi64(_mm256_cvttpd_epi32(n));
+            (_mm256_sub_epi64(_mm256_sllv_epi64(one, shift), one), near)
+        };
+        let window = |lo: __m256d, hi: __m256d| {
+            let ((a, na), (b, nb)) = (edge(lo), edge(hi));
+            (_mm256_andnot_si256(a, b), na | nb)
+        };
+        let ld = |f: usize, s: usize| _mm256_loadu_pd(tile.data.as_ptr().add(f * TILE_CAP + s));
+        let f = self.fields;
+        let mut fallbacks = 0;
+        for s in (0..n).step_by(4) {
+            let live = if n - s >= 4 { 0xF } else { (1 << (n - s)) - 1 };
+            let origin = add(ld(0, s), c0);
+            let at = |x: __m256d| _mm256_mul_pd(sub(x, origin), inv);
+            let mut coll = _mm256_setzero_si256();
+            let mut near = 0;
+            let mut or = |(b, nb): (__m256i, i32)| {
+                coll = _mm256_or_si256(coll, b);
+                near |= nb;
+            };
+            for fi in 1..f.pairs_end {
+                let c = at(ld(fi, s));
+                or(window(sub(c, deg), add(c, deg)));
+                or(window(add(c, half_lo), add(c, half_hi)));
+                or(window(sub(c, half_hi), sub(c, half_lo)));
+                let (b, nb) = edge(add(c, full_lo));
+                or((_mm256_andnot_si256(b, ones), nb));
+                or(edge(sub(c, full_lo)));
             }
-            let collided = self.context_collided_avx512(&tf);
-            for lane in 0..LANES {
-                if collided & (1 << lane) == 0 {
-                    self.emit_record(|i| tf[i * LANES + lane], block);
-                }
+            for fi in (f.pairs_end..f.tj_end).step_by(2) {
+                let c = at(add(_mm256_mul_pd(half, add(ld(fi, s), ld(fi + 1, s))), g2));
+                or(window(sub(c, two_j), add(c, two_j)));
             }
+            for fi in (f.tj_end..f.count).step_by(2) {
+                let (t, other) = (ld(fi, s), ld(fi + 1, s));
+                let center = if fi < f.ti_end { sub(t, other) } else { t };
+                let (c, ct) = (at(other), at(center));
+                or(window(sub(c, deg), add(c, deg)));
+                or(window(add(c, full_lo), add(c, full_hi)));
+                or(window(sub(c, full_hi), sub(c, full_lo)));
+                or(window(sub(ct, two), add(ct, two)));
+            }
+            let near = near & live;
+            if near != 0 {
+                let mut lanes = [0u64; 4];
+                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), coll);
+                for (lane, mask) in lanes.iter_mut().enumerate().filter(|(l, _)| near >> l & 1 == 1)
+                {
+                    *mask = dense_mask(tile, s + lane, f, self.candidates, self.params);
+                    fallbacks += 1;
+                }
+                coll = _mm256_loadu_si256(lanes.as_ptr().cast());
+            }
+            let live = _mm256_cmpgt_epi64(_mm256_set1_epi64x((n - s) as i64), lane_ids);
+            let mut carry = _mm256_and_si256(_mm256_andnot_si256(coll, valid), live);
+            for plane in &mut bits.planes {
+                let word = _mm256_loadu_si256(plane.as_ptr().cast());
+                _mm256_storeu_si256(plane.as_mut_ptr().cast(), _mm256_xor_si256(word, carry));
+                carry = _mm256_and_si256(word, carry);
+            }
+            bits.end_round(counts);
         }
-        self.filter_rows_scalar(&noise[full_blocks * LANES * m..], block);
+        fallbacks
     }
 
-    /// Lane mask (bit set = collided) of the eight transposed trials in
-    /// `tf`; the IEEE-exact AVX-512 counterpart of
-    /// [`Self::context_collided_avx2`].
+    /// Eight trials per vector on AVX-512F: [`Self::filter_avx2`] with
+    /// each survivor field appended by one compress-store.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn context_collided_avx512(&self, tf: &[f64]) -> u32 {
+    unsafe fn filter_avx512(
+        &self,
+        noise: &[f64],
+        tile: &mut Tile,
+        bits: &mut BitTally,
+        counts: &mut [u64],
+    ) {
+        use std::arch::x86_64::*;
+        const LANES: usize = 8;
+        let m = self.m;
+        let blocks = noise.len() / m / LANES;
+        let s = m as i32;
+        let rows = _mm256_setr_epi32(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s);
+        let v_gap = _mm512_set1_pd(-self.params.anharmonicity_ghz);
+        let v_2 = _mm512_set1_pd(2.0);
+        let mut cols = vec![0.0f64; m * LANES];
+        for blk in 0..blocks {
+            let block = noise.as_ptr().add(blk * LANES * m);
+            for (c, &b) in self.base.iter().enumerate() {
+                let n = _mm512_i32gather_pd::<8>(rows, block.add(c));
+                _mm512_storeu_pd(
+                    cols.as_mut_ptr().add(c * LANES),
+                    _mm512_add_pd(_mm512_set1_pd(b), n),
+                );
+            }
+            let keep = !(self.context_collided_avx512(&cols) as u8);
+            if keep == 0 {
+                continue;
+            }
+            let col = |i: u32| _mm512_loadu_pd(cols.as_ptr().add(i as usize * LANES));
+            let (data, at) = (tile.data.as_mut_ptr(), tile.len);
+            let mut f = 0;
+            let mut put = |v: __m512d| {
+                _mm512_mask_compressstoreu_pd(data.add(f * TILE_CAP + at), keep, v);
+                f += 1;
+            };
+            put(col(self.qi as u32));
+            for &o in self.q_pair_others {
+                put(col(o));
+            }
+            for &(i, k) in self.triples_j {
+                put(col(i));
+                put(col(k));
+            }
+            for &(j, k) in self.triples_i {
+                put(_mm512_sub_pd(_mm512_mul_pd(v_2, col(j)), v_gap));
+                put(col(k));
+            }
+            for &(j, i) in self.triples_k {
+                let fi = col(i);
+                put(_mm512_sub_pd(_mm512_sub_pd(_mm512_mul_pd(v_2, col(j)), v_gap), fi));
+                put(fi);
+            }
+            tile.len += keep.count_ones() as usize;
+            self.drain(SimdTier::Avx512, tile, bits, counts);
+        }
+        self.filter_scalar(SimdTier::Avx512, &noise[blocks * LANES * m..], tile, bits, counts);
+    }
+
+    /// Lane mask (bit set = collided) of the eight trials in `cols`; the
+    /// IEEE-exact AVX-512 counterpart of [`Self::context_collided_avx2`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn context_collided_avx512(&self, cols: &[f64]) -> u32 {
         use std::arch::x86_64::*;
         const LANES: usize = 8;
         const ALL: u32 = 0xFF;
@@ -697,7 +1005,7 @@ impl Pass1Ctx<'_> {
         let v_full = _mm512_set1_pd(p.t_full_ghz);
         let v_two = _mm512_set1_pd(p.t_two_photon_ghz);
         let v_2 = _mm512_set1_pd(2.0);
-        let col = |i: u32| _mm512_loadu_pd(tf.as_ptr().add(i as usize * LANES));
+        let col = |i: u32| _mm512_loadu_pd(cols.as_ptr().add(i as usize * LANES));
 
         let mut coll: __mmask8 = 0;
         for &(a, b) in self.ctx_pairs {
@@ -729,6 +1037,99 @@ impl Pass1Ctx<'_> {
                 | _mm512_cmp_pd_mask::<_CMP_LT_OQ>(_mm512_abs_pd(_mm512_sub_pd(d, v_gap)), v_full);
         }
         u32::from(coll)
+    }
+
+    /// Eight survivors per vector: [`Self::tally_scalar`] lane for lane.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tally_avx512(
+        &self,
+        w: &Windows,
+        tile: &Tile,
+        n: usize,
+        bits: &mut BitTally,
+        counts: &mut [u64],
+    ) -> usize {
+        use std::arch::x86_64::*;
+        let v = _mm512_set1_pd;
+        let (zero, half, one_pd) = (v(0.0), v(0.5), v(1.0));
+        let (band, k, c0, inv) = (v(0.5 - w.eps), v(w.k), v(w.c0), v(w.inv_step));
+        let (deg, half_lo, half_hi) = (v(w.deg), v(w.half_lo), v(w.half_hi));
+        let (full_lo, full_hi, two, two_j, g2) =
+            (v(w.full_lo), v(w.full_hi), v(w.two), v(w.two_j), v(w.g2_ghz));
+        let one = _mm512_set1_epi64(1);
+        let ones = _mm512_set1_epi64(-1);
+        let valid = _mm512_set1_epi64(w.valid as i64);
+        let (add, sub) = (|a, b| _mm512_add_pd(a, b), |a, b| _mm512_sub_pd(a, b));
+        // Bits below the first index above each lane's edge, plus the
+        // lanes whose edge lies within eps of an index.
+        let edge = |x: __m512d| -> (__m512i, __mmask8) {
+            let floor = _mm512_roundscale_pd::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(x);
+            let off = _mm512_abs_pd(sub(sub(x, floor), half));
+            let near = _mm512_cmp_pd_mask::<_CMP_NLT_UQ>(off, band);
+            let n = _mm512_min_pd(_mm512_max_pd(add(floor, one_pd), zero), k);
+            let shift = _mm512_cvtepi32_epi64(_mm512_cvttpd_epi32(n));
+            (_mm512_sub_epi64(_mm512_sllv_epi64(one, shift), one), near)
+        };
+        let window = |lo: __m512d, hi: __m512d| {
+            let ((a, na), (b, nb)) = (edge(lo), edge(hi));
+            (_mm512_andnot_si512(a, b), na | nb)
+        };
+        let ld = |f: usize, s: usize| _mm512_loadu_pd(tile.data.as_ptr().add(f * TILE_CAP + s));
+        let f = self.fields;
+        let mut fallbacks = 0;
+        for s in (0..n).step_by(8) {
+            let live: __mmask8 = if n - s >= 8 { 0xFF } else { (1 << (n - s)) - 1 };
+            let origin = add(ld(0, s), c0);
+            let at = |x: __m512d| _mm512_mul_pd(sub(x, origin), inv);
+            let mut coll = _mm512_setzero_si512();
+            let mut near: __mmask8 = 0;
+            let mut or = |(b, nb): (__m512i, __mmask8)| {
+                coll = _mm512_or_si512(coll, b);
+                near |= nb;
+            };
+            for fi in 1..f.pairs_end {
+                let c = at(ld(fi, s));
+                or(window(sub(c, deg), add(c, deg)));
+                or(window(add(c, half_lo), add(c, half_hi)));
+                or(window(sub(c, half_hi), sub(c, half_lo)));
+                let (b, nb) = edge(add(c, full_lo));
+                or((_mm512_andnot_si512(b, ones), nb));
+                or(edge(sub(c, full_lo)));
+            }
+            for fi in (f.pairs_end..f.tj_end).step_by(2) {
+                let c = at(add(_mm512_mul_pd(half, add(ld(fi, s), ld(fi + 1, s))), g2));
+                or(window(sub(c, two_j), add(c, two_j)));
+            }
+            for fi in (f.tj_end..f.count).step_by(2) {
+                let (t, other) = (ld(fi, s), ld(fi + 1, s));
+                let center = if fi < f.ti_end { sub(t, other) } else { t };
+                let (c, ct) = (at(other), at(center));
+                or(window(sub(c, deg), add(c, deg)));
+                or(window(add(c, full_lo), add(c, full_hi)));
+                or(window(sub(c, full_hi), sub(c, full_lo)));
+                or(window(sub(ct, two), add(ct, two)));
+            }
+            let near = near & live;
+            if near != 0 {
+                let mut lanes = [0u64; 8];
+                _mm512_storeu_si512(lanes.as_mut_ptr().cast(), coll);
+                for (lane, mask) in lanes.iter_mut().enumerate().filter(|(l, _)| near >> l & 1 == 1)
+                {
+                    *mask = dense_mask(tile, s + lane, f, self.candidates, self.params);
+                    fallbacks += 1;
+                }
+                coll = _mm512_loadu_si512(lanes.as_ptr().cast());
+            }
+            let mut carry = _mm512_maskz_andnot_epi64(live, coll, valid);
+            for plane in &mut bits.planes {
+                let word = _mm512_loadu_si512(plane.as_ptr().cast());
+                _mm512_storeu_si512(plane.as_mut_ptr().cast(), _mm512_xor_si512(word, carry));
+                carry = _mm512_and_si512(word, carry);
+            }
+            bits.end_round(counts);
+        }
+        fallbacks
     }
 }
 
@@ -1028,38 +1429,54 @@ impl AllocScratch {
         // depend only on (stream seed, chunk index) and even prefixes of
         // a chunk are bit-identical to shorter fills, so a grown plane
         // equals a direct fill of its new length.
+        // The regrown tail is written straight into the plane's spare
+        // capacity, so growth never zero-fills samples it then draws.
         let chunk = LocalYieldEvaluator::NOISE_STREAM_SAMPLES;
-        let mut starts: HashMap<((u64, u64), u64), usize> = HashMap::new();
+        let mut grown: HashMap<((u64, u64), u64), usize> = HashMap::new();
         for (&(family, stream), &needed) in &wanted {
             let fam = self.families.get_mut(&family).expect("family pinned above");
             let plane = fam.planes.entry(stream).or_default();
             if needed > plane.len() {
-                starts.insert((family, stream), (plane.len() / chunk) * chunk);
                 fam.samples += needed - plane.len();
                 self.plane_samples += needed - plane.len();
-                plane.resize(needed, 0.0);
+                plane.truncate((plane.len() / chunk) * chunk);
+                plane.reserve_exact(needed - plane.len());
+                grown.insert((family, stream), needed);
             }
         }
-        let mut fills: Vec<(&mut [f64], u64, u64, FabricationModel)> = Vec::new();
+        type Fill<'p> = (&'p mut [MaybeUninit<f64>], u64, u64, FabricationModel);
+        let mut fills: Vec<Fill<'_>> = Vec::new();
         for (&family, fam) in &mut self.families {
             let model = FabricationModel::new(f64::from_bits(family.1));
             for (&stream, plane) in &mut fam.planes {
-                let Some(&start) = starts.get(&(family, stream)) else { continue };
-                for (i, part) in plane[start..].chunks_mut(chunk).enumerate() {
-                    fills.push((part, stream, (start / chunk + i) as u64, model));
+                let Some(&needed) = grown.get(&(family, stream)) else { continue };
+                let len = plane.len();
+                let tail = &mut plane.spare_capacity_mut()[..needed - len];
+                let first = len / chunk;
+                for (i, part) in tail.chunks_mut(chunk).enumerate() {
+                    fills.push((part, stream, (first + i) as u64, model));
                 }
             }
         }
         let drawn: usize = fills.iter().map(|f| f.0.len()).sum();
         self.drawn.fetch_add(drawn as u64, Ordering::Relaxed);
-        let fill =
-            |(part, stream, absolute, model): &mut (&mut [f64], u64, u64, FabricationModel)| {
-                LocalYieldEvaluator::fill_stream_chunk(*stream, *absolute, model, part);
-            };
+        let fill = |(part, stream, absolute, model): &mut Fill<'_>| {
+            LocalYieldEvaluator::fill_stream_chunk(*stream, *absolute, model, part);
+        };
         if fills.len() < Self::POOL_MIN_FILL_CHUNKS {
             fills.iter_mut().for_each(fill);
         } else {
             qpd_par::par_chunks_mut(&mut fills, 1, |_, f| fill(&mut f[0]));
+        }
+        drop(fills);
+        for (&family, fam) in &mut self.families {
+            for (&stream, plane) in &mut fam.planes {
+                if let Some(&needed) = grown.get(&(family, stream)) {
+                    // SAFETY: the fills above wrote every sample of
+                    // `len..needed`, inside the reserved capacity.
+                    unsafe { plane.set_len(needed) };
+                }
+            }
         }
     }
 
@@ -1088,8 +1505,6 @@ pub struct DecisionBuffers {
     triples_i: Vec<(u32, u32)>,
     triples_k: Vec<(u32, u32)>,
     ctx_triples: Vec<(u32, u32, u32)>,
-    /// Concatenated surviving pass-1 records.
-    live: Vec<f64>,
 }
 
 /// Evaluates candidate frequencies for one qubit against the already
@@ -1234,7 +1649,7 @@ impl LocalYieldEvaluator {
             self.model.sample_into_unpaired(&mut rng, noise);
         } else {
             let model = self.model;
-            qpd_par::par_chunks_mut(noise, Self::NOISE_STREAM_SAMPLES, |i, chunk| {
+            qpd_par::par_chunks_mut(as_uninit(noise), Self::NOISE_STREAM_SAMPLES, |i, chunk| {
                 Self::fill_stream_chunk(base_seed, i as u64, &model, chunk);
             });
         }
@@ -1248,12 +1663,12 @@ impl LocalYieldEvaluator {
         base_seed: u64,
         absolute: u64,
         model: &FabricationModel,
-        chunk: &mut [f64],
+        chunk: &mut [MaybeUninit<f64>],
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(
             base_seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(absolute + 1)),
         );
-        model.sample_into(&mut rng, chunk);
+        model.sample_into_uninit(&mut rng, chunk);
     }
 
     /// The allocator's batch hot path: [`Self::evaluate_candidates_compiled`]
@@ -1263,9 +1678,12 @@ impl LocalYieldEvaluator {
     /// an unprepared plane falls back to a direct fill with identical
     /// values.
     ///
-    /// Pass 1 and pass 2 fan their rows out over the pool; a caller that
-    /// fans decisions out itself pins its workers to one thread
-    /// ([`qpd_par::with_threads`]) and each decision then runs inline.
+    /// A decision of at least the yield simulator's pool threshold
+    /// (1,350 trials) fans its rows out over the pool, each chunk
+    /// filtering and tallying its own rows into partial counts; smaller
+    /// decisions run inline. A caller that fans decisions out itself pins
+    /// its workers to one thread ([`qpd_par::with_threads`]) and each
+    /// decision then runs inline too.
     ///
     /// # Panics
     ///
@@ -1293,7 +1711,6 @@ impl LocalYieldEvaluator {
             triples_i,
             triples_k,
             ctx_triples,
-            live,
         } = buffers;
 
         // Activate the assigned members (plus q) in ascending-qubit
@@ -1359,78 +1776,47 @@ impl LocalYieldEvaluator {
 
         let p = self.params;
 
-        // Pass 1 — context filtering into flat SoA records. A surviving
-        // trial's record holds exactly the operands the per-candidate
-        // constraints read, with the candidate-independent halves of the
-        // two-photon terms prefolded:
-        //   [ noise_q,
-        //     f_other                          per q-pair,
-        //     (f_i, f_k)                       per j==q triple,
-        //     (2 f_j - gap,        f_k)        per i==q triple,
-        //     ((2 f_j - gap) - f_i, f_i)       per k==q triple ]
-        // The j==q triples' conditions 5/6 do not involve q's frequency
-        // at all, so they are folded into this pass: a trial tripping
-        // them fails for *every* candidate and is dropped here. The
-        // constraint checks run four trials per vector on AVX2 hosts
-        // ([`Pass1Ctx::filter_rows`]), bit-identically to the scalar
-        // kernel, and fan out over the pool in fixed row chunks.
-        let stride =
-            1 + q_pair_others.len() + 2 * (triples_j.len() + triples_i.len() + triples_k.len());
-        let ctx = Pass1Ctx {
+        // Pass 1 filters each trial against the candidate-independent
+        // context: the pure-context pairs and triples, and conditions 5/6
+        // of the j==q triples, which do not read q's frequency at all (a
+        // trial tripping them fails for *every* candidate). Survivors'
+        // operands go field-major into a per-worker tile; pass 2 scores
+        // each tile of survivors against every candidate, by windows on
+        // a regular grid ([`Windows`]) or densely. One fused kernel runs
+        // both passes per row chunk; per-candidate tallies are exact
+        // integer sums over the chunks, so the counts are identical for
+        // any thread count and SIMD tier.
+        let ctx = DecisionCtx {
             params: &p,
             base,
             m,
             qi,
-            stride,
+            fields: Fields::new(
+                q_pair_others.len(),
+                triples_j.len(),
+                triples_i.len(),
+                triples_k.len(),
+            ),
             q_pair_others,
             ctx_pairs,
             triples_j,
             triples_i,
             triples_k,
             ctx_triples,
+            candidates,
+            windows: Windows::new(candidates, &p, self.model.sigma_ghz(), base),
         };
-        // Records land in row order however the rows are split, so the
-        // serial path filters straight into `live`.
+        // Small decisions (serve and explore requests) run inline, like
+        // small yield estimates: fanned out, they would only contend
+        // with the concurrent requests for the same cores.
+        let tier = simd_tier();
         let threads = qpd_par::threads();
-        live.clear();
-        if threads == 1 {
-            ctx.filter_rows(noise, live);
-        } else {
-            let chunk_rows = self.trials.div_ceil(4 * threads).max(64).min(self.trials.max(1));
-            let blocks: Vec<Vec<f64>> = qpd_par::par_chunks(noise, chunk_rows * m, |_, slice| {
-                let mut block = Vec::with_capacity((slice.len() / m) * ctx.stride);
-                ctx.filter_rows(slice, &mut block);
-                block
-            });
-            live.reserve(blocks.iter().map(Vec::len).sum());
-            for block in &blocks {
-                live.extend_from_slice(block);
-            }
+        if threads == 1 || (self.trials as u64) < POOL_MIN_TRIALS {
+            return ctx.filter_tally(tier, noise);
         }
-
-        // Pass 2 — every candidate against only the q-involving
-        // constraints of the surviving records, row-major (each record is
-        // read once for all candidates), vectorized where the host allows
-        // ([`pass2_block`]), and fanned out over the pool in fixed row
-        // blocks. Per-candidate tallies are exact integer sums over the
-        // blocks, so the counts are identical for any thread count.
-        let qp = q_pair_others.len();
-        let (nj, ni) = (triples_j.len(), triples_i.len());
-        let layout = RecordLayout {
-            stride,
-            pairs_end: 1 + qp,
-            tj_end: 1 + qp + 2 * nj,
-            ti_end: 1 + qp + 2 * (nj + ni),
-        };
-        let live_rows = live.len() / stride;
-        if threads == 1 || live_rows <= 128 {
-            return pass2_block(live, layout, candidates, &p);
-        }
-        let rows_per_block = live_rows.div_ceil(4 * threads).max(128);
-        let partials: Vec<Vec<u64>> =
-            qpd_par::par_chunks(live.as_slice(), rows_per_block * stride, |_, rows| {
-                pass2_block(rows, layout, candidates, &p)
-            });
+        let chunk_rows = self.trials.div_ceil(4 * threads).max(64);
+        let partials =
+            qpd_par::par_chunks(noise, chunk_rows * m, |_, rows| ctx.filter_tally(tier, rows));
         let mut out = vec![0u64; candidates.len()];
         for partial in partials {
             for (slot, v) in out.iter_mut().zip(partial) {
@@ -1711,76 +2097,250 @@ mod tests {
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn simd_pass2_matches_scalar_kernel() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        // Synthetic records exercising every constraint class, with
-        // operands spread across clean and colliding distances.
-        let p = CollisionParams::default();
-        let layout = RecordLayout { stride: 9, pairs_end: 3, tj_end: 5, ti_end: 7 };
-        let mut rows = Vec::new();
-        let mut x = 0.37f64;
-        for _ in 0..257 {
-            let mut row = [0.0f64; 9];
-            for slot in row.iter_mut() {
-                // Deterministic pseudo-noise spanning the band.
-                x = (x * 997.0 + 0.1234).fract();
-                *slot = 5.0 + 0.4 * x - 0.2;
+    /// Every SIMD tier the host supports, plus the scalar tier.
+    fn tiers() -> Vec<SimdTier> {
+        let mut tiers = vec![SimdTier::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                tiers.push(SimdTier::Avx2);
             }
-            row[0] = 0.06 * x - 0.03; // noise_q, small
-            rows.extend_from_slice(&row);
-        }
-        let candidates: Vec<f64> = (0..35).map(|i| 5.00 + 0.01 * i as f64).collect();
-        let mut scalar = vec![0u64; candidates.len()];
-        pass2_block_scalar(&rows, layout, &candidates, &p, &mut scalar);
-        let run_simd = |lanes: usize, avx512: bool| -> Vec<u64> {
-            let padded = candidates.len().div_ceil(lanes) * lanes;
-            let mut cands = candidates.clone();
-            cands.resize(padded, f64::NAN);
-            let mut tallies = vec![0i64; padded];
-            unsafe {
-                if avx512 {
-                    pass2_avx512::pass2_block(&rows, layout, &cands, &p, &mut tallies);
-                } else {
-                    pass2_avx2::pass2_block(&rows, layout, &cands, &p, &mut tallies);
-                }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                tiers.push(SimdTier::Avx512);
             }
-            tallies.into_iter().take(candidates.len()).map(|t| t as u64).collect()
-        };
-        assert_eq!(scalar, run_simd(pass2_avx2::LANES, false), "avx2");
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            assert_eq!(scalar, run_simd(pass2_avx512::LANES, true), "avx512");
         }
-        assert!(scalar.iter().any(|&c| c > 0) && scalar.iter().any(|&c| c < 257));
+        tiers
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn simd_pass1_matches_scalar_filter() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
+    /// The 10 MHz allocator grid over a band, built as the allocator
+    /// builds it.
+    fn band_grid((lo, hi): (f64, f64)) -> Vec<f64> {
+        let steps = ((hi - lo) / 0.01).round() as usize;
+        (0..=steps).map(|i| lo + 0.01 * i as f64).collect()
+    }
+
+    /// A decision context that only tallies: the tile layout, the
+    /// candidates and their windows.
+    fn tally_ctx<'a>(
+        p: &'a CollisionParams,
+        candidates: &'a [f64],
+        fields: Fields,
+    ) -> DecisionCtx<'a> {
+        DecisionCtx {
+            params: p,
+            base: &[],
+            m: 0,
+            qi: 0,
+            fields,
+            q_pair_others: &[],
+            ctx_pairs: &[],
+            triples_j: &[],
+            triples_i: &[],
+            triples_k: &[],
+            ctx_triples: &[],
+            candidates,
+            windows: Windows::new(candidates, p, 0.030, &[]),
         }
-        // A synthetic decision context exercising every constraint class.
+    }
+
+    /// Tallies tile after tile into one counter set on `tier` (so the bit
+    /// planes flush mid-run), returning the counts and the fallbacks.
+    fn run_tally(ctx: &DecisionCtx, tier: SimdTier, tiles: &[Tile]) -> (Vec<u64>, usize) {
+        let mut counts = vec![0; ctx.candidates.len()];
+        let mut bits = BitTally::default();
+        let fallbacks =
+            tiles.iter().map(|t| ctx.tally(tier, t, t.len, &mut bits, &mut counts)).sum();
+        bits.flush(&mut counts);
+        (counts, fallbacks)
+    }
+
+    fn dense_counts(ctx: &DecisionCtx, tiles: &[Tile]) -> Vec<u64> {
+        let mut counts = vec![0; ctx.candidates.len()];
+        for t in tiles {
+            pass2_block_scalar(t, t.len, ctx.fields, ctx.candidates, ctx.params, &mut counts);
+        }
+        counts
+    }
+
+    /// A tile of `n` survivors whose field `f` of survivor `s` is
+    /// `value(f, s)`.
+    fn tile_of(fields: Fields, n: usize, mut value: impl FnMut(usize, usize) -> f64) -> Tile {
+        let mut tile = Tile::default();
+        tile.reset(fields.count);
+        for s in 0..n {
+            for f in 0..fields.count {
+                tile.data[f * TILE_CAP + s] = value(f, s);
+            }
+        }
+        tile.len = n;
+        tile
+    }
+
+    /// Synthetic survivor tiles with every constraint class, operands
+    /// spread over clean and colliding distances of a grid's band.
+    fn synthetic_tiles(fields: Fields, band: (f64, f64), p: &CollisionParams) -> Vec<Tile> {
+        let gap = -p.anharmonicity_ghz;
+        let mut x = 0.37f64;
+        let mut next = move || {
+            x = (x * 997.0 + 0.1234).fract();
+            x
+        };
+        let (lo, hi) = band;
+        // 40 tiles of 67 survivors: a ragged last vector on every tier.
+        (0..40)
+            .map(|_| {
+                tile_of(fields, 67, |f, _| {
+                    let r = next();
+                    let freq = lo - 0.2 + (hi - lo + 0.4) * r;
+                    if f == 0 {
+                        0.12 * r - 0.06
+                    } else if f >= fields.tj_end && (f - fields.tj_end).is_multiple_of(2) {
+                        // A prefolded two-photon term: 2 f_j - gap, less
+                        // f_i for k==q triples.
+                        let t = 2.0 * freq - gap;
+                        if f >= fields.ti_end {
+                            t - (lo + (hi - lo) * next())
+                        } else {
+                            t
+                        }
+                    } else {
+                        freq
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// The window tally at every tier, run directly, counts exactly what
+    /// the dense kernel counts, on each hardware family's grid (35, 61
+    /// and 31 candidates) with that family's collision parameters.
+    #[test]
+    fn window_tally_matches_dense_kernel_at_every_tier() {
+        use crate::HardwareFamily;
+        let fields = Fields::new(3, 2, 2, 2);
+        for (family, size) in HardwareFamily::ALL.into_iter().zip([35, 61, 31]) {
+            let model = family.model();
+            let p = model.collision_params();
+            let candidates = band_grid(model.allowed_band_ghz());
+            assert_eq!(candidates.len(), size, "{family:?} grid");
+            let ctx = tally_ctx(&p, &candidates, fields);
+            assert!(ctx.windows.is_some(), "{family:?} grid must take the window path");
+            let tiles = synthetic_tiles(fields, model.allowed_band_ghz(), &p);
+            let dense = dense_counts(&ctx, &tiles);
+            let total = 40 * 67;
+            assert!(dense.iter().any(|&c| c > 0) && dense.iter().any(|&c| c < total));
+            for tier in tiers() {
+                assert_eq!(run_tally(&ctx, tier, &tiles).0, dense, "{family:?} {tier:?}");
+            }
+        }
+    }
+
+    /// Survivors placed so that a window edge lands exactly on a
+    /// candidate, or one ulp either side of it, must be re-scored by the
+    /// dense predicate — and the tally still matches it exactly.
+    #[test]
+    fn window_edges_on_candidates_fall_back_to_dense() {
+        let p = CollisionParams::default();
+        let candidates = band_grid(qpd_topology::ALLOWED_BAND_GHZ);
+        let gap = -p.anharmonicity_ghz;
+        let g2 = gap / 2.0;
+        let fields = Fields::new(1, 1, 1, 1);
+        let ctx = tally_ctx(&p, &candidates, fields);
+        // Window edges relative to a pair operand f_o (fq = f_o + off)
+        // and to the two-photon centers.
+        let pair_offsets = [
+            p.t_degenerate_ghz,
+            -p.t_degenerate_ghz,
+            g2 - p.t_half_ghz,
+            g2 + p.t_half_ghz,
+            -g2 + p.t_half_ghz,
+            gap - p.t_full_ghz,
+            -(gap - p.t_full_ghz),
+        ];
+        // Fields: [noise_q, f_o, (f_i, f_k) j==q, (t1, f_k) i==q,
+        // (t2, f_i) k==q], the k==q endpoint being f_o again.
+        let mut survivors: Vec<[f64; 8]> = Vec::new();
+        for (i, &c) in candidates.iter().enumerate().step_by(3) {
+            let nq = if i % 2 == 0 { 0.0 } else { 0.0123 };
+            let fq = nq + c;
+            for off in pair_offsets {
+                let fo = fq - off;
+                for fo in [fo, fo.next_up(), fo.next_down()] {
+                    // j==q: (gap + f_i + f_k)/2 - t_two/2 == fq.
+                    let fi = 2.0 * fq - gap - 5.17 + p.t_two_photon_ghz;
+                    // i==q: center t1 - f_k == fq + t_two.
+                    let t1 = fq + p.t_two_photon_ghz + 5.33;
+                    // k==q: center t2 == fq - t_two.
+                    let t2 = fq - p.t_two_photon_ghz;
+                    survivors.push([nq, fo, fi, 5.17, t1, 5.33, t2, fo]);
+                }
+            }
+        }
+        let tiles: Vec<Tile> = survivors
+            .chunks(TILE_CAP)
+            .map(|chunk| tile_of(fields, chunk.len(), |f, s| chunk[s][f]))
+            .collect();
+        assert_eq!(fields.count, 8);
+        let dense = dense_counts(&ctx, &tiles);
+        for tier in tiers() {
+            let (counts, fallbacks) = run_tally(&ctx, tier, &tiles);
+            assert_eq!(counts, dense, "{tier:?}");
+            assert!(fallbacks > survivors.len() / 2, "{tier:?}: only {fallbacks} fallbacks");
+        }
+    }
+
+    /// Candidate lists that are not a regular ascending grid of at most
+    /// 63 values take the dense path, and decisions on them still match
+    /// the naive reference.
+    #[test]
+    fn irregular_and_oversized_lists_take_the_dense_path() {
+        let p = CollisionParams::default();
+        let irregular = vec![5.00, 5.01, 5.03, 5.04];
+        let oversized: Vec<f64> = (0..64).map(|i| 4.90 + 0.01 * i as f64).collect();
+        let descending: Vec<f64> =
+            band_grid(qpd_topology::ALLOWED_BAND_GHZ).into_iter().rev().collect();
+        let largest: Vec<f64> = (0..63).map(|i| 4.90 + 0.01 * i as f64).collect();
+        for list in [&irregular, &oversized, &descending] {
+            assert!(Windows::new(list, &p, 0.030, &[]).is_none(), "{} candidates", list.len());
+        }
+        assert!(Windows::new(&largest, &p, 0.030, &[]).is_some());
+        let arch = ibm::ibm_16q_2x8(BusMode::MaxFourQubit);
+        let assigned: Vec<Option<f64>> = (0..arch.num_qubits())
+            .map(|q| (q != 5).then_some(5.0 + 0.03 * (q % 12) as f64))
+            .collect();
+        let e = evaluator(900);
+        for list in [&irregular, &oversized, &descending, &largest] {
+            let fast = e.evaluate_candidates(&arch, &assigned, 5, list);
+            let reference = e.evaluate_candidates_reference(&arch, &assigned, 5, list);
+            assert_eq!(fast, reference, "{} candidates", list.len());
+        }
+    }
+
+    /// The fused filter + tally gives the same counts on every tier, by
+    /// windows and densely, as the scalar dense kernel (the semantic
+    /// definition), ragged row tail included.
+    #[test]
+    fn fused_kernel_matches_scalar_dense_at_every_tier() {
         let p = CollisionParams::default();
         let base = [0.0, 5.10, 5.20, 5.05, 5.15, 5.25];
-        let ctx = Pass1Ctx {
+        let candidates = band_grid(qpd_topology::ALLOWED_BAND_GHZ);
+        let ctx = |windows: bool| DecisionCtx {
             params: &p,
             base: &base,
             m: 6,
             qi: 0,
-            stride: 1 + 2 + 2 * (2 + 1 + 1),
+            fields: Fields::new(2, 2, 1, 1),
             q_pair_others: &[1, 2],
             ctx_pairs: &[(1, 2), (3, 4)],
             triples_j: &[(1, 2), (3, 5)],
             triples_i: &[(1, 4)],
             triples_k: &[(2, 3)],
             ctx_triples: &[(1, 3, 4), (2, 4, 5)],
+            candidates: &candidates,
+            windows: windows.then(|| Windows::new(&candidates, &p, 0.2, &base)).flatten(),
         };
-        // 1,003 rows (ragged tail included) of deterministic pseudo-noise
-        // wide enough to trip and clear every condition.
+        // 1,003 rows of pseudo-noise wide enough to trip and clear every
+        // condition.
         let mut x = 0.618f64;
         let noise: Vec<f64> = (0..1_003 * 6)
             .map(|_| {
@@ -1788,27 +2348,55 @@ mod tests {
                 0.40 * x - 0.20
             })
             .collect();
-        let mut scalar = Vec::new();
-        ctx.filter_rows_scalar(&noise, &mut scalar);
-        let mut simd = Vec::new();
-        unsafe { ctx.filter_rows_avx2(&noise, &mut simd) };
-        assert_eq!(scalar.len(), simd.len(), "different survivor counts");
-        assert!(
-            scalar.iter().zip(&simd).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "record bytes differ"
-        );
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            let mut wide = Vec::new();
-            unsafe { ctx.filter_rows_avx512(&noise, &mut wide) };
-            assert_eq!(scalar.len(), wide.len(), "avx512 survivor counts");
-            assert!(
-                scalar.iter().zip(&wide).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "avx512 record bytes differ"
-            );
+        let oracle = ctx(false).filter_tally(SimdTier::Scalar, &noise);
+        let survivors = oracle.iter().max().copied().unwrap_or(0);
+        assert!(survivors > 0 && oracle.iter().any(|&c| c < survivors), "counts {oracle:?}");
+        assert!(ctx(true).windows.is_some());
+        for tier in tiers() {
+            for windows in [false, true] {
+                assert_eq!(
+                    ctx(windows).filter_tally(tier, &noise),
+                    oracle,
+                    "{tier:?} windows {windows}"
+                );
+            }
         }
-        // The filter is doing real work: some survive, some do not.
-        let survivors = scalar.len() / ctx.stride;
-        assert!(survivors > 0 && survivors < 1_003, "survivors {survivors}");
+    }
+
+    /// Decisions on every family's own grid and parameters match the
+    /// naive reference on both sides of the inline threshold, at every
+    /// worker count.
+    #[test]
+    fn family_grid_decisions_match_reference_across_threads() {
+        use crate::HardwareFamily;
+        let arch = ibm::ibm_16q_2x8(BusMode::MaxFourQubit);
+        let compiled = CompiledRegions::new(&arch);
+        for family in HardwareFamily::ALL {
+            let model = family.model();
+            let candidates = band_grid(model.allowed_band_ghz());
+            let (lo, _) = model.allowed_band_ghz();
+            let assigned: Vec<Option<f64>> = (0..arch.num_qubits())
+                .map(|q| (q % 4 != 1).then(|| lo + 0.01 * ((q * 7) % candidates.len()) as f64))
+                .collect();
+            for trials in [POOL_MIN_TRIALS as usize - 2, POOL_MIN_TRIALS as usize + 50] {
+                let e = LocalYieldEvaluator::new(
+                    trials,
+                    FabricationModel::new(model.effective_sigma_ghz(0.030)),
+                    model.collision_params(),
+                    3,
+                );
+                for q in [1, 9] {
+                    let reference =
+                        e.evaluate_candidates_reference(&arch, &assigned, q, &candidates);
+                    for threads in [1, 2, 8] {
+                        let fast = qpd_par::with_threads(threads, || {
+                            e.evaluate_candidates_compiled(&compiled, &assigned, q, &candidates)
+                        });
+                        assert_eq!(fast, reference, "{family:?} trials {trials} q {q} @{threads}");
+                    }
+                }
+            }
+        }
     }
 
     /// Scratch sharing — across qubits, partial assignments, and even

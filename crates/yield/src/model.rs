@@ -1,5 +1,7 @@
 //! The fabrication noise model (paper §2.2, "Fabrication Variation").
 
+use std::mem::MaybeUninit;
+
 use rand::Rng;
 
 /// Gaussian fabrication noise: a designed frequency `f` comes out of
@@ -52,6 +54,17 @@ impl FabricationModel {
     /// of the generator's plain `next_u64` stream; an odd final slot
     /// falls back to the single-draw path.
     pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
+        self.sample_into_uninit(rng, as_uninit(out));
+    }
+
+    /// [`Self::sample_into`] onto uninitialized storage: every slot of
+    /// `out` is written, so a buffer grown for the samples never needs
+    /// zero-filling first.
+    pub(crate) fn sample_into_uninit<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        out: &mut [MaybeUninit<f64>],
+    ) {
         const BATCH: usize = 128;
         let mut raw = [0u64; BATCH];
         let mut uniforms = [0.0f64; BATCH];
@@ -72,14 +85,14 @@ impl FabricationModel {
                 let s = u * u + v * v;
                 if s < 1.0 && s != 0.0 {
                     let f = self.sigma_ghz * (-2.0 * s.ln() / s).sqrt();
-                    pair[0] = f * u;
-                    pair[1] = f * v;
+                    pair[0].write(f * u);
+                    pair[1].write(f * v);
                     break;
                 }
             }
         }
         for slot in chunks.into_remainder() {
-            *slot = self.sample(rng);
+            slot.write(self.sample(rng));
         }
     }
 
@@ -106,6 +119,13 @@ impl FabricationModel {
             *slot = self.sample(rng);
         }
     }
+}
+
+/// `out` as storage the uninitialized-sample fills can write.
+pub(crate) fn as_uninit(out: &mut [f64]) -> &mut [MaybeUninit<f64>] {
+    // SAFETY: `MaybeUninit<f64>` has the layout of `f64`, and the fills
+    // only ever write initialized values into it.
+    unsafe { &mut *(out as *mut [f64] as *mut [MaybeUninit<f64>]) }
 }
 
 impl Default for FabricationModel {

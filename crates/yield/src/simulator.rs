@@ -195,8 +195,10 @@ pub(crate) const CHUNK_SEED_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 /// any margin (BENCH_6's `yield_sim/pooled` 1.003x was exactly this
 /// overhead-plus-noise regime). The dev host has a single worker, so
 /// multi-core wins are projected from the dispatch/trial-cost ratio, not
-/// observed end to end.
-const POOL_MIN_TRIALS: u64 = 1_350;
+/// observed end to end. The allocator's decision kernel
+/// ([`crate::LocalYieldEvaluator::evaluate_prepared`]) fans its rows out
+/// from the same threshold.
+pub(crate) const POOL_MIN_TRIALS: u64 = 1_350;
 
 impl YieldSimulator {
     /// A simulator with the paper's defaults: 10,000 trials,

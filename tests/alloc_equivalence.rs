@@ -4,7 +4,8 @@
 //! fanned out per job or per row — produces **bit-identical**
 //! `FrequencyPlan`s to fresh singleton allocations and to the retained
 //! reference decision path, for every hardware family, sweep budget,
-//! trial budget, scratch history, and `QPD_THREADS` value.
+//! trial budget (on both sides of the decision kernel's 1,350-trial
+//! row fan-out threshold), scratch history, and `QPD_THREADS` value.
 
 use proptest::prelude::*;
 
@@ -241,5 +242,73 @@ fn run_circuit_is_thread_invariant() {
         let pooled =
             qpd::par::with_threads(threads, || run_benchmark("sym6_145", &settings).unwrap());
         assert_eq!(pooled, serial, "run_circuit diverges at {threads} threads");
+    }
+}
+
+/// Decisions on both sides of the row fan-out threshold (1,350 trials:
+/// below it a decision runs inline, above it each row chunk filters and
+/// tallies its own rows) count exactly what the naive reference counts,
+/// on every family's own candidate grid (the window-scored path), at
+/// every worker count.
+#[test]
+fn decisions_match_reference_across_the_inline_threshold() {
+    let arch = &arches()[1];
+    let regions = CompiledRegions::new(arch);
+    for family in HardwareFamily::ALL {
+        let model = family.model();
+        let candidates = FrequencyAllocator::new().with_hardware(family).candidates().to_vec();
+        let (lo, _) = model.allowed_band_ghz();
+        let assigned: Vec<Option<f64>> = (0..arch.num_qubits())
+            .map(|q| (q % 5 != 2).then(|| lo + 0.01 * ((q * 11) % candidates.len()) as f64))
+            .collect();
+        for trials in [1_300, 1_400] {
+            let evaluator = LocalYieldEvaluator::new(
+                trials,
+                FabricationModel::new(model.effective_sigma_ghz(FabricationModel::PAPER_SIGMA_GHZ)),
+                model.collision_params(),
+                29,
+            );
+            for q in (0..arch.num_qubits()).filter(|q| q % 5 == 2) {
+                let reference =
+                    evaluator.evaluate_candidates_reference(arch, &assigned, q, &candidates);
+                for threads in [1usize, 2, 8] {
+                    let mut scratch = AllocScratch::new();
+                    let counts = qpd::par::with_threads(threads, || {
+                        evaluator.evaluate_candidates_compiled_with(
+                            &regions,
+                            &assigned,
+                            q,
+                            &candidates,
+                            &mut scratch,
+                        )
+                    });
+                    assert_eq!(
+                        counts, reference,
+                        "{family:?} trials {trials} qubit {q} at {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Whole allocations on both sides of the threshold are identical at
+/// every worker count, singly and batched.
+#[test]
+fn allocations_across_the_inline_threshold_are_thread_invariant() {
+    let pool = arches();
+    for trials in [1_300, 1_400] {
+        let alloc = allocator(HardwareFamily::FixedFrequencyTransmon, 5)
+            .with_trials(trials)
+            .with_refinement_sweeps(1);
+        let serial = qpd::par::with_threads(1, || alloc.allocate(&pool[0]));
+        for threads in [2usize, 8] {
+            let pooled = qpd::par::with_threads(threads, || alloc.allocate(&pool[0]));
+            assert_eq!(pooled, serial, "trials {trials} at {threads} threads");
+            let batched = qpd::par::with_threads(threads, || {
+                batch(&[(&alloc, &pool[0]), (&alloc, &pool[1])], &mut AllocScratch::new())
+            });
+            assert_eq!(batched[0], serial, "batched, trials {trials} at {threads} threads");
+        }
     }
 }
