@@ -13,7 +13,8 @@
 //!   SoA path with pooled candidate evaluation (since PR 3 the pass-1
 //!   context filter is vectorized too);
 //! - `yield_sim/serial` and `yield_sim/pooled` — the 10k-trial Monte
-//!   Carlo yield simulator, off and on the worker pool;
+//!   Carlo yield simulator, with the pool pinned to one thread
+//!   (`qpd_par::with_threads(1, ..)`) and at its default width;
 //! - `explore/eval_cold` and `explore/eval_warm` — the design-space
 //!   explorer's candidate evaluation sweep with an empty vs. pre-warmed
 //!   memo cache (PR 3's explore-throughput kernel; the summary reports
@@ -41,11 +42,11 @@
 //! - `yield/singletons` and `yield/batched` — the same 16 candidates
 //!   (one dense topology under 16 distinct frequency plans, so they
 //!   share one fabrication-noise trial stream and one SoA lane group)
-//!   estimated as 16 independent `estimate` calls vs one
+//!   estimated as 16 independent `estimate` calls on one thread vs one
 //!   `evaluate_batch` call (PR 7's kernel: the batch generates the
 //!   stream once for the group and runs the collision predicates
-//!   SIMD-wide across candidates, where each singleton pays its own
-//!   stream and checks its own lanes scalar);
+//!   SIMD-wide across candidates, where each `estimate` — a batch of
+//!   one — pays its own stream and fills one lane per vector);
 //! - `serve/throughput` — eight warm `design` requests through a real
 //!   in-process `qpd-serve` daemon (TCP loopback, line protocol,
 //!   shared warm stage graph), so the resident-service round-trip cost
@@ -342,9 +343,8 @@ fn main() {
     // baseline.
     let chip = ibm::ibm_16q_2x8(BusMode::MaxFourQubit);
     let sim = YieldSimulator::new().with_trials(yield_trials);
-    let serial = sim.single_threaded();
     group.bench_function("yield_sim/serial", |b| {
-        b.iter(|| serial.estimate(&chip).expect("plan attached"))
+        b.iter(|| qpd_par::with_threads(1, || sim.estimate(&chip).expect("plan attached")))
     });
     group.bench_function("yield_sim/pooled", |b| {
         b.iter(|| sim.estimate(&chip).expect("plan attached"))
@@ -432,9 +432,9 @@ fn main() {
     // Batched cross-candidate kernel: sixteen frequency-plan variants
     // of the dense chip — same topology, trials, seed, and sigma, so
     // all sixteen share one fabrication-noise trial stream and one SoA
-    // lane group. `yield/singletons` pays sixteen scalar estimates
-    // (sixteen private noise streams, predicates one candidate at a
-    // time); `yield/batched` generates the stream once for the group
+    // lane group. `yield/singletons` pays sixteen one-thread batches
+    // of one (sixteen private noise streams, one candidate lane per
+    // vector); `yield/batched` generates the stream once for the group
     // and checks the collision predicates SIMD-wide across candidates.
     const BATCH_CANDIDATES: usize = 16;
     let plan_variants: Vec<Architecture> = (0..BATCH_CANDIDATES)
@@ -453,14 +453,16 @@ fn main() {
         .collect();
     group.bench_function("yield/singletons", |b| {
         b.iter(|| {
-            plan_variants
-                .iter()
-                .map(|arch| serial.estimate(arch).expect("plan attached").successes())
-                .sum::<u64>()
+            qpd_par::with_threads(1, || {
+                plan_variants
+                    .iter()
+                    .map(|arch| sim.estimate(arch).expect("plan attached").successes())
+                    .sum::<u64>()
+            })
         })
     });
     let batch_requests: Vec<BatchRequest<'_>> =
-        plan_variants.iter().map(|arch| BatchRequest { simulator: serial, arch }).collect();
+        plan_variants.iter().map(|arch| BatchRequest { simulator: sim, arch }).collect();
     group.bench_function("yield/batched", |b| {
         b.iter(|| {
             YieldSimulator::evaluate_batch(&batch_requests)

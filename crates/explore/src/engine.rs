@@ -641,8 +641,8 @@ impl Explorer {
             placement: crate::spec::PlacementVariant::Identity,
             hardware: HardwareFamily::FixedFrequencyTransmon,
         };
-        let arch = explorer.materialize(&baseline)?;
-        let (gates, depth) = explorer.route(&arch)?;
+        let mut chips = explorer.assemble(std::slice::from_ref(&baseline))?;
+        let (gates, depth) = explorer.route(&chips.pop().expect("one spec in, one chip out"))?;
         explorer.baseline_gates = gates;
         explorer.baseline_depth = depth;
         Ok(explorer)
@@ -682,14 +682,6 @@ impl Explorer {
         self.caches.clear();
     }
 
-    fn flow(&self, spec: &CandidateSpec) -> DesignFlow {
-        // The clone shares the base flow's stage plan, so every
-        // frequency/hardware variant draws from one assembly cache (the
-        // family is part of the assembly content key, so families never
-        // collide in it).
-        self.flow.clone().with_frequency_strategy(spec.frequency).with_hardware(spec.hardware)
-    }
-
     fn yield_stage(&self, spec: &CandidateSpec, trials: u64) -> YieldStage {
         YieldStage {
             trials,
@@ -699,9 +691,27 @@ impl Explorer {
         }
     }
 
-    fn materialize(&self, spec: &CandidateSpec) -> Result<Architecture, ExploreError> {
-        let (coords, squares) = self.space.resolve(spec);
-        Ok(self.flow(spec).design_with_layout(&coords, &squares)?)
+    /// Resolves every spec's layout (fanned out on the worker pool) and
+    /// assembles the chips as one [`DesignFlow::design_with_layout_batch`]
+    /// submission: the assemble-stage misses run as one seed-major
+    /// allocation batch over one set of fabrication-noise planes, while
+    /// cache accounting stays per spec (one assemble hit or miss each).
+    /// Every frequency strategy and hardware family draws from the flow's
+    /// one stage plan; both are part of the assembly content key, so they
+    /// never collide in it.
+    fn assemble(&self, specs: &[CandidateSpec]) -> Result<Vec<Architecture>, ExploreError> {
+        let layouts = qpd_par::par_map(specs, |spec| self.space.resolve(spec));
+        let jobs: Vec<LayoutJob<'_>> = specs
+            .iter()
+            .zip(&layouts)
+            .map(|(spec, (coords, squares))| LayoutJob {
+                coords,
+                squares,
+                frequency: spec.frequency,
+                hardware: spec.hardware,
+            })
+            .collect();
+        Ok(self.flow.design_with_layout_batch(&jobs)?)
     }
 
     fn route(&self, arch: &Architecture) -> Result<(u64, u64), ExploreError> {
@@ -715,22 +725,27 @@ impl Explorer {
         (self.config.yield_trials / self.config.screen_divisor.max(1)).max(1)
     }
 
-    /// Evaluates one candidate at full fidelity, memoized end to end:
-    /// routing by topology, yield by full content. Repeated candidates
-    /// cost two hash lookups.
+    /// Evaluates one candidate at full fidelity: [`Self::evaluate_all`]
+    /// on a batch of one, memoized end to end (routing by topology,
+    /// yield by full content), so a repeated candidate costs a few hash
+    /// lookups. Results and per-stage cache accounting equal those of
+    /// `evaluate_all(&[spec])`.
     ///
     /// # Errors
     ///
     /// Propagates design, routing, and yield failures.
     pub fn evaluate(&self, spec: &CandidateSpec) -> Result<Evaluated, ExploreError> {
-        self.evaluate_at(spec, self.config.yield_trials)
+        let mut out =
+            self.evaluate_batch_at(std::slice::from_ref(spec), self.config.yield_trials)?;
+        Ok(out.pop().expect("one spec in, one evaluation out"))
     }
 
-    /// Evaluates many candidates at full fidelity as **one batch**: the
-    /// public face of the batched round path (`evaluate_batch_at` at
-    /// the configured yield-trial budget). Results are bit-identical
-    /// to per-spec [`Self::evaluate`] calls, in input order; the batch
-    /// only shares work — assemble-stage misses run as one seed-major
+    /// Evaluates many candidates at full fidelity as **one batch** — the
+    /// path every engine round takes (`evaluate_batch_at` at the
+    /// configured yield-trial budget). Results come back in input order;
+    /// each equals what the same spec evaluates to alone, because every
+    /// stage is a pure function of its content key and the batch only
+    /// shares work: assemble-stage misses run as one seed-major
     /// allocation batch, and yield-cache misses group into SoA
     /// simulation runs.
     ///
@@ -742,49 +757,15 @@ impl Explorer {
         self.evaluate_batch_at(specs, self.config.yield_trials)
     }
 
-    /// Evaluates one candidate at an explicit yield-trial budget (the
-    /// screening path); the simulator settings are part of the content
-    /// key, so screened and full-fidelity results never collide in the
-    /// memo table.
-    fn evaluate_at(&self, spec: &CandidateSpec, trials: u64) -> Result<Evaluated, ExploreError> {
-        let arch = self.materialize(spec)?;
-        let (total_gates, routed_depth) = self.route(&arch)?;
-        let (key, (yield_successes, yield_trials)) =
-            self.caches.yields.run_stage(&self.yield_stage(spec, trials), &&arch)?;
-        // The layout resolver clamps out-of-range auxiliary counts to
-        // the space's bound; cost the clamped value actually built, so
-        // equal content keys always carry equal objective vectors.
-        let aux_built = spec.aux_qubits.min(self.space.max_aux()) as u64;
-        let hardware_cost = arch.four_qubit_buses().len() as u64 + aux_built;
-        Ok(Evaluated {
-            spec: spec.clone(),
-            arch_name: arch.name().to_string(),
-            key,
-            objectives: Objectives {
-                yield_successes,
-                yield_trials,
-                total_gates,
-                routed_depth,
-                hardware_cost,
-            },
-        })
-    }
-
-    /// Evaluates a round's worth of candidates as **one batch** — the
-    /// engine half of the batched-yield path.
+    /// Evaluates candidates at an explicit yield-trial budget (the
+    /// screening path passes a reduced one); the simulator settings are
+    /// part of the yield content key, so screened and full-fidelity
+    /// results never collide in the memo table.
     ///
-    /// Layout resolution fans out per candidate on the worker pool,
-    /// then the whole round assembles as one
-    /// [`DesignFlow::design_with_layout_batch`] submission: the
-    /// assemble-stage misses of the round run as one seed-major
-    /// allocation batch over one set of fabrication-noise planes
-    /// instead of regenerating them per candidate, while cache accounting stays
-    /// per-job (every candidate still contributes exactly one assemble
-    /// hit or miss, and each plan is bit-identical to its singleton
-    /// [`Self::evaluate`] result). Routing then fans out per
-    /// architecture. The yield stage runs in three passes that
-    /// together preserve the singleton cache accounting exactly — every
-    /// candidate contributes precisely one hit or one miss:
+    /// Chips come from [`Self::assemble`]; routing then fans out per
+    /// architecture. The yield stage runs in three passes that keep the
+    /// per-candidate cache accounting — every candidate contributes
+    /// precisely one hit or one miss:
     ///
     /// 1. probe the yield cache per candidate, in order (hits counted);
     /// 2. hand the *distinct* missed keys to
@@ -792,8 +773,7 @@ impl Explorer {
     ///    shared trial stream and runs the collision kernels SoA across
     ///    the whole batch;
     /// 3. insert once per missed occurrence (misses counted), so
-    ///    `hits + misses` equals the candidate count just as it would
-    ///    for N singleton calls.
+    ///    `hits + misses` equals the candidate count.
     ///
     /// Results return in input order; the first failure (in input
     /// order) propagates.
@@ -809,18 +789,7 @@ impl Explorer {
         if specs.is_empty() {
             return Ok(Vec::new());
         }
-        let layouts = qpd_par::par_map(specs, |spec| self.space.resolve(spec));
-        let jobs: Vec<LayoutJob<'_>> = specs
-            .iter()
-            .zip(&layouts)
-            .map(|(spec, (coords, squares))| LayoutJob {
-                coords,
-                squares,
-                frequency: spec.frequency,
-                hardware: spec.hardware,
-            })
-            .collect();
-        let assembled = self.flow.design_with_layout_batch(&jobs)?;
+        let assembled = self.assemble(specs)?;
         let routed = qpd_par::par_map(&assembled, |arch| self.route(arch));
         let mut archs = Vec::with_capacity(specs.len());
         for (arch, r) in assembled.into_iter().zip(routed) {
@@ -1826,6 +1795,30 @@ mod tests {
         let assemble = stats.iter().find(|s| s.kind == qpd_core::StageKind::Frequency).unwrap();
         assert_eq!(assemble.misses, assemble_misses, "repeat evaluation re-ran frequency alloc");
         assert!(assemble.hits > 0);
+    }
+
+    #[test]
+    fn evaluate_is_a_batch_of_one() {
+        // `evaluate(spec)` and `evaluate_all(&[spec])` on twin engines:
+        // equal results and equal per-stage accounting, cold and warm.
+        let counters = |e: &Explorer| -> Vec<_> {
+            e.stage_stats().iter().map(|s| (s.kind, s.hits, s.misses, s.unique_misses)).collect()
+        };
+        let single = quick_explorer(3);
+        let batch = quick_explorer(3);
+        for spec in [
+            CandidateSpec::eff_full(single.space().full_weighted_len()),
+            CandidateSpec { hardware: HardwareFamily::TunableCoupler, ..single.initial_spec(1) },
+        ] {
+            for pass in ["cold", "warm"] {
+                let one = single.evaluate(&spec).unwrap();
+                let all = batch.evaluate_all(std::slice::from_ref(&spec)).unwrap();
+                assert_eq!(vec![one], all, "{pass}");
+                assert_eq!(counters(&single), counters(&batch), "{pass}");
+            }
+        }
+        let yields = single.caches().yields.hits();
+        assert!(yields >= 2, "warm passes must hit the yield cache: {yields}");
     }
 
     #[test]

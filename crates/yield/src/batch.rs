@@ -1,14 +1,16 @@
-//! Batched cross-candidate yield evaluation: one SoA pass over
-//! candidates x trials.
+//! The Monte Carlo yield kernel: one SoA pass over candidates x trials.
 //!
+//! Every yield estimate in the workspace runs here.
+//! [`YieldSimulator::evaluate_batch`] takes a round's worth of
+//! candidates; [`YieldSimulator::estimate`] and
+//! [`YieldSimulator::estimate_with_frequencies`] submit a batch of one.
 //! A design-space exploration round produces many near-identical
 //! candidates whose yield simulations differ only in designed
 //! frequencies (and sometimes topology), while sharing everything that
-//! determines the fabrication-noise trial stream. The singleton path
-//! ([`YieldSimulator::estimate`]) regenerates that stream per candidate;
-//! [`YieldSimulator::evaluate_batch`] generates it **once per stream
-//! group** and checks every candidate of the group against the same
-//! noise rows, with candidates laid out across SIMD lanes.
+//! determines the fabrication-noise trial stream. The kernel generates
+//! that stream **once per stream group** and checks every candidate of
+//! the group against the same noise rows, with candidates laid out
+//! across SIMD lanes.
 //!
 //! # Grouping contract
 //!
@@ -35,16 +37,26 @@
 //!
 //! # Determinism
 //!
-//! Every estimate returned here is **bit-identical** to what the
-//! request's own simulator would return from `estimate`: the per-chunk
-//! RNG streams, the bulk-fill cadence, and every floating-point
-//! operation of the collision predicates (operands, order, association)
-//! are exactly the singleton path's, and per-candidate success tallies
-//! are exact integer sums over the same fixed chunk decomposition. The
-//! work fans out over the [`qpd_par`] pool as one flat
-//! stream-group x chunk grid, so thread count never changes results —
-//! the test suite asserts equality against singleton runs at several
-//! pool widths.
+//! A candidate's estimate does not depend on what else is in its batch:
+//! the per-chunk RNG streams, the bulk-fill cadence, and every
+//! floating-point operation of the collision predicates (operands,
+//! order, association) are fixed per candidate, and per-candidate
+//! success tallies are exact integer sums over the fixed chunk
+//! decomposition. So a batch slot equals its batch of one, whatever the
+//! batch's order or duplicates. The independent scalar oracle is
+//! [`YieldSimulator::condition_breakdown`]: it draws the same 16 chunk
+//! streams at the same fill cadence and checks each trial with
+//! [`crate::CollisionChecker::collisions`], so its clean count equals
+//! the estimate's successes exactly; the test suite asserts it.
+//!
+//! # Scheduling
+//!
+//! The work is one flat stream-group x chunk grid. When the batch's
+//! summed trials (over candidates with at least one qubit) reach the
+//! simulator's `POOL_MIN_TRIALS` (1,350) the grid fans out over the
+//! [`qpd_par`] pool; smaller batches run it on the caller, since one
+//! pool dispatch would cost more than it saves. For a batch of one this
+//! is a 1,350-trial threshold. Thread count never changes results.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -56,15 +68,16 @@ use crate::local::{simd_tier, SimdTier};
 use crate::model::FabricationModel;
 use crate::simulator::{
     YieldError, YieldEstimate, YieldSimulator, BULK_NOISE_SAMPLES, CHUNKS, CHUNK_SEED_MUL,
+    POOL_MIN_TRIALS,
 };
 
 /// One candidate of a batch: a configured simulator plus the architecture
 /// (with attached frequency plan) it should estimate.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchRequest<'a> {
-    /// The simulator configuration this candidate would use on the
-    /// singleton path; its seed, trials, sigma, hardware family, and
-    /// collision parameters all participate in grouping.
+    /// The simulator configuration for this candidate; its seed,
+    /// trials, sigma, hardware family, and collision parameters all
+    /// participate in grouping.
     pub simulator: YieldSimulator,
     /// The candidate architecture. Must have a frequency plan attached,
     /// or the request's slot resolves to
@@ -79,11 +92,12 @@ pub struct BatchRequest<'a> {
 #[derive(Debug)]
 struct LaneGroup {
     params: CollisionParams,
-    /// Connected pairs `(a, b)` in singleton check order.
+    /// Connected pairs `(a, b)` in [`CollisionChecker::pairs`] order.
     pairs: Vec<(u32, u32)>,
-    /// Common-neighbor triples `(j; i, k)` in singleton check order.
+    /// Common-neighbor triples `(j; i, k)` in
+    /// [`CollisionChecker::triples`] order.
     triples: Vec<(u32, u32, u32)>,
-    /// Request indices of the member candidates, in submission order.
+    /// Job indices of the member candidates, in submission order.
     members: Vec<usize>,
     /// Lane width: member count padded up to the SIMD tier's lane count.
     width: usize,
@@ -125,147 +139,177 @@ impl YieldSimulator {
     /// candidates sharing collision structure are checked several per
     /// SIMD vector.
     ///
-    /// The work fans out over the [`qpd_par`] pool regardless of any
-    /// request's `single_threaded` setting; results are identical either
-    /// way, so the flag only matters for the singleton path's scheduling.
-    ///
     /// # Panics
     ///
     /// Panics if any request's frequency plan length disagrees with its
     /// architecture's qubit count (as `estimate_with_frequencies` does).
     pub fn evaluate_batch(requests: &[BatchRequest<'_>]) -> Vec<Result<YieldEstimate, YieldError>> {
-        let tier = simd_tier();
-        let lanes = tier.lanes();
-        let mut results: Vec<Option<Result<YieldEstimate, YieldError>>> =
-            vec![None; requests.len()];
-
-        // Group in submission order: stream groups by (seed, trials,
-        // effective sigma, n), lane groups within them by exact
-        // collision structure (no hashing — membership is compared
-        // outright, so equal-looking groups are equal).
-        let mut groups: Vec<StreamGroup> = Vec::new();
-        for (idx, req) in requests.iter().enumerate() {
-            let sim = &req.simulator;
-            let Some(plan) = req.arch.frequencies() else {
-                results[idx] = Some(Err(YieldError::MissingFrequencyPlan));
-                continue;
-            };
-            let designed = plan.as_slice();
-            assert_eq!(designed.len(), req.arch.num_qubits(), "frequency vector length mismatch");
-            let n = designed.len();
-            if n == 0 {
-                // No qubits, no collisions: every trial succeeds, as on
-                // the singleton path.
-                results[idx] = Some(Ok(YieldEstimate::new(sim.trials(), sim.trials())));
-                continue;
-            }
-            let sigma_bits = sim.effective_model().sigma_ghz().to_bits();
-            let gi = groups
-                .iter()
-                .position(|g| {
-                    g.seed == sim.seed()
-                        && g.trials == sim.trials()
-                        && g.sigma_ghz.to_bits() == sigma_bits
-                        && g.n == n
-                })
-                .unwrap_or_else(|| {
-                    groups.push(StreamGroup {
-                        seed: sim.seed(),
-                        trials: sim.trials(),
-                        sigma_ghz: f64::from_bits(sigma_bits),
-                        n,
-                        lane_groups: Vec::new(),
-                        width_total: 0,
-                    });
-                    groups.len() - 1
-                });
-            let checker = CollisionChecker::with_params(req.arch, sim.params());
-            let g = &mut groups[gi];
-            let li = g
-                .lane_groups
-                .iter()
-                .position(|lg| {
-                    lg.params == sim.params()
-                        && lg.pairs.as_slice() == checker.pairs()
-                        && lg.triples.as_slice() == checker.triples()
-                })
-                .unwrap_or_else(|| {
-                    g.lane_groups.push(LaneGroup {
-                        params: sim.params(),
-                        pairs: checker.pairs().to_vec(),
-                        triples: checker.triples().to_vec(),
-                        members: Vec::new(),
-                        width: 0,
-                        pair_a: Vec::new(),
-                        pair_b: Vec::new(),
-                        tri_j: Vec::new(),
-                        tri_i: Vec::new(),
-                        tri_k: Vec::new(),
-                    });
-                    g.lane_groups.len() - 1
-                });
-            g.lane_groups[li].members.push(idx);
-        }
-
-        // Lay the designed-frequency operands out SoA now that every
-        // group's membership is known.
-        for g in &mut groups {
-            for lg in &mut g.lane_groups {
-                lg.width = lg.members.len().div_ceil(lanes) * lanes;
-                lg.pair_a = vec![f64::NAN; lg.pairs.len() * lg.width];
-                lg.pair_b = vec![f64::NAN; lg.pairs.len() * lg.width];
-                lg.tri_j = vec![f64::NAN; lg.triples.len() * lg.width];
-                lg.tri_i = vec![f64::NAN; lg.triples.len() * lg.width];
-                lg.tri_k = vec![f64::NAN; lg.triples.len() * lg.width];
-                for (lane, &ri) in lg.members.iter().enumerate() {
-                    let designed =
-                        requests[ri].arch.frequencies().expect("grouped request has a plan");
-                    let designed = designed.as_slice();
-                    for (pi, &(a, b)) in lg.pairs.iter().enumerate() {
-                        lg.pair_a[pi * lg.width + lane] = designed[a as usize];
-                        lg.pair_b[pi * lg.width + lane] = designed[b as usize];
-                    }
-                    for (ti, &(j, i, k)) in lg.triples.iter().enumerate() {
-                        lg.tri_j[ti * lg.width + lane] = designed[j as usize];
-                        lg.tri_i[ti * lg.width + lane] = designed[i as usize];
-                        lg.tri_k[ti * lg.width + lane] = designed[k as usize];
-                    }
-                }
-            }
-            g.width_total = g.lane_groups.iter().map(|lg| lg.width).sum();
-        }
-
-        // One flat stream-group x chunk grid over the pool: coarse units
-        // (a chunk regenerates its noise and checks every group member),
-        // fixed count, summed in fixed order — identical at every pool
-        // width.
-        let unit_tallies = qpd_par::par_indices(groups.len() * CHUNKS as usize, |u| {
-            run_unit(&groups[u / CHUNKS as usize], (u % CHUNKS as usize) as u64, tier)
-        });
-
-        for (gi, g) in groups.iter().enumerate() {
-            let mut acc = vec![0i64; g.width_total];
-            for chunk in 0..CHUNKS as usize {
-                let part = &unit_tallies[gi * CHUNKS as usize + chunk];
-                for (slot, &t) in acc.iter_mut().zip(part) {
-                    *slot += t;
-                }
-            }
-            let mut off = 0;
-            for lg in &g.lane_groups {
-                for (lane, &ri) in lg.members.iter().enumerate() {
-                    let successes = acc[off + lane] as u64;
-                    results[ri] = Some(Ok(YieldEstimate::new(successes, g.trials)));
-                }
-                off += lg.width;
-            }
-        }
-        results.into_iter().map(|r| r.expect("every request resolved")).collect()
+        let jobs: Vec<Job<'_>> = requests
+            .iter()
+            .filter_map(|req| {
+                let designed = req.arch.frequencies()?.as_slice();
+                Some(Job { simulator: &req.simulator, arch: req.arch, designed })
+            })
+            .collect();
+        let mut estimates = estimate_jobs(&jobs).into_iter();
+        requests
+            .iter()
+            .map(|req| match req.arch.frequencies() {
+                Some(_) => Ok(estimates.next().expect("one estimate per planned request")),
+                None => Err(YieldError::MissingFrequencyPlan),
+            })
+            .collect()
     }
 }
 
+/// One candidate as the grouping step sees it: the simulator, the
+/// architecture whose coupling structure is checked, and the designed
+/// frequencies (the attached plan, or an explicit vector from
+/// [`YieldSimulator::estimate_with_frequencies`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Job<'a> {
+    pub(crate) simulator: &'a YieldSimulator,
+    pub(crate) arch: &'a Architecture,
+    pub(crate) designed: &'a [f64],
+}
+
+/// The one Monte Carlo yield kernel: groups `jobs` by trial stream and
+/// collision structure, runs the stream-group x chunk grid, and returns
+/// one estimate per job, in job order.
+///
+/// # Panics
+///
+/// Panics if a job's frequency vector length disagrees with its
+/// architecture's qubit count.
+pub(crate) fn estimate_jobs(jobs: &[Job<'_>]) -> Vec<YieldEstimate> {
+    let tier = simd_tier();
+    let lanes = tier.lanes();
+    let mut results: Vec<Option<YieldEstimate>> = vec![None; jobs.len()];
+
+    // Group in submission order: stream groups by (seed, trials,
+    // effective sigma, n), lane groups within them by exact collision
+    // structure (no hashing — membership is compared outright, so
+    // equal-looking groups are equal).
+    let mut groups: Vec<StreamGroup> = Vec::new();
+    let mut work = 0u64;
+    for (idx, job) in jobs.iter().enumerate() {
+        let sim = job.simulator;
+        let n = job.designed.len();
+        assert_eq!(n, job.arch.num_qubits(), "frequency vector length mismatch");
+        if n == 0 {
+            // No qubits, no collisions: every trial succeeds.
+            results[idx] = Some(YieldEstimate::new(sim.trials(), sim.trials()));
+            continue;
+        }
+        work = work.saturating_add(sim.trials());
+        let sigma_bits = sim.effective_model().sigma_ghz().to_bits();
+        let gi = groups
+            .iter()
+            .position(|g| {
+                g.seed == sim.seed()
+                    && g.trials == sim.trials()
+                    && g.sigma_ghz.to_bits() == sigma_bits
+                    && g.n == n
+            })
+            .unwrap_or_else(|| {
+                groups.push(StreamGroup {
+                    seed: sim.seed(),
+                    trials: sim.trials(),
+                    sigma_ghz: f64::from_bits(sigma_bits),
+                    n,
+                    lane_groups: Vec::new(),
+                    width_total: 0,
+                });
+                groups.len() - 1
+            });
+        let checker = CollisionChecker::with_params(job.arch, sim.params());
+        let g = &mut groups[gi];
+        let li = g
+            .lane_groups
+            .iter()
+            .position(|lg| {
+                lg.params == sim.params()
+                    && lg.pairs.as_slice() == checker.pairs()
+                    && lg.triples.as_slice() == checker.triples()
+            })
+            .unwrap_or_else(|| {
+                g.lane_groups.push(LaneGroup {
+                    params: sim.params(),
+                    pairs: checker.pairs().to_vec(),
+                    triples: checker.triples().to_vec(),
+                    members: Vec::new(),
+                    width: 0,
+                    pair_a: Vec::new(),
+                    pair_b: Vec::new(),
+                    tri_j: Vec::new(),
+                    tri_i: Vec::new(),
+                    tri_k: Vec::new(),
+                });
+                g.lane_groups.len() - 1
+            });
+        g.lane_groups[li].members.push(idx);
+    }
+
+    // Lay the designed-frequency operands out SoA now that every
+    // group's membership is known.
+    for g in &mut groups {
+        for lg in &mut g.lane_groups {
+            lg.width = lg.members.len().div_ceil(lanes) * lanes;
+            lg.pair_a = vec![f64::NAN; lg.pairs.len() * lg.width];
+            lg.pair_b = vec![f64::NAN; lg.pairs.len() * lg.width];
+            lg.tri_j = vec![f64::NAN; lg.triples.len() * lg.width];
+            lg.tri_i = vec![f64::NAN; lg.triples.len() * lg.width];
+            lg.tri_k = vec![f64::NAN; lg.triples.len() * lg.width];
+            for (lane, &ji) in lg.members.iter().enumerate() {
+                let designed = jobs[ji].designed;
+                for (pi, &(a, b)) in lg.pairs.iter().enumerate() {
+                    lg.pair_a[pi * lg.width + lane] = designed[a as usize];
+                    lg.pair_b[pi * lg.width + lane] = designed[b as usize];
+                }
+                for (ti, &(j, i, k)) in lg.triples.iter().enumerate() {
+                    lg.tri_j[ti * lg.width + lane] = designed[j as usize];
+                    lg.tri_i[ti * lg.width + lane] = designed[i as usize];
+                    lg.tri_k[ti * lg.width + lane] = designed[k as usize];
+                }
+            }
+        }
+        g.width_total = g.lane_groups.iter().map(|lg| lg.width).sum();
+    }
+
+    // One flat stream-group x chunk grid: coarse units (a chunk
+    // regenerates its noise and checks every group member), fixed
+    // count, summed in fixed order — identical at every pool width. A
+    // batch with less trial work than one pool dispatch can pay for runs
+    // its units on the caller.
+    let units = groups.len() * CHUNKS as usize;
+    let run = |u: usize| run_unit(&groups[u / CHUNKS as usize], (u % CHUNKS as usize) as u64, tier);
+    let unit_tallies: Vec<Vec<i64>> = if work < POOL_MIN_TRIALS {
+        (0..units).map(run).collect()
+    } else {
+        qpd_par::par_indices(units, run)
+    };
+
+    for (gi, g) in groups.iter().enumerate() {
+        let mut acc = vec![0i64; g.width_total];
+        for part in &unit_tallies[gi * CHUNKS as usize..(gi + 1) * CHUNKS as usize] {
+            for (slot, &t) in acc.iter_mut().zip(part) {
+                *slot += t;
+            }
+        }
+        let mut off = 0;
+        for lg in &g.lane_groups {
+            for (lane, &ji) in lg.members.iter().enumerate() {
+                results[ji] = Some(YieldEstimate::new(acc[off + lane] as u64, g.trials));
+            }
+            off += lg.width;
+        }
+    }
+    results.into_iter().map(|r| r.expect("every job resolved")).collect()
+}
+
 /// Runs one chunk of one stream group: regenerates the chunk's noise
-/// stream exactly as the singleton path does, feeding every bulk fill to
+/// stream (counter-derived seed, `BULK_NOISE_SAMPLES` fill cadence),
+/// feeding every bulk fill to
 /// every lane group of the group. Returns per-lane success tallies, lane
 /// groups concatenated in order.
 fn run_unit(g: &StreamGroup, chunk: u64, tier: SimdTier) -> Vec<i64> {
@@ -295,7 +339,9 @@ fn run_unit(g: &StreamGroup, chunk: u64, tier: SimdTier) -> Vec<i64> {
 }
 
 /// Dispatches one noise block to the best kernel. All kernels are
-/// bit-identical (IEEE-exact counterparts of the singleton predicates),
+/// bit-identical (IEEE-exact counterparts of
+/// [`CollisionParams::pair_collides`] and
+/// [`CollisionParams::triple_collides`]),
 /// so host SIMD support never changes results.
 fn run_rows(tier: SimdTier, noise: &[f64], n: usize, lg: &LaneGroup, tallies: &mut [i64]) {
     #[cfg(target_arch = "x86_64")]
@@ -312,9 +358,9 @@ fn run_rows(tier: SimdTier, noise: &[f64], n: usize, lg: &LaneGroup, tallies: &m
 /// Counts, per candidate lane, the noise rows whose post-fabrication
 /// frequencies stay collision-free — the scalar reference kernel and the
 /// semantic definition the SIMD kernels must match bit-for-bit. Per
-/// (row, lane) this is exactly the singleton check: the same
-/// `designed + noise` operands through the same predicates in the same
-/// order, early exit included.
+/// (row, lane) this is [`CollisionChecker::has_collision`] on
+/// `designed + noise`: the same predicates in the same order, early
+/// exit included.
 fn run_rows_scalar(noise: &[f64], n: usize, lg: &LaneGroup, tallies: &mut [i64]) {
     let p = &lg.params;
     let w = lg.width;
@@ -593,11 +639,16 @@ mod tests {
         arch.clone().with_frequencies(FrequencyPlan::new(moved)).unwrap()
     }
 
+    /// The independent scalar oracle's estimate.
+    fn oracle(sim: &YieldSimulator, arch: &Architecture) -> YieldEstimate {
+        YieldEstimate::new(sim.condition_breakdown(arch).unwrap().1, sim.trials())
+    }
+
     #[test]
     fn batch_matches_singletons_bitwise() {
         // Mixed stream groups, lane groups, topologies, and hardware
-        // families in one batch: every slot must equal its own singleton
-        // run exactly.
+        // families in one batch: every slot must equal its own batch of
+        // one and the oracle exactly.
         let sparse = ibm::ibm_16q_2x8(BusMode::TwoQubitOnly);
         let dense = ibm::ibm_16q_2x8(BusMode::MaxFourQubit);
         let sparse_a = reshaped(&sparse, 0.95, 0.004);
@@ -624,8 +675,8 @@ mod tests {
         ];
         let batch = YieldSimulator::evaluate_batch(&requests);
         for (i, (req, got)) in requests.iter().zip(&batch).enumerate() {
-            let singleton = req.simulator.estimate(req.arch);
-            assert_eq!(got, &singleton, "request {i}");
+            assert_eq!(got, &req.simulator.estimate(req.arch), "request {i}");
+            assert_eq!(got, &Ok(oracle(&req.simulator, req.arch)), "request {i}");
         }
         // Same candidate twice resolves identically.
         assert_eq!(batch[0], batch[9]);
@@ -677,13 +728,14 @@ mod tests {
 
     #[test]
     fn tiny_trial_counts_still_match() {
-        // Fewer trials than chunks: some chunks are empty on both paths.
+        // Fewer trials than chunks: some chunks are empty in the kernel
+        // and the oracle alike.
         let arch = path3([5.00, 5.12, 5.24]);
         for trials in [1, 2, 7, 15, 16, 17] {
             let sim = YieldSimulator::new().with_trials(trials).with_seed(3);
             let batch =
                 YieldSimulator::evaluate_batch(&[BatchRequest { simulator: sim, arch: &arch }]);
-            assert_eq!(batch[0], sim.estimate(&arch), "trials {trials}");
+            assert_eq!(batch[0], Ok(oracle(&sim, &arch)), "trials {trials}");
         }
     }
 
@@ -773,7 +825,39 @@ mod tests {
             plans.iter().map(|arch| BatchRequest { simulator: sim, arch }).collect();
         let batch = YieldSimulator::evaluate_batch(&requests);
         for (arch, got) in plans.iter().zip(&batch) {
-            assert_eq!(got, &sim.estimate(arch));
+            assert_eq!(got, &Ok(oracle(&sim, arch)));
+        }
+    }
+
+    #[test]
+    fn inline_threshold_is_invisible() {
+        // Batches of one just below and above `POOL_MIN_TRIALS`, and
+        // two-request batches whose summed trials straddle it: inline
+        // and pooled scheduling must both land on the oracle.
+        assert_eq!(POOL_MIN_TRIALS, 1_350);
+        let sparse = ibm::ibm_16q_2x8(BusMode::TwoQubitOnly);
+        let dense = ibm::ibm_16q_2x8(BusMode::MaxFourQubit);
+        let sim = YieldSimulator::new().with_seed(41);
+        let batches: Vec<Vec<BatchRequest<'_>>> = vec![
+            vec![BatchRequest { simulator: sim.with_trials(1_349), arch: &sparse }],
+            vec![BatchRequest { simulator: sim.with_trials(1_351), arch: &sparse }],
+            vec![
+                BatchRequest { simulator: sim.with_trials(700), arch: &sparse },
+                BatchRequest { simulator: sim.with_trials(649), arch: &dense },
+            ],
+            vec![
+                BatchRequest { simulator: sim.with_trials(700), arch: &sparse },
+                BatchRequest { simulator: sim.with_trials(651), arch: &dense },
+            ],
+        ];
+        for requests in &batches {
+            let expected: Vec<_> =
+                requests.iter().map(|r| Ok(oracle(&r.simulator, r.arch))).collect();
+            for threads in [1, 2, 8] {
+                let got =
+                    qpd_par::with_threads(threads, || YieldSimulator::evaluate_batch(requests));
+                assert_eq!(got, expected, "threads {threads}");
+            }
         }
     }
 }

@@ -158,8 +158,9 @@ impl CollisionChecker {
 
     /// Whether the (post-fabrication) frequencies collide anywhere.
     ///
-    /// `freqs[q]` is the frequency of qubit `q` in GHz. This is the
-    /// early-exit hot path of the Monte Carlo simulator.
+    /// `freqs[q]` is the frequency of qubit `q` in GHz. The Monte Carlo
+    /// kernel ([`crate::batch`]) applies exactly these checks, in this
+    /// order with this early exit, to each candidate lane.
     ///
     /// # Panics
     ///

@@ -1,21 +1,25 @@
 //! Monte Carlo yield simulation (paper §4.3.1 and §5.1).
 //!
-//! # Singleton and batch paths
+//! # One kernel, any batch size
 //!
-//! [`YieldSimulator::estimate`] evaluates one candidate; a round's worth
-//! of candidates should go through [`YieldSimulator::evaluate_batch`]
-//! (the [`crate::batch`] module), which returns bit-identical estimates
-//! while generating each fabrication-noise trial stream once per group
-//! of candidates that share it. The stream is fully determined by the
-//! simulator `seed` and `trials` (fixed 16-chunk decomposition with
-//! counter-derived per-chunk seeds), the *effective* sigma (configured
-//! sigma mapped through the hardware family), and the qubit count (the
-//! bulk-fill cadence draws `max(8192 / n, 1)` rows per fill, making `n`
-//! part of the RNG consumption pattern). Collision parameters, coupling
-//! structure, and designed frequencies affect only the per-trial check,
-//! never the stream — so candidates differing in those may share one
-//! stream, exactly as if each had generated it privately. See the batch
-//! module docs for why determinism holds lane by lane.
+//! [`YieldSimulator::evaluate_batch`] estimates a round's worth of
+//! candidates in one pass; [`YieldSimulator::estimate`] and
+//! [`YieldSimulator::estimate_with_frequencies`] are that same kernel
+//! on a batch of one (the [`crate::batch`] module). The trial stream is
+//! fully determined by the simulator `seed` and `trials` (fixed 16-chunk
+//! decomposition with counter-derived per-chunk seeds), the *effective*
+//! sigma (configured sigma mapped through the hardware family), and the
+//! qubit count (the bulk-fill cadence draws `max(8192 / n, 1)` rows per
+//! fill, making `n` part of the RNG consumption pattern). Collision
+//! parameters, coupling structure, and designed frequencies affect only
+//! the per-trial check, never the stream — so candidates differing in
+//! those share one stream, exactly as if each had generated it
+//! privately, and a batch slot equals its batch of one.
+//!
+//! [`YieldSimulator::condition_breakdown`] is the diagnostic path and
+//! the kernel's independent scalar oracle: it draws the same chunk
+//! streams, attributes every failed trial to its collision conditions,
+//! and its clean count equals the estimate's successes exactly.
 
 use std::error::Error;
 use std::fmt;
@@ -25,6 +29,7 @@ use rand_chacha::ChaCha8Rng;
 
 use qpd_topology::Architecture;
 
+use crate::batch::{estimate_jobs, Job};
 use crate::collision::{CollisionChecker, CollisionParams};
 use crate::hardware::HardwareFamily;
 use crate::model::FabricationModel;
@@ -152,14 +157,14 @@ impl Fnv64 {
 /// so estimates do not depend on thread count. The chunks execute on the
 /// shared [`qpd_par`] worker pool — at most
 /// `std::thread::available_parallelism()` workers (override with
-/// `QPD_THREADS`), never one thread per chunk.
+/// `QPD_THREADS`, or [`qpd_par::with_threads`] in process), never one
+/// thread per chunk.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YieldSimulator {
     trials: u64,
     model: FabricationModel,
     params: CollisionParams,
     seed: u64,
-    parallel: bool,
     hardware: HardwareFamily,
 }
 
@@ -170,34 +175,34 @@ impl Default for YieldSimulator {
 }
 
 /// Number of independent RNG streams; fixed so results are reproducible
-/// regardless of how many threads execute them. Shared with the batch
-/// evaluator ([`crate::batch`]), whose per-chunk streams must be the
-/// same ones for batch results to stay bit-identical to singleton runs.
+/// regardless of how many threads execute them. Shared by the kernel
+/// ([`crate::batch`]) and its oracle
+/// ([`YieldSimulator::condition_breakdown`]), which must draw the same
+/// per-chunk streams.
 pub(crate) const CHUNKS: u64 = 16;
 
 /// Noise samples drawn per bulk fill (~64 KiB of `f64`s): large enough
 /// to amortize the sampler's batching, small enough that memory stays
-/// flat no matter the trial count. Also shared with [`crate::batch`]:
-/// the fill cadence is part of the RNG consumption pattern, so both
-/// paths must cut trials into the same row batches.
+/// flat no matter the trial count. Shared like [`CHUNKS`]: the fill
+/// cadence is part of the RNG consumption pattern, so the kernel and its
+/// oracle must cut trials into the same row batches.
 pub(crate) const BULK_NOISE_SAMPLES: usize = 8_192;
 
 /// The RNG-stream constant deriving per-chunk seeds from the simulator
-/// seed (`seed ^ GOLDEN * (chunk + 1)`), shared with [`crate::batch`].
+/// seed (`seed ^ GOLDEN * (chunk + 1)`), shared like [`CHUNKS`].
 pub(crate) const CHUNK_SEED_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Minimum trial count for the pooled chunk fan-out; below it a singleton
-/// estimate runs serially. Measured on the dev host (`with_threads(2)`,
-/// `ibm_16q_2x8`): one 16-job pool dispatch costs ~2.7us and a trial
-/// costs >= 0.2us (sparse bus mode; dense is ~0.4us), so ~1,350 trials
-/// are needed before the dispatch drops below 1% of the serial work —
-/// below that the pool's best case cannot clear its own overhead with
-/// any margin (BENCH_6's `yield_sim/pooled` 1.003x was exactly this
-/// overhead-plus-noise regime). The dev host has a single worker, so
-/// multi-core wins are projected from the dispatch/trial-cost ratio, not
-/// observed end to end. The allocator's decision kernel
-/// ([`crate::LocalYieldEvaluator::evaluate_prepared`]) fans its rows out
-/// from the same threshold.
+/// Minimum summed trial count for the pooled chunk fan-out; a batch with
+/// less trial work runs its chunks on the caller. Measured with
+/// `with_threads(2)` on `ibm_16q_2x8`: one 16-job pool dispatch costs
+/// ~2.7us and a trial costs >= 0.2us (sparse bus mode; dense is
+/// ~0.4us), so ~1,350 trials are needed before the dispatch drops below
+/// 1% of the serial work — below that the pool's best case cannot clear
+/// its own overhead with any margin. Above it the pool pays off: on a
+/// 2-core host the pooled 10k-trial `yield_sim` kernel runs 1.7-2x
+/// faster than serial (BENCH_14 records 1.74x). The allocator's
+/// decision kernel ([`crate::LocalYieldEvaluator::evaluate_prepared`])
+/// fans its rows out from the same threshold.
 pub(crate) const POOL_MIN_TRIALS: u64 = 1_350;
 
 impl YieldSimulator {
@@ -209,7 +214,6 @@ impl YieldSimulator {
             model: FabricationModel::default(),
             params: CollisionParams::default(),
             seed: 0,
-            parallel: true,
             hardware: HardwareFamily::FixedFrequencyTransmon,
         }
     }
@@ -253,12 +257,6 @@ impl YieldSimulator {
         self
     }
 
-    /// Disables multithreading (results are identical either way).
-    pub fn single_threaded(mut self) -> Self {
-        self.parallel = false;
-        self
-    }
-
     /// The configured trial count.
     pub fn trials(&self) -> u64 {
         self.trials
@@ -294,7 +292,7 @@ impl YieldSimulator {
     }
 
     /// Estimates the yield of an architecture using its attached frequency
-    /// plan.
+    /// plan: [`Self::evaluate_batch`] on a batch of one.
     ///
     /// # Errors
     ///
@@ -342,7 +340,8 @@ impl YieldSimulator {
         Ok(h.finish())
     }
 
-    /// Estimates yield for an explicit designed-frequency vector (GHz).
+    /// Estimates yield for an explicit designed-frequency vector (GHz),
+    /// as a batch of one.
     ///
     /// # Panics
     ///
@@ -352,10 +351,8 @@ impl YieldSimulator {
         arch: &Architecture,
         designed: &[f64],
     ) -> YieldEstimate {
-        assert_eq!(designed.len(), arch.num_qubits(), "frequency vector length mismatch");
-        let checker = CollisionChecker::with_params(arch, self.params);
-        let successes = self.run_chunks(&checker, designed);
-        YieldEstimate::new(successes, self.trials)
+        let mut out = estimate_jobs(&[Job { simulator: self, arch, designed }]);
+        out.pop().expect("one job in, one estimate out")
     }
 
     /// Attributes Monte Carlo failures to the seven collision conditions:
@@ -364,8 +361,14 @@ impl YieldSimulator {
     /// The final element of the returned pair is the number of
     /// collision-free trials.
     ///
-    /// Runs single-threaded on the diagnostic (event-collecting) path, so
-    /// prefer modest trial counts.
+    /// Draws exactly the trials [`Self::estimate`] checks — the same 16
+    /// counter-seeded chunk streams at the same fill cadence — and tests
+    /// each with [`CollisionChecker::collisions`], whose expressions are
+    /// those of [`CollisionParams::pair_collides`] and
+    /// [`CollisionParams::triple_collides`]. The clean count therefore
+    /// equals `estimate(arch).successes()` exactly, which makes this
+    /// serial scalar loop the independent oracle for the batch kernel.
+    /// It collects events per trial, so prefer modest trial counts.
     ///
     /// # Errors
     ///
@@ -375,66 +378,19 @@ impl YieldSimulator {
         let designed = plan.as_slice();
         let checker = CollisionChecker::with_params(arch, self.params);
         let model = self.effective_model();
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let mut breakdown = [0u64; 7];
         let mut clean = 0u64;
         let n = designed.len();
         if n == 0 {
             return Ok((breakdown, self.trials)); // no qubits, no collisions
         }
-        // Same bounded batching as the estimate path: the sampler's bulk
-        // fast path without per-trial overdraw.
         let batch_rows = (BULK_NOISE_SAMPLES / n).max(1);
         let mut noise = vec![0.0f64; batch_rows * n];
         let mut post = vec![0.0f64; n];
-        let mut remaining = self.trials;
-        while remaining > 0 {
-            let rows = (batch_rows as u64).min(remaining) as usize;
-            let buf = &mut noise[..rows * n];
-            model.sample_into(&mut rng, buf);
-            for row in buf.chunks_exact(n) {
-                for ((slot, &f), &e) in post.iter_mut().zip(designed).zip(row) {
-                    *slot = f + e;
-                }
-                let events = checker.collisions(&post);
-                if events.is_empty() {
-                    clean += 1;
-                } else {
-                    let mut seen = [false; 7];
-                    for e in &events {
-                        seen[(e.condition - 1) as usize] = true;
-                    }
-                    for (c, &fired) in seen.iter().enumerate() {
-                        if fired {
-                            breakdown[c] += 1;
-                        }
-                    }
-                }
-            }
-            remaining -= rows as u64;
-        }
-        Ok((breakdown, clean))
-    }
-
-    fn run_chunks(&self, checker: &CollisionChecker, designed: &[f64]) -> u64 {
-        let chunk_bounds: Vec<(u64, u64, u64)> = (0..CHUNKS)
-            .map(|c| (c, self.trials * c / CHUNKS, self.trials * (c + 1) / CHUNKS))
-            .collect();
-        let model = self.effective_model();
-        let run_chunk = |chunk_idx: u64, lo: u64, hi: u64| -> u64 {
+        for chunk in 0..CHUNKS {
             let mut rng =
-                ChaCha8Rng::seed_from_u64(self.seed ^ (CHUNK_SEED_MUL.wrapping_mul(chunk_idx + 1)));
-            let n = designed.len();
-            if n == 0 {
-                return hi - lo; // no qubits, no collisions
-            }
-            // Bounded multi-trial noise batches keep the sampler in its
-            // bulk fast path at O(1) memory in the trial count.
-            let batch_rows = (BULK_NOISE_SAMPLES / n).max(1);
-            let mut noise = vec![0.0f64; batch_rows * n];
-            let mut post = vec![0.0f64; n];
-            let mut ok = 0u64;
-            let mut remaining = hi - lo;
+                ChaCha8Rng::seed_from_u64(self.seed ^ CHUNK_SEED_MUL.wrapping_mul(chunk + 1));
+            let mut remaining = self.trials * (chunk + 1) / CHUNKS - self.trials * chunk / CHUNKS;
             while remaining > 0 {
                 let rows = (batch_rows as u64).min(remaining) as usize;
                 let buf = &mut noise[..rows * n];
@@ -443,24 +399,21 @@ impl YieldSimulator {
                     for ((slot, &f), &e) in post.iter_mut().zip(designed).zip(row) {
                         *slot = f + e;
                     }
-                    if !checker.has_collision(&post) {
-                        ok += 1;
+                    let mut seen = [false; 7];
+                    for e in checker.collisions(&post) {
+                        seen[(e.condition - 1) as usize] = true;
+                    }
+                    if !seen.contains(&true) {
+                        clean += 1;
+                    }
+                    for (count, fired) in breakdown.iter_mut().zip(seen) {
+                        *count += u64::from(fired);
                     }
                 }
                 remaining -= rows as u64;
             }
-            ok
-        };
-        // The 16 counter-seeded RNG streams are fixed for reproducibility;
-        // the pool executes them on however many workers exist (at most
-        // `available_parallelism`, or `QPD_THREADS`), the caller included.
-        // Integer sums over the fixed chunk decomposition are exact, so
-        // the estimate is byte-identical to the serial path.
-        if self.parallel && self.trials >= POOL_MIN_TRIALS && qpd_par::threads() > 1 {
-            qpd_par::par_map(&chunk_bounds, |&(i, lo, hi)| run_chunk(i, lo, hi)).into_iter().sum()
-        } else {
-            chunk_bounds.iter().map(|&(i, lo, hi)| run_chunk(i, lo, hi)).sum()
         }
+        Ok((breakdown, clean))
     }
 }
 
@@ -503,16 +456,12 @@ mod tests {
     #[test]
     fn deterministic_and_thread_invariant() {
         let arch = ibm::ibm_16q_2x8(BusMode::TwoQubitOnly);
-        let par = YieldSimulator::new().with_trials(4_000).with_seed(11);
-        let seq = par.single_threaded();
-        let a = par.estimate(&arch).unwrap();
-        let b = seq.estimate(&arch).unwrap();
-        let c = par.estimate(&arch).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, c);
+        let sim = YieldSimulator::new().with_trials(4_000).with_seed(11);
+        let a = sim.estimate(&arch).unwrap();
+        assert_eq!(a, sim.estimate(&arch).unwrap());
         // Byte-equality across explicit pool widths, serial included.
         for threads in [1, 2, 8] {
-            let pooled = qpd_par::with_threads(threads, || par.estimate(&arch).unwrap());
+            let pooled = qpd_par::with_threads(threads, || sim.estimate(&arch).unwrap());
             assert_eq!(a, pooled, "threads {threads}");
         }
     }
@@ -623,7 +572,7 @@ mod tests {
             .with_seed(11)
             .with_hardware(HardwareFamily::TunableCoupler);
         let a = sim.estimate(&arch).unwrap();
-        assert_eq!(a, sim.single_threaded().estimate(&arch).unwrap());
+        assert_eq!(a.successes(), sim.condition_breakdown(&arch).unwrap().1);
         for threads in [1, 2, 8] {
             let pooled = qpd_par::with_threads(threads, || sim.estimate(&arch).unwrap());
             assert_eq!(a, pooled, "threads {threads}");
@@ -662,17 +611,30 @@ mod tests {
 
     #[test]
     fn condition_breakdown_consistent_with_estimate() {
-        let arch = ibm::ibm_16q_2x8(BusMode::TwoQubitOnly);
-        let sim = YieldSimulator::new().with_trials(2_000).with_seed(1).single_threaded();
-        let (_, clean) = sim.condition_breakdown(&arch).unwrap();
-        let estimate = sim.estimate(&arch).unwrap();
-        // Same seed and single-threaded estimate still differ in RNG
-        // stream structure (chunked), so allow statistical slack only.
-        let rate = clean as f64 / 2_000.0;
-        assert!(
-            (rate - estimate.rate()).abs() < 0.05,
-            "breakdown clean-rate {rate} vs estimate {}",
-            estimate.rate()
-        );
+        // The oracle draws the estimate's own chunk streams, so its
+        // clean count is the estimate's success count exactly — for every
+        // family, seed, and pool width, on both sides of the inline
+        // threshold, and with empty chunks (7 trials < 16 chunks).
+        let plain = ibm::ibm_16q_2x8(BusMode::TwoQubitOnly);
+        let dense = ibm::ibm_16q_2x8(BusMode::MaxFourQubit);
+        for family in HardwareFamily::ALL {
+            for (arch, seed) in [(&plain, 1), (&dense, 2), (&plain, 77)] {
+                for trials in [7, 300, 1_349, 1_351, 2_000] {
+                    let sim = YieldSimulator::new()
+                        .with_trials(trials)
+                        .with_seed(seed)
+                        .with_hardware(family);
+                    let (_, clean) = sim.condition_breakdown(arch).unwrap();
+                    for threads in [1, 2, 8] {
+                        let estimate = qpd_par::with_threads(threads, || sim.estimate(arch));
+                        assert_eq!(
+                            estimate.unwrap().successes(),
+                            clean,
+                            "{family:?} seed {seed} trials {trials} threads {threads}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
