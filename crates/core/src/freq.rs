@@ -30,7 +30,6 @@ pub struct FrequencyAllocator {
     params: CollisionParams,
     seed: u64,
     refinement_sweeps: usize,
-    reference_path: bool,
     hardware: HardwareFamily,
 }
 
@@ -55,7 +54,6 @@ impl FrequencyAllocator {
             params: CollisionParams::default(),
             seed: 0,
             refinement_sweeps: 8,
-            reference_path: false,
             hardware: HardwareFamily::FixedFrequencyTransmon,
         }
     }
@@ -79,18 +77,6 @@ impl FrequencyAllocator {
         self.band = model.allowed_band_ghz();
         self.candidates = Self::grid(self.band);
         self.params = model.collision_params();
-        self
-    }
-
-    /// Switches candidate evaluation to the retained pre-overhaul
-    /// reference path: the naive serial evaluator
-    /// ([`LocalYieldEvaluator::evaluate_candidates_reference`]) fed by
-    /// the historical single-draw noise stream. `bench_snapshot` uses
-    /// this to anchor the performance baseline; the emitted plan is *not*
-    /// bit-comparable to the default path because the noise stream
-    /// differs.
-    pub fn with_reference_path(mut self) -> Self {
-        self.reference_path = true;
         self
     }
 
@@ -243,12 +229,7 @@ impl FrequencyAllocator {
         let model = FabricationModel::new(
             self.hardware.model().effective_sigma_ghz(self.model.sigma_ghz()),
         );
-        let evaluator = LocalYieldEvaluator::new(self.trials, model, self.params, seed);
-        if self.reference_path {
-            evaluator.with_legacy_noise()
-        } else {
-            evaluator
-        }
+        LocalYieldEvaluator::new(self.trials, model, self.params, seed)
     }
 
     fn argmax(&self, counts: &[u64]) -> usize {
@@ -392,23 +373,14 @@ impl<'a> JobState<'a> {
         for pos in Self::first_decision(step)..self.order.len() {
             let q = self.order[pos];
             let current = self.assigned[q].take();
-            let counts = if allocator.reference_path {
-                evaluator.evaluate_candidates_reference(
-                    self.job.arch,
-                    &self.assigned,
-                    q,
-                    &allocator.candidates,
-                )
-            } else {
-                evaluator.evaluate_prepared(
-                    &self.regions,
-                    &self.assigned,
-                    q,
-                    &allocator.candidates,
-                    planes,
-                    buffers,
-                )
-            };
+            let counts = evaluator.evaluate_prepared(
+                &self.regions,
+                &self.assigned,
+                q,
+                &allocator.candidates,
+                planes,
+                buffers,
+            );
             let best = allocator.candidates[allocator.argmax(&counts)];
             changed |= current.is_some_and(|c| (best - c).abs() > 1e-12);
             self.assigned[q] = Some(best);
@@ -486,19 +458,6 @@ mod tests {
         for threads in [2, 8] {
             let pooled = qpd_par::with_threads(threads, || allocator.allocate(&arch));
             assert_eq!(serial, pooled, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn reference_path_allocates_a_valid_plan() {
-        // The retained pre-overhaul path still produces in-band,
-        // non-degenerate plans (it is the bench_snapshot baseline).
-        let arch = line(5);
-        let plan = fast_allocator().with_reference_path().allocate(&arch);
-        assert_eq!(plan.len(), 5);
-        assert!(plan.check_band().is_ok());
-        for &(a, b) in arch.coupling_edges() {
-            assert!((plan.ghz(a) - plan.ghz(b)).abs() > 0.017);
         }
     }
 
@@ -594,18 +553,6 @@ mod tests {
         for _ in 0..2 {
             let job = AllocJob { allocator: &allocator, arch: &arch };
             assert_eq!(FrequencyAllocator::allocate_batch(&[job], &mut scratch)[0], fresh);
-        }
-    }
-
-    #[test]
-    fn batch_reference_path_matches_too() {
-        // The retained pre-overhaul path ignores the scratch but must
-        // flow through the batched entry points unchanged.
-        let archs = [line(3), line(4)];
-        let allocator = fast_allocator().with_reference_path();
-        let batched = batch(&allocator, &archs);
-        for (arch, plan) in archs.iter().zip(&batched) {
-            assert_eq!(*plan, allocator.allocate(arch));
         }
     }
 

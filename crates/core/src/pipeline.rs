@@ -6,19 +6,16 @@
 //! through a per-stage content-keyed cache, so repeated calls — and
 //! calls differing only in downstream knobs — skip the upstream work.
 //! Caching is bit-transparent: every stage is a pure function of its
-//! content key, and [`DesignFlow::design_reference`] retains the
-//! monolithic computation the equivalence tests compare against.
+//! content key, and the workspace equivalence tests compare the facade
+//! against a monolithic oracle built from the public subroutines.
 
 use std::sync::Arc;
 
 use qpd_profile::CouplingProfile;
-use qpd_topology::{pattern_frequency_plan, Architecture, FrequencyPlan, Square};
+use qpd_topology::{Architecture, Square};
 use qpd_yield::HardwareFamily;
 
-use crate::bus::{select_buses_random, select_buses_weighted};
 use crate::error::DesignError;
-use crate::freq::FrequencyAllocator;
-use crate::placement::place_qubits;
 use crate::stage::{AssembleJob, AssembleStage, BusOrderStage, PlacementStage, StagePlan};
 
 /// How the flow assigns qubit frequencies (paper §5.2's configurations).
@@ -422,60 +419,6 @@ impl DesignFlow {
     ) -> Result<Architecture, DesignError> {
         self.plan.assemble(&self.assemble_stage(), coords, squares)
     }
-
-    /// The retained **monolithic** flow: the pre-stage-graph computation,
-    /// with no stage decomposition and no caching. Kept as the reference
-    /// the equivalence tests compare the facade against, exactly like
-    /// the frequency allocator's `with_reference_path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DesignError::EmptyProgram`] for a 0-qubit profile.
-    pub fn design_reference(&self, profile: &CouplingProfile) -> Result<Architecture, DesignError> {
-        if profile.num_qubits() == 0 {
-            return Err(DesignError::EmptyProgram);
-        }
-        let mut coords = place_qubits(profile);
-        if self.auxiliary_qubits > 0 {
-            coords.extend(crate::placement::place_auxiliary(&coords, self.auxiliary_qubits));
-        }
-        let cap = self.max_buses.unwrap_or(usize::MAX);
-        let squares = match self.bus_strategy {
-            BusStrategy::Weighted => select_buses_weighted(&coords, profile, cap),
-            BusStrategy::Random { seed } => select_buses_random(&coords, cap, seed),
-        };
-        let model = self.hardware.model();
-        let name = format!(
-            "{}{}-{}q-b{}{}",
-            self.name_prefix,
-            self.hardware.name_suffix(),
-            coords.len(),
-            squares.len(),
-            match self.frequency {
-                FrequencyStrategy::Optimized => "",
-                FrequencyStrategy::FiveFrequency => "-5freq",
-            }
-        );
-        let mut builder = Architecture::builder(name);
-        builder.qubits(coords.iter().copied());
-        for &s in &squares {
-            builder.four_qubit_bus_at(s);
-        }
-        let arch = builder.build()?;
-        let plan: FrequencyPlan = match self.frequency {
-            FrequencyStrategy::FiveFrequency => {
-                pattern_frequency_plan(&arch, model.pattern_frequencies_ghz())
-            }
-            FrequencyStrategy::Optimized => FrequencyAllocator::new()
-                .with_hardware(self.hardware)
-                .with_trials(self.allocation_trials)
-                .with_refinement_sweeps(self.allocation_sweeps)
-                .with_sigma_ghz(self.sigma_ghz)
-                .with_seed(self.allocation_seed)
-                .allocate(&arch),
-        };
-        Ok(arch.with_frequencies_in_band(plan, model.allowed_band_ghz())?)
-    }
 }
 
 #[cfg(test)]
@@ -641,18 +584,64 @@ mod tests {
         assert_eq!(flow.sigma_ghz(), 0.02);
     }
 
+    /// The monolithic flow: placement, bus selection, assembly and
+    /// frequency assignment called in sequence, with no stage
+    /// decomposition and no caching.
+    fn monolithic(flow: &DesignFlow, profile: &CouplingProfile) -> Architecture {
+        use crate::bus::{select_buses_random, select_buses_weighted};
+        use crate::placement::{place_auxiliary, place_qubits};
+        let mut coords = place_qubits(profile);
+        coords.extend(place_auxiliary(&coords, flow.auxiliary_qubits));
+        let cap = flow.max_buses.unwrap_or(usize::MAX);
+        let squares = match flow.bus_strategy {
+            BusStrategy::Weighted => select_buses_weighted(&coords, profile, cap),
+            BusStrategy::Random { seed } => select_buses_random(&coords, cap, seed),
+        };
+        let five = flow.frequency == FrequencyStrategy::FiveFrequency;
+        let name = format!(
+            "{}{}-{}q-b{}{}",
+            flow.name_prefix,
+            flow.hardware.name_suffix(),
+            coords.len(),
+            squares.len(),
+            if five { "-5freq" } else { "" }
+        );
+        let mut builder = Architecture::builder(name);
+        builder.qubits(coords.iter().copied());
+        for &s in &squares {
+            builder.four_qubit_bus_at(s);
+        }
+        let arch = builder.build().unwrap();
+        let model = flow.hardware.model();
+        let plan = if five {
+            qpd_topology::pattern_frequency_plan(&arch, model.pattern_frequencies_ghz())
+        } else {
+            crate::freq::FrequencyAllocator::new()
+                .with_hardware(flow.hardware)
+                .with_trials(flow.allocation_trials)
+                .with_refinement_sweeps(flow.allocation_sweeps)
+                .with_sigma_ghz(flow.sigma_ghz)
+                .with_seed(flow.allocation_seed)
+                .allocate(&arch)
+        };
+        arch.with_frequencies_in_band(plan, model.allowed_band_ghz()).unwrap()
+    }
+
     #[test]
     fn facade_matches_the_monolithic_reference() {
-        // The stage-graph facade must be bit-identical to the retained
-        // monolithic path, cold and warm (the workspace-level proptests
-        // widen this over random profiles and knobs).
+        // The stage-graph facade must be bit-identical to the monolithic
+        // oracle, cold and warm, on every hardware family (the
+        // workspace-level proptests widen this over random profiles and
+        // knobs).
         let profile = grid_profile();
-        for flow in [
+        let flows = [
             fast_flow(),
             fast_flow().with_frequency_strategy(FrequencyStrategy::FiveFrequency),
             fast_flow().with_bus_strategy(BusStrategy::Random { seed: 5 }).with_auxiliary_qubits(1),
-        ] {
-            let reference = flow.design_reference(&profile).unwrap();
+        ];
+        let families = HardwareFamily::ALL.map(|family| fast_flow().with_hardware(family));
+        for flow in flows.into_iter().chain(families) {
+            let reference = monolithic(&flow, &profile);
             let cold = flow.design(&profile).unwrap();
             let warm = flow.design(&profile).unwrap();
             assert_eq!(cold, reference);
@@ -681,19 +670,13 @@ mod tests {
     }
 
     #[test]
-    fn hardware_family_threads_through_facade_and_reference() {
+    fn hardware_family_threads_through_facade() {
         let profile = grid_profile();
         for family in HardwareFamily::ALL {
             let flow = fast_flow().with_hardware(family);
             assert_eq!(flow.hardware(), family);
             let facade = flow.design_with_buses(&profile, 0).unwrap();
-            let reference = flow.design_reference(&profile).unwrap();
-            // The facade stays bit-identical to the monolithic reference
-            // on every family, and the plan lands in the family band.
-            // (design_reference runs the full flow, so compare against
-            // the matching bus budget.)
-            let full = flow.design(&profile).unwrap();
-            assert_eq!(full, reference);
+            // The plan lands in the family band.
             let band = family.model().allowed_band_ghz();
             assert!(facade.frequencies().unwrap().check_band_within(band).is_ok());
             let suffix = family.name_suffix();

@@ -30,8 +30,8 @@
 //! Serving a stage from cache is bit-identical to re-running it, so the
 //! stage graph changes *when* work happens, never *what* is computed —
 //! the equivalence proptests in the workspace test tree pin this against
-//! the retained monolithic reference path
-//! ([`crate::DesignFlow::design_reference`]).
+//! a monolithic oracle that calls placement, bus selection and frequency
+//! allocation directly, with no stages and no caches.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -15,6 +15,11 @@
 //!    small allowlist of cargo's own flags. Docs drifting ahead of —
 //!    or behind — the shipped CLI fail CI with the file, line, and
 //!    offending token.
+//! 4. **Environment variables** — every quoted `"QPD_…"` literal under
+//!    `crates/*/src` and `shims/*/src` has a row in the environment
+//!    table of `docs/OPERATIONS.md`, and every `QPD_…` token the docs
+//!    mention is such a literal: a variable the code reads cannot go
+//!    undocumented, nor can the docs name one the code does not read.
 //!
 //! Exit code 1 on any finding, 2 on usage errors, 0 when clean.
 
@@ -77,6 +82,81 @@ fn binary_flags(root: &Path) -> BTreeSet<String> {
     flags
 }
 
+/// The `QPD_[A-Z0-9_]*` run `text` starts with.
+fn env_name(text: &str) -> &str {
+    let len = text
+        .bytes()
+        .take_while(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || *b == b'_')
+        .count();
+    &text[..len]
+}
+
+/// Extracts every quoted `"QPD_…"` literal from one source file.
+fn quoted_env_vars(source: &str, into: &mut BTreeSet<String>) {
+    for (at, _) in source.match_indices("\"QPD_") {
+        let name = env_name(&source[at + 1..]);
+        if name.len() > "QPD_".len() && source[at + 1 + name.len()..].starts_with('"') {
+            into.insert(name.to_string());
+        }
+    }
+}
+
+/// Every `QPD_…` variable the code reads: quoted literals in the `.rs`
+/// files under `crates/*/src` and `shims/*/src`.
+fn source_env_vars(root: &Path) -> BTreeSet<String> {
+    fn walk(dir: &Path, into: &mut BTreeSet<String>) {
+        let Ok(entries) = std::fs::read_dir(dir) else { return };
+        for entry in entries.flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                walk(&path, into);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let source = std::fs::read_to_string(&path)
+                    .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())));
+                quoted_env_vars(&source, into);
+            }
+        }
+    }
+    let mut vars = BTreeSet::new();
+    for top in ["crates", "shims"] {
+        let Ok(members) = std::fs::read_dir(root.join(top)) else { continue };
+        for member in members.flatten() {
+            walk(&member.path().join("src"), &mut vars);
+        }
+    }
+    vars
+}
+
+/// `QPD_…` tokens mentioned in one line of documentation (a bare
+/// `QPD_` prefix names no variable and is skipped).
+fn doc_env_vars(line: &str) -> Vec<&str> {
+    let bytes = line.as_bytes();
+    line.match_indices("QPD_")
+        .filter(|&(at, _)| {
+            at == 0 || !(bytes[at - 1].is_ascii_alphanumeric() || bytes[at - 1] == b'_')
+        })
+        .map(|(at, _)| env_name(&line[at..]))
+        .filter(|name| name.len() > "QPD_".len())
+        .collect()
+}
+
+/// Pushes a finding for every variable in `vars` without a row in the
+/// environment table of `docs/OPERATIONS.md` (a line opening with
+/// ``| `QPD_…` |``).
+fn env_table_findings(root: &Path, vars: &BTreeSet<String>, findings: &mut Vec<String>) {
+    let path = root.join("docs").join("OPERATIONS.md");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())));
+    let rows: BTreeSet<&str> =
+        text.lines().filter_map(|l| l.strip_prefix("| `")).map(env_name).collect();
+    for var in vars.iter().filter(|v| !rows.contains(v.as_str())) {
+        findings.push(format!(
+            "{}: `{var}` is read by the code but has no row in the environment table",
+            path.display()
+        ));
+    }
+}
+
 /// `--flag` tokens mentioned in one line of documentation.
 fn doc_flags(line: &str) -> Vec<String> {
     let bytes = line.as_bytes();
@@ -129,7 +209,12 @@ fn doc_links(line: &str) -> Vec<String> {
     out
 }
 
-fn check_file(path: &Path, known: &BTreeSet<String>, findings: &mut Vec<String>) {
+fn check_file(
+    path: &Path,
+    known: &BTreeSet<String>,
+    env: &BTreeSet<String>,
+    findings: &mut Vec<String>,
+) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())));
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
@@ -152,6 +237,14 @@ fn check_file(path: &Path, known: &BTreeSet<String>, findings: &mut Vec<String>)
             if !known.contains(&flag) && !ALLOWED.contains(&flag.as_str()) {
                 findings.push(format!(
                     "{}:{ln}: `{flag}` is not a flag of any workspace binary",
+                    path.display()
+                ));
+            }
+        }
+        for var in doc_env_vars(line) {
+            if !env.contains(var) {
+                findings.push(format!(
+                    "{}:{ln}: `{var}` is not an environment variable the code reads",
                     path.display()
                 ));
             }
@@ -182,9 +275,11 @@ fn main() {
             .collect();
     }
     let known = binary_flags(&root);
+    let env = source_env_vars(&root);
     let mut findings = Vec::new();
+    env_table_findings(&root, &env, &mut findings);
     for file in &files {
-        check_file(file, &known, &mut findings);
+        check_file(file, &known, &env, &mut findings);
     }
     if findings.is_empty() {
         println!("docs_check: {} file(s) clean ({} known flags)", files.len(), known.len());
@@ -218,5 +313,39 @@ mod tests {
         quoted_flags(r#"match a { "--seed" => x, "--out-dir" => y, "--" => z }"#, &mut flags);
         assert!(flags.contains("--seed") && flags.contains("--out-dir"));
         assert!(!flags.contains("--"));
+    }
+
+    /// A fixture tree: one variable read in a crate, one in a shim, and
+    /// docs with one table row and one prose mention of an unread name.
+    #[test]
+    fn env_vars_need_a_table_row_and_a_reader() {
+        let root = std::env::temp_dir().join(format!("qpd_docs_check_{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        // Spelled `Q_` here so this file's own literals stay out of the
+        // real tree's scan.
+        let source = |text: &str| text.replace("\"Q_", "\"QPD_");
+        write("crates/a/src/bin/tool.rs", &source(r#"var("Q_ALPHA"); "Q_"; "Q_ALPHA_X"#));
+        write("shims/b/src/lib.rs", &source(r#"const V: &str = "Q_BETA";"#));
+        write(
+            "docs/OPERATIONS.md",
+            "| Variable | Effect |\n|---|---|\n| `QPD_ALPHA` | read by the tool |\n\n\
+             Set `QPD_GAMMA=1` (or QPD_ALPHA); MY_QPD_X and `QPD_*` are not tokens.\n",
+        );
+        let env = source_env_vars(&root);
+        assert_eq!(env.iter().map(|v| &v[4..]).collect::<Vec<_>>(), ["ALPHA", "BETA"]);
+        let mut findings = Vec::new();
+        env_table_findings(&root, &env, &mut findings);
+        check_file(&root.join("docs/OPERATIONS.md"), &BTreeSet::new(), &env, &mut findings);
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings[0]
+            .ends_with("`QPD_BETA` is read by the code but has no row in the environment table"));
+        assert!(
+            findings[1].ends_with(":5: `QPD_GAMMA` is not an environment variable the code reads")
+        );
     }
 }

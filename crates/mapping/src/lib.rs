@@ -11,10 +11,8 @@
 //! - a decay term that spreads consecutive SWAPs across qubits,
 //! - reverse-traversal refinement of the initial mapping.
 //!
-//! A greedy shortest-path router ([`greedy::GreedyRouter`]) serves as a
-//! baseline and cross-check. Routed circuits carry explicit SWAP gates;
-//! the paper's gate-count metric expands each SWAP into 3 CNOTs
-//! ([`MappingStats::total_gates`]).
+//! Routed circuits carry explicit SWAP gates; the paper's gate-count
+//! metric expands each SWAP into 3 CNOTs ([`MappingStats::total_gates`]).
 //!
 //! ```
 //! use qpd_circuit::Circuit;
@@ -39,7 +37,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod error;
-pub mod greedy;
 pub mod initial;
 pub mod layout;
 pub mod sabre;
@@ -47,7 +44,6 @@ pub mod stats;
 pub mod verify;
 
 pub use error::MappingError;
-pub use greedy::GreedyRouter;
 pub use initial::InitialMapping;
 pub use layout::Layout;
 pub use sabre::{MappedCircuit, SabreConfig, SabreRouter};

@@ -47,9 +47,9 @@
 //!   scheme makes the counts — and therefore the ranking — bit-identical
 //!   for any thread count and SIMD tier.
 //!
-//! The naive formulation is retained as
-//! [`LocalYieldEvaluator::evaluate_candidates_reference`]; the test suite
-//! proves count-equality between the two on every architecture it tries.
+//! The test suite proves count-equality against a naive oracle — noisy
+//! frequencies checked against every pair and triple of the region, per
+//! candidate — on every architecture it tries.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -1293,9 +1293,8 @@ impl CompiledRegions {
 /// every plane a set of decisions will read at once; the
 /// decisions then read the scratch shared and read-only
 /// ([`LocalYieldEvaluator::evaluate_prepared`]). A decision whose plane
-/// was not prepared — or whose block is odd-length or uses the legacy
-/// noise scheme, neither of which is a plane prefix — fills its own
-/// buffer instead, with identical values.
+/// was not prepared — or whose block is odd-length, and so not a plane
+/// prefix — fills its own buffer instead, with identical values.
 ///
 /// # Seed families and the storage bound
 ///
@@ -1386,8 +1385,8 @@ impl AllocScratch {
     /// active region columns, i.e. a prefix of `trials x m` samples of
     /// the evaluator's stream for `q`. Demands on one plane merge to the
     /// longest, and every missing sample of every plane is drawn in one
-    /// fan-out over the pool (inline when small). Legacy-noise and
-    /// odd-length demands are skipped (those decisions fill directly).
+    /// fan-out over the pool (inline when small). Odd-length demands are
+    /// skipped (those decisions fill directly).
     pub fn prepare<'e>(
         &mut self,
         demands: impl IntoIterator<Item = (&'e LocalYieldEvaluator, usize, usize)>,
@@ -1515,7 +1514,6 @@ pub struct LocalYieldEvaluator {
     model: FabricationModel,
     params: CollisionParams,
     seed: u64,
-    legacy_noise: bool,
 }
 
 impl LocalYieldEvaluator {
@@ -1526,18 +1524,7 @@ impl LocalYieldEvaluator {
     /// Panics if `trials` is zero.
     pub fn new(trials: usize, model: FabricationModel, params: CollisionParams, seed: u64) -> Self {
         assert!(trials > 0, "need at least one trial");
-        LocalYieldEvaluator { trials, model, params, seed, legacy_noise: false }
-    }
-
-    /// Switches the common-random-numbers stream to the pre-pairing
-    /// single-draw Box–Muller scheme
-    /// ([`FabricationModel::sample_into_unpaired`]). Only `bench_snapshot`
-    /// and stream-regression tests should want this: it reproduces the
-    /// historical noise stream exactly, at roughly twice the sampling
-    /// cost.
-    pub fn with_legacy_noise(mut self) -> Self {
-        self.legacy_noise = true;
-        self
+        LocalYieldEvaluator { trials, model, params, seed }
     }
 
     /// Trial count per candidate.
@@ -1614,11 +1601,10 @@ impl LocalYieldEvaluator {
         self.evaluate_prepared(regions, assigned, q, candidates, scratch, &mut buffers)
     }
 
-    /// Samples per independent noise stream in the modern fill: the
-    /// buffer is cut into fixed-size chunks, each with its own
-    /// counter-derived seed, so the fill parallelizes while staying
-    /// bit-identical for every thread count (chunk boundaries never
-    /// depend on the worker count).
+    /// Samples per independent noise stream: a noise buffer is cut
+    /// into fixed-size chunks, each with its own counter-derived seed,
+    /// so the fill parallelizes while staying bit-identical for every
+    /// thread count (chunk boundaries never depend on the worker count).
     const NOISE_STREAM_SAMPLES: usize = 4_096;
 
     /// The base seed of qubit `q`'s noise stream — a pure function of
@@ -1630,11 +1616,11 @@ impl LocalYieldEvaluator {
 
     /// The plane key — (seed family, stream seed), the family being
     /// (evaluator seed, sigma bits) — of a `needed`-sample decision for
-    /// `q`; `None` for the legacy stream and for odd blocks (whose tail
-    /// sample is drawn by the single-draw path), neither of which is a
-    /// plane prefix.
+    /// `q`; `None` for odd blocks, whose tail sample is drawn by the
+    /// single-draw path and so is not a plane prefix.
     fn plane_key(&self, q: usize, needed: usize) -> Option<((u64, u64), u64)> {
-        (!self.legacy_noise && needed.is_multiple_of(2))
+        needed
+            .is_multiple_of(2)
             .then(|| ((self.seed, self.model.sigma_ghz().to_bits()), self.stream_seed(q)))
     }
 
@@ -1642,21 +1628,14 @@ impl LocalYieldEvaluator {
     /// decision: `trials x m` samples from the per-qubit stream.
     fn fill_noise(&self, q: usize, noise: &mut [f64]) {
         let base_seed = self.stream_seed(q);
-        if self.legacy_noise {
-            // The historical scheme: one serial stream of single-draw
-            // Box–Muller samples.
-            let mut rng = ChaCha8Rng::seed_from_u64(base_seed);
-            self.model.sample_into_unpaired(&mut rng, noise);
-        } else {
-            let model = self.model;
-            qpd_par::par_chunks_mut(as_uninit(noise), Self::NOISE_STREAM_SAMPLES, |i, chunk| {
-                Self::fill_stream_chunk(base_seed, i as u64, &model, chunk);
-            });
-        }
+        let model = self.model;
+        qpd_par::par_chunks_mut(as_uninit(noise), Self::NOISE_STREAM_SAMPLES, |i, chunk| {
+            Self::fill_stream_chunk(base_seed, i as u64, &model, chunk);
+        });
     }
 
-    /// Fills `chunk` with chunk number `absolute` of the modern stream
-    /// of `base_seed`. Chunk contents depend only on the base seed and
+    /// Fills `chunk` with chunk number `absolute` of the stream of
+    /// `base_seed`. Chunk contents depend only on the base seed and
     /// the absolute chunk index, so chunks splice bit-identically into
     /// a buffer of any length.
     fn fill_stream_chunk(
@@ -1759,9 +1738,9 @@ impl LocalYieldEvaluator {
         // candidate, drawn from fixed counter-derived streams so the
         // values never depend on the thread count — a prefix of the
         // prepared per-(seed, q) plane, or a direct fill of the same
-        // values when there is none (legacy stream, odd block whose tail
-        // sample is drawn by the non-prefix-stable single-draw path, or
-        // a plane nobody prepared).
+        // values when there is none (an odd block, whose tail sample is
+        // drawn by the non-prefix-stable single-draw path, or a plane
+        // nobody prepared).
         let needed = self.trials * m;
         let noise: &[f64] = match planes.plane(self, q, needed) {
             Some(plane) => plane,
@@ -1825,119 +1804,6 @@ impl LocalYieldEvaluator {
         }
         out
     }
-
-    /// The naive serial formulation this module used before the
-    /// `CompiledRegions` overhaul, retained verbatim (per-decision
-    /// `position()` scans, per-trial `Vec` clones, candidate loop on the
-    /// caller's thread) as the equivalence oracle for the fast path and
-    /// as `bench_snapshot`'s pre-overhaul baseline. Counts are identical
-    /// to [`Self::evaluate_candidates`] whenever the noise scheme
-    /// matches.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::evaluate_candidates`].
-    pub fn evaluate_candidates_reference(
-        &self,
-        arch: &Architecture,
-        assigned: &[Option<f64>],
-        q: usize,
-        candidates: &[f64],
-    ) -> Vec<u64> {
-        assert_eq!(assigned.len(), arch.num_qubits(), "assignment length mismatch");
-        assert!(q < arch.num_qubits(), "qubit out of range");
-        assert!(assigned[q].is_none(), "qubit {q} already assigned");
-
-        // Local region: qubits within distance 2 that are assigned, plus q.
-        let region: Vec<usize> =
-            arch.ball(q, 2).into_iter().filter(|&r| r == q || assigned[r].is_some()).collect();
-        let index_of = |qubit: usize| region.iter().position(|&r| r == qubit);
-
-        // Collision constraints fully inside the (assigned) region, split
-        // into those involving `q` (candidate-dependent) and pure context
-        // (identical for every candidate under common random numbers, so
-        // they are evaluated once per trial).
-        let qi = index_of(q).expect("q in region");
-        let mut q_pairs: Vec<(usize, usize)> = Vec::new();
-        let mut ctx_pairs: Vec<(usize, usize)> = Vec::new();
-        for &(a, b) in arch.coupling_edges() {
-            if let (Some(ia), Some(ib)) = (index_of(a), index_of(b)) {
-                if ia == qi || ib == qi {
-                    q_pairs.push((ia, ib));
-                } else {
-                    ctx_pairs.push((ia, ib));
-                }
-            }
-        }
-        let mut q_triples: Vec<(usize, usize, usize)> = Vec::new();
-        let mut ctx_triples: Vec<(usize, usize, usize)> = Vec::new();
-        for &j in &region {
-            let nbrs: Vec<usize> =
-                arch.neighbors(j).iter().copied().filter(|&x| index_of(x).is_some()).collect();
-            let ij = index_of(j).expect("j in region");
-            for x in 0..nbrs.len() {
-                for y in x + 1..nbrs.len() {
-                    let (ii, ik) = (index_of(nbrs[x]).unwrap(), index_of(nbrs[y]).unwrap());
-                    if ij == qi || ii == qi || ik == qi {
-                        q_triples.push((ij, ii, ik));
-                    } else {
-                        ctx_triples.push((ij, ii, ik));
-                    }
-                }
-            }
-        }
-
-        // Pre-draw common noise: trials x |region|.
-        let m = region.len();
-        let mut noise = vec![0.0f64; self.trials * m];
-        self.fill_noise(q, &mut noise);
-
-        let base: Vec<f64> = region
-            .iter()
-            .map(|&r| if r == q { 0.0 } else { assigned[r].expect("assigned in region") })
-            .collect();
-
-        let p = &self.params;
-        let pair_collides = |freqs: &[f64], a: usize, b: usize| p.pair_collides(freqs[a], freqs[b]);
-        let triple_collides = |freqs: &[f64], j: usize, i: usize, k: usize| {
-            p.triple_collides(freqs[j], freqs[i], freqs[k])
-        };
-
-        // Pass 1: evaluate the context once per trial, keeping the noisy
-        // frequencies of trials whose context survives.
-        let mut live_trials: Vec<Vec<f64>> = Vec::new();
-        let mut freqs = vec![0.0f64; m];
-        for t in 0..self.trials {
-            let noise_row = &noise[t * m..(t + 1) * m];
-            for i in 0..m {
-                freqs[i] = base[i] + noise_row[i];
-            }
-            let ctx_ok = ctx_pairs.iter().all(|&(a, b)| !pair_collides(&freqs, a, b))
-                && ctx_triples.iter().all(|&(j, i, k)| !triple_collides(&freqs, j, i, k));
-            if ctx_ok {
-                live_trials.push(freqs.clone());
-            }
-        }
-
-        // Pass 2: per candidate, only the q-involving constraints on the
-        // surviving trials.
-        let mut out = Vec::with_capacity(candidates.len());
-        for &candidate in candidates {
-            let mut ok = 0u64;
-            for trial in &mut live_trials {
-                let saved = trial[qi];
-                trial[qi] = saved + candidate;
-                let collided = q_pairs.iter().any(|&(a, b)| pair_collides(trial, a, b))
-                    || q_triples.iter().any(|&(j, i, k)| triple_collides(trial, j, i, k));
-                trial[qi] = saved;
-                if !collided {
-                    ok += 1;
-                }
-            }
-            out.push(ok);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1958,6 +1824,52 @@ mod tests {
             CollisionParams::default(),
             42,
         )
+    }
+
+    /// The naive oracle for a decision: each trial adds its row of the
+    /// same `fill_noise` block to the designed frequencies (the
+    /// candidate for `q`), then checks every pair and triple of the
+    /// region — assigned qubits within distance 2, plus `q`.
+    fn naive_counts(
+        e: &LocalYieldEvaluator,
+        arch: &Architecture,
+        assigned: &[Option<f64>],
+        q: usize,
+        candidates: &[f64],
+    ) -> Vec<u64> {
+        let region: Vec<usize> =
+            arch.ball(q, 2).into_iter().filter(|&r| r == q || assigned[r].is_some()).collect();
+        let col = |x: usize| region.iter().position(|&r| r == x);
+        let pairs: Vec<(usize, usize)> =
+            arch.coupling_edges().iter().filter_map(|&(a, b)| Some((col(a)?, col(b)?))).collect();
+        let mut triples = Vec::new();
+        for &j in &region {
+            let nbrs: Vec<usize> = arch.neighbors(j).iter().filter_map(|&x| col(x)).collect();
+            for x in 0..nbrs.len() {
+                for y in x + 1..nbrs.len() {
+                    triples.push((col(j).unwrap(), nbrs[x], nbrs[y]));
+                }
+            }
+        }
+        let m = region.len();
+        let mut noise = vec![0.0; e.trials * m];
+        e.fill_noise(q, &mut noise);
+        let p = &e.params;
+        candidates
+            .iter()
+            .map(|&c| {
+                let clean = noise.chunks_exact(m).filter(|row| {
+                    let f: Vec<f64> = region
+                        .iter()
+                        .zip(*row)
+                        .map(|(&r, n)| if r == q { c + n } else { assigned[r].unwrap() + n })
+                        .collect();
+                    pairs.iter().all(|&(a, b)| !p.pair_collides(f[a], f[b]))
+                        && triples.iter().all(|&(j, i, k)| !p.triple_collides(f[j], f[i], f[k]))
+                });
+                clean.count() as u64
+            })
+            .collect()
     }
 
     #[test]
@@ -2041,7 +1953,9 @@ mod tests {
     }
 
     /// The load-bearing property of the overhaul: the compiled SoA path
-    /// and the retained naive path agree *exactly*, count for count.
+    /// and the naive oracle agree *exactly*, count for count — for even
+    /// blocks, sliced from a plane, and odd ones (333 trials x 3 or 1
+    /// columns), which `plane_key` sends to a direct fill.
     #[test]
     fn compiled_path_matches_reference_exactly() {
         let candidates: Vec<f64> = (0..35).map(|i| 5.00 + 0.01 * i as f64).collect();
@@ -2051,10 +1965,12 @@ mod tests {
             (path3(), vec![None, None, None], 0),
         ];
         for (arch, assigned, q) in cases {
-            let e = evaluator(1_500);
-            let fast = e.evaluate_candidates(&arch, &assigned, q, &candidates);
-            let reference = e.evaluate_candidates_reference(&arch, &assigned, q, &candidates);
-            assert_eq!(fast, reference, "arch {} q {q}", arch.name());
+            for trials in [1_500, 333] {
+                let e = evaluator(trials);
+                let fast = e.evaluate_candidates(&arch, &assigned, q, &candidates);
+                let reference = naive_counts(&e, &arch, &assigned, q, &candidates);
+                assert_eq!(fast, reference, "arch {} q {q} trials {trials}", arch.name());
+            }
         }
     }
 
@@ -2073,7 +1989,7 @@ mod tests {
         let e = evaluator(800);
         for q in 11..arch.num_qubits() {
             let fast = e.evaluate_candidates_compiled(&compiled, &assigned, q, &candidates);
-            let reference = e.evaluate_candidates_reference(&arch, &assigned, q, &candidates);
+            let reference = naive_counts(&e, &arch, &assigned, q, &candidates);
             assert_eq!(fast, reference, "qubit {q}");
         }
     }
@@ -2291,7 +2207,7 @@ mod tests {
 
     /// Candidate lists that are not a regular ascending grid of at most
     /// 63 values take the dense path, and decisions on them still match
-    /// the naive reference.
+    /// the naive oracle.
     #[test]
     fn irregular_and_oversized_lists_take_the_dense_path() {
         let p = CollisionParams::default();
@@ -2311,7 +2227,7 @@ mod tests {
         let e = evaluator(900);
         for list in [&irregular, &oversized, &descending, &largest] {
             let fast = e.evaluate_candidates(&arch, &assigned, 5, list);
-            let reference = e.evaluate_candidates_reference(&arch, &assigned, 5, list);
+            let reference = naive_counts(&e, &arch, &assigned, 5, list);
             assert_eq!(fast, reference, "{} candidates", list.len());
         }
     }
@@ -2363,36 +2279,69 @@ mod tests {
         }
     }
 
-    /// Decisions on every family's own grid and parameters match the
-    /// naive reference on both sides of the inline threshold, at every
-    /// worker count.
+    /// Decisions on every family's own grid (the window-scored path;
+    /// `band_grid` is `FrequencyAllocator::grid`) and parameters match
+    /// the naive oracle on both sides of the 1,350-trial inline
+    /// threshold, at every worker count: fresh-scratch decisions on the
+    /// 16-qubit 4-qubit-bus chip, and decisions on the 20-qubit chip
+    /// through one `AllocScratch` reused across every call.
     #[test]
     fn family_grid_decisions_match_reference_across_threads() {
         use crate::HardwareFamily;
-        let arch = ibm::ibm_16q_2x8(BusMode::MaxFourQubit);
-        let compiled = CompiledRegions::new(&arch);
-        for family in HardwareFamily::ALL {
-            let model = family.model();
-            let candidates = band_grid(model.allowed_band_ghz());
-            let (lo, _) = model.allowed_band_ghz();
-            let assigned: Vec<Option<f64>> = (0..arch.num_qubits())
-                .map(|q| (q % 4 != 1).then(|| lo + 0.01 * ((q * 7) % candidates.len()) as f64))
-                .collect();
-            for trials in [POOL_MIN_TRIALS as usize - 2, POOL_MIN_TRIALS as usize + 50] {
-                let e = LocalYieldEvaluator::new(
-                    trials,
-                    FabricationModel::new(model.effective_sigma_ghz(0.030)),
-                    model.collision_params(),
-                    3,
-                );
-                for q in [1, 9] {
-                    let reference =
-                        e.evaluate_candidates_reference(&arch, &assigned, q, &candidates);
-                    for threads in [1, 2, 8] {
-                        let fast = qpd_par::with_threads(threads, || {
-                            e.evaluate_candidates_compiled(&compiled, &assigned, q, &candidates)
-                        });
-                        assert_eq!(fast, reference, "{family:?} trials {trials} q {q} @{threads}");
+        let dense = ibm::ibm_16q_2x8(BusMode::MaxFourQubit);
+        let wide = ibm::ibm_20q_4x5(BusMode::TwoQubitOnly);
+        let pool = POOL_MIN_TRIALS as usize;
+        // (arch, stride, hole, step, trial budgets, seed, reused
+        // scratch): the qubits `q % stride == hole` are undecided and
+        // each is decided in turn; the rest sit at grid index
+        // `(q * step) % len`.
+        let cases = [
+            (&dense, 4, 1, 7, [pool - 2, pool + 50], 3, false),
+            (&wide, 5, 2, 11, [1_300, 1_400], 29, true),
+        ];
+        let mut scratch = AllocScratch::new();
+        for (arch, stride, hole, step, budgets, seed, reuse) in cases {
+            let compiled = CompiledRegions::new(arch);
+            for family in HardwareFamily::ALL {
+                let model = family.model();
+                let candidates = band_grid(model.allowed_band_ghz());
+                let (lo, _) = model.allowed_band_ghz();
+                let assigned: Vec<Option<f64>> = (0..arch.num_qubits())
+                    .map(|q| {
+                        (q % stride != hole)
+                            .then(|| lo + 0.01 * ((q * step) % candidates.len()) as f64)
+                    })
+                    .collect();
+                for trials in budgets {
+                    let e = LocalYieldEvaluator::new(
+                        trials,
+                        FabricationModel::new(
+                            model.effective_sigma_ghz(FabricationModel::PAPER_SIGMA_GHZ),
+                        ),
+                        model.collision_params(),
+                        seed,
+                    );
+                    for q in (0..arch.num_qubits()).filter(|q| q % stride == hole) {
+                        let reference = naive_counts(&e, arch, &assigned, q, &candidates);
+                        for threads in [1, 2, 8] {
+                            let fast = qpd_par::with_threads(threads, || {
+                                let mut fresh = AllocScratch::new();
+                                let planes = if reuse { &mut scratch } else { &mut fresh };
+                                e.evaluate_candidates_compiled_with(
+                                    &compiled,
+                                    &assigned,
+                                    q,
+                                    &candidates,
+                                    planes,
+                                )
+                            });
+                            assert_eq!(
+                                fast,
+                                reference,
+                                "{} {family:?} trials {trials} q {q} @{threads}",
+                                arch.name()
+                            );
+                        }
                     }
                 }
             }
@@ -2566,19 +2515,5 @@ mod tests {
         let mut tiny = AllocScratch::with_cap(10);
         tiny.prepare(demand(&a));
         assert_eq!(tiny.cached_samples(), 2 * 500 * m);
-    }
-
-    #[test]
-    fn legacy_noise_changes_counts_but_not_structure() {
-        let arch = path3();
-        let assigned = vec![Some(5.00), None, Some(5.23)];
-        let modern = evaluator(2_000);
-        let legacy = modern.with_legacy_noise();
-        let a = modern.evaluate_candidates(&arch, &assigned, 1, &[5.08, 5.12]);
-        let b = legacy.evaluate_candidates(&arch, &assigned, 1, &[5.08, 5.12]);
-        assert_ne!(a, b, "independent streams should differ in raw counts");
-        // And the legacy fast path still agrees with the legacy reference.
-        let b_ref = legacy.evaluate_candidates_reference(&arch, &assigned, 1, &[5.08, 5.12]);
-        assert_eq!(b, b_ref);
     }
 }

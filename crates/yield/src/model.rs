@@ -109,16 +109,6 @@ impl FabricationModel {
             *slot += b;
         }
     }
-
-    /// Fills `out` with one single-draw ([`Self::sample`]) sample per
-    /// slot — the pre-pairing noise stream, retained so `bench_snapshot`
-    /// can time the historical baseline and so the stream change stays
-    /// testable. Prefer [`Self::sample_into`] everywhere else.
-    pub fn sample_into_unpaired<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        for slot in out {
-            *slot = self.sample(rng);
-        }
-    }
 }
 
 /// `out` as storage the uninitialized-sample fills can write.
@@ -218,27 +208,5 @@ mod tests {
         for i in 0..7 {
             assert_eq!(out[i], base[i] + noise[i], "slot {i}");
         }
-    }
-
-    #[test]
-    fn unpaired_matches_repeated_sample() {
-        // The retained baseline scheme is exactly the historical one.
-        let model = FabricationModel::default();
-        let mut a = ChaCha8Rng::seed_from_u64(13);
-        let mut b = ChaCha8Rng::seed_from_u64(13);
-        let mut buf = [0.0f64; 5];
-        model.sample_into_unpaired(&mut a, &mut buf);
-        let expected: Vec<f64> = (0..5).map(|_| model.sample(&mut b)).collect();
-        assert_eq!(buf.to_vec(), expected);
-    }
-
-    #[test]
-    fn paired_and_unpaired_streams_differ() {
-        let model = FabricationModel::default();
-        let mut paired = [0.0f64; 4];
-        let mut unpaired = [0.0f64; 4];
-        model.sample_into(&mut ChaCha8Rng::seed_from_u64(17), &mut paired);
-        model.sample_into_unpaired(&mut ChaCha8Rng::seed_from_u64(17), &mut unpaired);
-        assert_ne!(paired.to_vec(), unpaired.to_vec(), "schemes draw distinct streams");
     }
 }

@@ -31,9 +31,8 @@
 //! typed output, and a content key derived only from its true inputs —
 //! served through a bounded [`design::StageCache`] owned by a
 //! [`design::StagePlan`]. [`design::DesignFlow`] is a thin facade over
-//! the plan (outputs are bit-identical to the retained monolithic
-//! reference, [`design::DesignFlow::design_reference`]), and the
-//! explorer rides the same graph: a knob change re-runs only the stages
+//! the plan (outputs are bit-identical to running the subroutines in
+//! sequence with no caching), and the explorer rides the same graph: a knob change re-runs only the stages
 //! it dirties ([`explore::CandidateSpec::dirty_stages`] /
 //! [`design::StageKind::invalidates`]). Because routing reads the
 //! coupling topology but never the frequencies, a frequency-only move
@@ -102,7 +101,7 @@ pub mod prelude {
     pub use qpd_circuit::{Circuit, Gate, Qubit};
     pub use qpd_core::{BusStrategy, DesignFlow, FrequencyAllocator, FrequencyStrategy};
     pub use qpd_explore::{ExploreConfig, ExploreSpace, Explorer};
-    pub use qpd_mapping::{GreedyRouter, SabreRouter};
+    pub use qpd_mapping::SabreRouter;
     pub use qpd_profile::{CouplingProfile, PatternReport, PatternShape};
     pub use qpd_topology::{Architecture, BusMode, Coord, FrequencyPlan, Square};
     pub use qpd_yield::{CollisionChecker, YieldSimulator};

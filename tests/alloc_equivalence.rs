@@ -2,10 +2,11 @@
 //! (`FrequencyAllocator::allocate_batch`) — noise planes prepared once
 //! per allocation step and shared read-only across the batch, decisions
 //! fanned out per job or per row — produces **bit-identical**
-//! `FrequencyPlan`s to fresh singleton allocations and to the retained
-//! reference decision path, for every hardware family, sweep budget,
-//! trial budget (on both sides of the decision kernel's 1,350-trial
-//! row fan-out threshold), scratch history, and `QPD_THREADS` value.
+//! `FrequencyPlan`s to fresh singleton allocations, for every hardware
+//! family, sweep budget, trial budget (on both sides of the decision
+//! kernel's 1,350-trial row fan-out threshold), scratch history, and
+//! `QPD_THREADS` value. Single decisions are checked against a naive
+//! oracle by the unit tests of `qpd_yield::local`.
 
 use proptest::prelude::*;
 
@@ -247,9 +248,10 @@ fn run_circuit_is_thread_invariant() {
 
 /// Decisions on both sides of the row fan-out threshold (1,350 trials:
 /// below it a decision runs inline, above it each row chunk filters and
-/// tallies its own rows) count exactly what the naive reference counts,
-/// on every family's own candidate grid (the window-scored path), at
-/// every worker count.
+/// tallies its own rows) count exactly what the scratch-free entry point
+/// counts on one worker, where every decision runs inline, on every
+/// family's own candidate grid (the window-scored path), at every worker
+/// count.
 #[test]
 fn decisions_match_reference_across_the_inline_threshold() {
     let arch = &arches()[1];
@@ -269,8 +271,9 @@ fn decisions_match_reference_across_the_inline_threshold() {
                 29,
             );
             for q in (0..arch.num_qubits()).filter(|q| q % 5 == 2) {
-                let reference =
-                    evaluator.evaluate_candidates_reference(arch, &assigned, q, &candidates);
+                let reference = qpd::par::with_threads(1, || {
+                    evaluator.evaluate_candidates(arch, &assigned, q, &candidates)
+                });
                 for threads in [1usize, 2, 8] {
                     let mut scratch = AllocScratch::new();
                     let counts = qpd::par::with_threads(threads, || {

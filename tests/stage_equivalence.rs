@@ -1,18 +1,22 @@
 //! Flow-equivalence properties of the stage-graph refactor: the staged,
-//! memoized [`DesignFlow`] facade must reproduce the retained monolithic
-//! computation bit-for-bit — across bus/frequency strategies, auxiliary
-//! counts, and placement variants; cold, warm, and under cache-eviction
-//! pressure — and a dirtied-stage (warm-engine) evaluation must equal a
-//! cold-engine evaluation of the same candidate.
+//! memoized [`DesignFlow`] facade must reproduce a monolithic oracle
+//! built from the public subroutines bit-for-bit — across bus/frequency
+//! strategies, auxiliary counts, hardware families, and placement
+//! variants; cold, warm, and under cache-eviction pressure — and a
+//! dirtied-stage (warm-engine) evaluation must equal a cold-engine
+//! evaluation of the same candidate.
 
 use proptest::prelude::*;
 
-use qpd::design::StageKind;
+use qpd::design::{
+    place_auxiliary, place_qubits, select_buses_random, select_buses_weighted, StageKind,
+};
 use qpd::explore::{
     BusSpec, CandidateSpec, ExploreConfig, ExploreSpace, Explorer, HardwareFamily, PlacementVariant,
 };
 use qpd::prelude::*;
 use qpd::profile::CouplingProfile;
+use qpd::topology::pattern_frequency_plan;
 
 /// Strategy: a random connected-ish weighted edge list over `3..=n`
 /// qubits (self-loops dropped; a chain backbone keeps placement happy).
@@ -34,7 +38,50 @@ fn arb_profile(max_qubits: usize) -> impl Strategy<Value = CouplingProfile> {
     })
 }
 
-/// Strategy: one full knob assignment of the flow.
+/// The monolithic flow: placement, bus selection, assembly and
+/// frequency assignment called in sequence from the public subroutines,
+/// with no stage decomposition and no caching. Flows here keep the
+/// default `eff` name prefix.
+fn monolithic(flow: &DesignFlow, profile: &CouplingProfile) -> Architecture {
+    let mut coords = place_qubits(profile);
+    coords.extend(place_auxiliary(&coords, flow.auxiliary_qubits()));
+    let cap = flow.max_buses().unwrap_or(usize::MAX);
+    let squares = match flow.bus_strategy() {
+        BusStrategy::Weighted => select_buses_weighted(&coords, profile, cap),
+        BusStrategy::Random { seed } => select_buses_random(&coords, cap, seed),
+    };
+    let hardware = flow.hardware();
+    let five = flow.frequency_strategy() == FrequencyStrategy::FiveFrequency;
+    let name = format!(
+        "eff{}-{}q-b{}{}",
+        hardware.name_suffix(),
+        coords.len(),
+        squares.len(),
+        if five { "-5freq" } else { "" }
+    );
+    let mut builder = Architecture::builder(name);
+    builder.qubits(coords.iter().copied());
+    for &s in &squares {
+        builder.four_qubit_bus_at(s);
+    }
+    let arch = builder.build().unwrap();
+    let model = hardware.model();
+    let plan = if five {
+        pattern_frequency_plan(&arch, model.pattern_frequencies_ghz())
+    } else {
+        FrequencyAllocator::new()
+            .with_hardware(hardware)
+            .with_trials(flow.allocation_trials())
+            .with_refinement_sweeps(flow.allocation_sweeps())
+            .with_sigma_ghz(flow.sigma_ghz())
+            .with_seed(flow.allocation_seed())
+            .allocate(&arch)
+    };
+    arch.with_frequencies_in_band(plan, model.allowed_band_ghz()).unwrap()
+}
+
+/// Strategy: one full knob assignment of the flow, over every hardware
+/// family.
 fn arb_flow() -> impl Strategy<Value = DesignFlow> {
     (
         prop_oneof![Just(None), (0u64..100).prop_map(Some)],
@@ -42,9 +89,11 @@ fn arb_flow() -> impl Strategy<Value = DesignFlow> {
         0usize..3,
         prop_oneof![Just(None), Just(Some(1usize)), Just(Some(3usize))],
         0u64..8,
+        0usize..3,
     )
-        .prop_map(|(random_seed, five_freq, aux, max_buses, alloc_seed)| {
+        .prop_map(|(random_seed, five_freq, aux, max_buses, alloc_seed, family)| {
             let mut flow = DesignFlow::new()
+                .with_hardware(HardwareFamily::ALL[family])
                 .with_allocation_trials(60)
                 .with_allocation_seed(alloc_seed)
                 .with_auxiliary_qubits(aux)
@@ -62,7 +111,7 @@ fn arb_flow() -> impl Strategy<Value = DesignFlow> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The facade reproduces the monolithic reference bit-for-bit, on a
+    /// The facade reproduces the monolithic oracle bit-for-bit, on a
     /// cold plan, on a warm plan, and with the caches squeezed to a
     /// single entry per stage (eviction on almost every call).
     #[test]
@@ -70,7 +119,7 @@ proptest! {
         profile in arb_profile(9),
         flow in arb_flow(),
     ) {
-        let reference = flow.design_reference(&profile).unwrap();
+        let reference = monolithic(&flow, &profile);
         let cold = flow.design(&profile).unwrap();
         prop_assert_eq!(&cold, &reference, "cold facade diverged");
         let warm = flow.design(&profile).unwrap();
@@ -83,7 +132,7 @@ proptest! {
 
     /// A frequency-strategy change on a warm plan reuses placement and
     /// bus selection (cache hits, no new misses) — and still matches the
-    /// monolithic reference of the changed flow.
+    /// monolithic oracle of the changed flow.
     #[test]
     fn freq_change_reuses_upstream_stages(
         profile in arb_profile(8),
@@ -98,7 +147,7 @@ proptest! {
         prop_assert_eq!(stats[..2].iter().map(|s| s.misses).sum::<u64>(), upstream_misses,
             "a frequency-only change re-ran placement or bus selection");
         prop_assert!(stats[0].hits >= 1);
-        prop_assert_eq!(&staged, &five.design_reference(&profile).unwrap());
+        prop_assert_eq!(&staged, &monolithic(&five, &profile));
     }
 }
 
