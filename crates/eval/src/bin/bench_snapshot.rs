@@ -69,7 +69,15 @@
 //!   seed-major `allocate_batch` (each step's noise planes are drawn
 //!   once for the whole batch and the allocations fan out over the
 //!   pool, where each singleton draws its own; plans are bit-identical
-//!   either way).
+//!   either way);
+//! - `noise/plane_fill` — fabrication-noise fills on one thread: each
+//!   iteration fills [`PLANE_CHUNKS`] stream chunks of 4,096 samples,
+//!   each from a freshly seeded generator, exactly as the allocator
+//!   draws its noise planes (trajectory point 18's kernel; the
+//!   snapshot's `noise` block reports it per sample).
+//!
+//! From point 18 on, a snapshot also names the host's `simd` tier, the
+//! vector kernels the noise fill dispatches to.
 //!
 //! Since PR 10 the `explore/eval_cold` / `explore/eval_warm` sweep runs
 //! through `Explorer::evaluate_all` — the batched round path (one
@@ -81,7 +89,7 @@
 //! default 3), `QPD_BENCH_QUICK=1` shrinks trial counts for CI smoke
 //! runs, `QPD_THREADS` sizes the worker pool.
 //!
-//! Usage: `bench_snapshot [--out PATH]` (default `BENCH_14.json`), or
+//! Usage: `bench_snapshot [--out PATH]` (default `BENCH_18.json`), or
 //! `bench_snapshot --check-schema FRESH.json COMMITTED.json...` to
 //! validate snapshot *schemas* without timing anything: every file must
 //! carry the snapshot fields and well-formed kernel entries, and the
@@ -90,13 +98,15 @@
 //! for the kernels [`RETIRED_KERNELS`] names. No timing values are ever
 //! compared.
 
+use std::path::Path;
+
 use criterion::Criterion;
 use qpd_core::{place_qubits, AllocJob, FrequencyAllocator, FrequencyStrategy};
 use qpd_eval::runner::run_benchmark;
 use qpd_eval::EvalSettings;
 use qpd_explore::{
-    merge_shard_states, BusSpec, CandidateSpec, ExploreConfig, ExploreSpace, Explorer, Json,
-    PlacementVariant, ShardSpec,
+    merge_shard_states, write_atomic, BusSpec, CandidateSpec, ExploreConfig, ExploreSpace,
+    Explorer, Json, PlacementVariant, ShardSpec,
 };
 use qpd_profile::CouplingProfile;
 use qpd_serve::{Client, Server, ServerConfig};
@@ -105,10 +115,12 @@ use qpd_yield::{
     AllocScratch, BatchRequest, CompiledRegions, FabricationModel, HardwareFamily,
     LocalYieldEvaluator, YieldSimulator,
 };
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// The current perf-trajectory point; bump alongside the default
 /// `--out` path when a later PR appends a snapshot.
-const PR: u64 = 14;
+const PR: u64 = 18;
 
 /// Kernels deliberately removed from the snapshot, each with the
 /// trajectory point that retired it: a committed snapshot older than
@@ -116,6 +128,32 @@ const PR: u64 = 14;
 /// `freq_alloc/reference` timed the pre-overhaul allocation path, which
 /// is gone from the library.
 const RETIRED_KERNELS: &[(&str, u64)] = &[("freq_alloc/reference", 17)];
+
+/// Stream chunks one `noise/plane_fill` iteration fills.
+const PLANE_CHUNKS: usize = 64;
+/// Samples per stream chunk, as the allocator's noise planes draw them.
+const CHUNK_SAMPLES: usize = 4_096;
+
+/// The host's SIMD tier as the noise kernels dispatch on it: AVX-512
+/// runs both the keystream and the polar transform in 512-bit
+/// registers, `avx512f` only the keystream (the transform also needs
+/// DQ), AVX2 only the keystream.
+fn simd_tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("avx512f") && has!("avx512dq") {
+            return "avx512";
+        }
+        if has!("avx512f") {
+            return "avx512f";
+        }
+        if has!("avx2") {
+            return "avx2";
+        }
+    }
+    "scalar"
+}
 
 fn designed_topology(name: &str) -> Architecture {
     let circuit = qpd_benchmarks::build(name).expect("benchmark");
@@ -202,6 +240,10 @@ fn check_snapshot_schema(path: &str, failures: &mut Vec<String>) -> Option<(u64,
     if pr >= 14 && doc.get("host_cores").and_then(Json::as_u64).is_none() {
         return fail(failures, "missing numeric `host_cores` (snapshot 14 on)");
     }
+    // From point 18 on, snapshots name the SIMD tier the kernels ran on.
+    if pr >= 18 && doc.get("simd").and_then(Json::as_str).is_none() {
+        return fail(failures, "missing string `simd` (snapshot 18 on)");
+    }
     let Some(kernels) = doc.get("kernels").and_then(Json::as_arr) else {
         return fail(failures, "missing `kernels` array");
     };
@@ -219,6 +261,9 @@ fn check_snapshot_schema(path: &str, failures: &mut Vec<String>) -> Option<(u64,
             }
         }
         ids.push(id.to_string());
+    }
+    if pr >= 18 && !ids.iter().any(|id| id.ends_with("/noise/plane_fill")) {
+        return fail(failures, "missing kernel `noise/plane_fill` (snapshot 18 on)");
     }
     Some((pr, ids))
 }
@@ -301,6 +346,19 @@ fn main() {
     let mut criterion = Criterion::default();
     let mut group = criterion.benchmark_group("snapshot");
     group.sample_size(10);
+
+    // Noise-fill kernel: the allocator's plane fill on one thread, one
+    // freshly seeded generator per 4,096-sample chunk.
+    let noise_model = FabricationModel::new(FabricationModel::PAPER_SIGMA_GHZ);
+    let mut plane = vec![0.0f64; PLANE_CHUNKS * CHUNK_SAMPLES];
+    group.bench_function("noise/plane_fill", |b| {
+        b.iter(|| {
+            for (i, chunk) in plane.chunks_exact_mut(CHUNK_SAMPLES).enumerate() {
+                noise_model.sample_into(&mut ChaCha8Rng::seed_from_u64(i as u64), chunk);
+            }
+            plane[0]
+        })
+    });
 
     // Frequency-allocation kernel: the paper's Algorithm 3 on a chip
     // designed for rd84_142 (the largest of the twelve workloads).
@@ -569,6 +627,7 @@ fn main() {
         ("pr", Json::int(PR)),
         ("threads", Json::int(threads as u64)),
         ("host_cores", Json::int(host_cores as u64)),
+        ("simd", Json::str(simd_tier())),
     ];
     if threads == 1 {
         // The pool contributes nothing on one worker: these numbers
@@ -658,6 +717,18 @@ fn main() {
             ]),
         ),
         (
+            "noise",
+            Json::obj([
+                ("chunk_samples", Json::int(CHUNK_SAMPLES as u64)),
+                (
+                    "plane_fill_ns_per_sample",
+                    Json::num(round3(
+                        median_of("noise/plane_fill") * 1e9 / (PLANE_CHUNKS * CHUNK_SAMPLES) as f64,
+                    )),
+                ),
+            ]),
+        ),
+        (
             "speedups",
             Json::obj([
                 ("yield_sim_pooled_over_serial", Json::num(round3(yield_speedup))),
@@ -670,7 +741,7 @@ fn main() {
     ]);
     let json = Json::Obj(top.into_iter().map(|(k, v)| (k.to_string(), v)).collect()).render();
 
-    std::fs::write(&out_path, &json).expect("write snapshot");
+    write_atomic(Path::new(&out_path), &json).expect("write snapshot");
     println!("\nwrote {out_path}");
     println!(
         "yield_sim pooled vs serial: {yield_speedup:.2}x; \
@@ -707,6 +778,30 @@ mod tests {
         assert!(dropped_kernels(&fresh, pr, &ids).is_empty());
         // A snapshot taken at or after the retirement gets no pass.
         assert_eq!(dropped_kernels(&fresh, 17, &ids), [RETIRED]);
+    }
+
+    #[test]
+    fn snapshot_18_on_requires_the_simd_tier_and_the_noise_kernel() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_14.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let dir = std::env::temp_dir().join(format!("qpd_bench_schema_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let check = |name: &str, text: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            let mut failures = Vec::new();
+            check_snapshot_schema(path.to_str().unwrap(), &mut failures);
+            failures
+        };
+        let as_18 = text.replacen("\"pr\": 14", "\"pr\": 18", 1);
+        assert_ne!(as_18, text);
+        assert!(check("a.json", &as_18)[0].contains("`simd`"));
+        let with_simd = as_18.replacen("\"pr\": 18", "\"pr\": 18, \"simd\": \"scalar\"", 1);
+        assert!(check("b.json", &with_simd)[0].contains("noise/plane_fill"));
+        let with_kernel =
+            with_simd.replacen("\"snapshot/alloc/decision\"", "\"snapshot/noise/plane_fill\"", 1);
+        assert_eq!(check("c.json", &with_kernel), Vec::<String>::new());
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

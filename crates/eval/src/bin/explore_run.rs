@@ -107,8 +107,8 @@ use qpd_core::{crowding_distances, dominates_nd};
 use qpd_eval::plot::{svg_front_overlay, OverlayPoint};
 use qpd_explore::sidecar::{self, SidecarLoad};
 use qpd_explore::{
-    merge_checkpoints, AcceptanceMode, Checkpoint, ExploreConfig, ExploreSpace, ExploreState,
-    Explorer, HardwareSweep, ShardSpec, ShardState, StageHitRate,
+    merge_checkpoints, write_atomic, AcceptanceMode, Checkpoint, ExploreConfig, ExploreSpace,
+    ExploreState, Explorer, HardwareSweep, ShardSpec, ShardState, StageHitRate,
 };
 
 /// Reports a usage error and exits with status 2. Called only before
@@ -532,13 +532,13 @@ fn run_one(
         // Checkpoint after every round: a killed run resumes from here,
         // and the cache sidecar lets it resume *warm*.
         snapshot(&state).write(out_dir).expect("write checkpoint");
-        std::fs::write(out_dir.join(sidecar::file_name(name)), sidecar::render(explorer.caches()))
+        write_atomic(&out_dir.join(sidecar::file_name(name)), sidecar::render(explorer.caches()))
             .expect("write cache sidecar");
     }
     // Always (re)write the final state: never report a stale file that
     // happened to be sitting in the output directory.
     let checkpoint_path = snapshot(&state).write(out_dir).expect("write checkpoint");
-    std::fs::write(out_dir.join(sidecar::file_name(name)), sidecar::render(explorer.caches()))
+    write_atomic(&out_dir.join(sidecar::file_name(name)), sidecar::render(explorer.caches()))
         .expect("write cache sidecar");
     let eff_full = Some(eff_full_status(explorer.space(), &state, config.hardware));
     let overlay = options
@@ -590,14 +590,11 @@ fn run_one_shard(
         }
         explorer.advance_shard_round(&mut shard).expect("round");
         snapshot(&shard).write(out_dir).expect("write checkpoint");
-        std::fs::write(
-            out_dir.join(sidecar::file_name(&label)),
-            sidecar::render(explorer.caches()),
-        )
-        .expect("write cache sidecar");
+        write_atomic(&out_dir.join(sidecar::file_name(&label)), sidecar::render(explorer.caches()))
+            .expect("write cache sidecar");
     }
     let checkpoint_path = snapshot(&shard).write(out_dir).expect("write checkpoint");
-    std::fs::write(out_dir.join(sidecar::file_name(&label)), sidecar::render(explorer.caches()))
+    write_atomic(&out_dir.join(sidecar::file_name(&label)), sidecar::render(explorer.caches()))
         .expect("write cache sidecar");
     // eff-full is walk 0's starting point; only its shard can see it.
     let eff_full =

@@ -59,8 +59,10 @@ pub fn circuit_key(circuit: &Circuit) -> u64 {
     h.push(circuit.gate_count() as u64);
     for inst in circuit.iter() {
         // The Debug form carries the gate's variant and exact angle
-        // bits; the key is in-memory only, so its stability across
-        // builds does not matter — only injectivity per build.
+        // bits. The key outlives the process: route keys fold it in,
+        // and cache sidecars persist route keys. Keep the form stable
+        // across builds; if it changes, routes a sidecar saved under
+        // the old form stop matching and are recomputed.
         for byte in format!("{:?}", inst.gate()).into_bytes() {
             h.push(byte as u64);
         }

@@ -263,14 +263,15 @@ impl Checkpoint {
     }
 
     /// Writes the document under `dir` at its conventional file name
-    /// ([`Self::file_label`]), returning the path.
+    /// ([`Self::file_label`]), returning the path. The write is
+    /// crash-consistent ([`write_atomic`]).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn write(&self, dir: &Path) -> std::io::Result<PathBuf> {
         let path = dir.join(self.file_label());
-        std::fs::write(&path, self.render())?;
+        write_atomic(&path, self.render())?;
         Ok(path)
     }
 
@@ -504,6 +505,46 @@ fn config_from_json(json: &Json) -> Option<ExploreConfig> {
         archive_cap,
         ..config_from_json_v1(json)?
     })
+}
+
+/// Replaces the file at `path` with `bytes` crash-consistently: the
+/// bytes go to a temporary file in the same directory, which is synced
+/// and then renamed over `path`; on Unix the directory is synced after
+/// the rename too. A crash at any point leaves either the old file or the new
+/// one, never a truncated mix.
+///
+/// # Errors
+///
+/// Propagates filesystem errors; the temporary file is removed on
+/// failure.
+pub fn write_atomic(path: &Path, bytes: impl AsRef<[u8]>) -> std::io::Result<()> {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    // Distinguishes concurrent writers of one process; the pid
+    // distinguishes processes.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "write target has no file name")
+    })?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    let mut temp_name = std::ffi::OsString::from(".");
+    temp_name.push(name);
+    temp_name.push(format!(".{}.{}.tmp", std::process::id(), NEXT.fetch_add(1, Ordering::Relaxed)));
+    let temp = dir.join(temp_name);
+    let written = std::fs::File::create(&temp)
+        .and_then(|mut file| {
+            file.write_all(bytes.as_ref())?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&temp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&temp);
+    }
+    written?;
+    // The rename is durable once the directory entry is.
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -825,5 +866,39 @@ mod tests {
         let back = Checkpoint::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back, cp);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_target_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("qpd_write_atomic_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("target.json");
+        write_atomic(&path, "old contents that are longer\n").unwrap();
+        write_atomic(&path, "new\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "new\n");
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["target.json"]);
+        // A target without a file name is refused before anything is
+        // written.
+        assert!(write_atomic(Path::new("/"), "x").is_err());
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn every_truncation_of_a_checkpoint_is_refused() {
+        for cp in [sample_checkpoint(), sample_shard_checkpoint()] {
+            let text = cp.render();
+            assert!(text.is_ascii());
+            // Cutting anywhere inside the document is an error, never a
+            // panic; only the trailing newline is not part of it.
+            let body = text.trim_end().len();
+            for cut in 0..body {
+                assert!(Checkpoint::parse(&text[..cut]).is_err(), "prefix of {cut} bytes parsed");
+            }
+            for cut in body..text.len() {
+                assert_eq!(Checkpoint::parse(&text[..cut]).unwrap(), cp);
+            }
+        }
     }
 }

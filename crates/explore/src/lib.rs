@@ -94,7 +94,9 @@ pub mod space;
 pub mod spec;
 
 pub use cache::{circuit_key, topology_key, RouteStage, StageCaches, YieldStage};
-pub use checkpoint::{Checkpoint, ShardMeta, StageHitRate, SCHEMA, SCHEMA_V1, SCHEMA_V3};
+pub use checkpoint::{
+    write_atomic, Checkpoint, ShardMeta, StageHitRate, SCHEMA, SCHEMA_V1, SCHEMA_V3,
+};
 pub use engine::{
     pareto_indices, AcceptanceMode, ExploreConfig, ExploreError, ExploreState, Explorer,
     HardwareSweep, Provenance, ShardSpec, ShardState, WalkState, DEFAULT_MEMO_CAP,

@@ -12,8 +12,8 @@ use std::time::Instant;
 
 use qpd_core::StagePlan;
 use qpd_explore::{
-    circuit_key, merge_checkpoints, sidecar, CandidateSpec, Checkpoint, ExploreConfig,
-    ExploreSpace, ExploreState, Explorer, Json, StageCaches, DEFAULT_MEMO_CAP,
+    circuit_key, merge_checkpoints, sidecar, write_atomic, CandidateSpec, Checkpoint,
+    ExploreConfig, ExploreSpace, ExploreState, Explorer, Json, StageCaches, DEFAULT_MEMO_CAP,
 };
 
 use crate::protocol::{
@@ -177,7 +177,7 @@ impl Server {
         }
         std::fs::create_dir_all(&shared.config.out_dir)?;
         let sidecar_path = shared.config.out_dir.join(sidecar::file_name(SIDECAR_LABEL));
-        std::fs::write(&sidecar_path, sidecar::render(&shared.caches))?;
+        write_atomic(&sidecar_path, sidecar::render(&shared.caches))?;
         let checkpoints = shared.checkpointed.lock().expect("checkpoint list");
         eprintln!(
             "qpd_serve: shut down — caches persisted to {}, {} explore checkpoint(s) written",

@@ -13,11 +13,17 @@
 //! # Performance
 //!
 //! The generator is the innermost dependency of every Monte Carlo
-//! kernel in the workspace, so blocks are produced eight at a time:
-//! through an AVX2 lane-per-block kernel when the CPU has it (detected
-//! once at runtime), else through an unrolled scalar kernel. Both
-//! produce the identical keystream, so results never depend on the
-//! host's SIMD features.
+//! kernel in the workspace, so every refill produces 16 blocks (256
+//! words) on the fastest tier the CPU has, detected once at runtime:
+//!
+//! - AVX-512F: one 32-bit lane per block, native rotates, and an
+//!   in-register 16×16 transpose back to block order;
+//! - AVX2: the 8-lane kernel, run twice;
+//! - scalar: 16 single blocks.
+//!
+//! Every tier produces the identical keystream (integer arithmetic is
+//! exact everywhere), so results never depend on the host's SIMD
+//! features.
 
 use rand::{RngCore, SeedableRng};
 
@@ -25,9 +31,9 @@ use rand::{RngCore, SeedableRng};
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
 /// Keystream blocks produced per refill; each block is 16 words.
-const LANES: usize = 8;
+const BLOCKS: usize = 16;
 /// Words buffered per refill.
-const BUF_WORDS: usize = 16 * LANES;
+const BUF_WORDS: usize = 16 * BLOCKS;
 
 macro_rules! quarter_round {
     ($a:ident, $b:ident, $c:ident, $d:ident) => {
@@ -77,30 +83,57 @@ fn block_scalar(key: &[u32; 8], counter: u64, out: &mut [u32; 16]) {
     out[15] = x15;
 }
 
-/// Fills `out` with blocks `counter .. counter + LANES` via the scalar
+/// Fills `out` with blocks `counter .. counter + BLOCKS` via the scalar
 /// kernel.
 fn blocks_scalar(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
-    let mut block = [0u32; 16];
-    for lane in 0..LANES {
-        block_scalar(key, counter.wrapping_add(lane as u64), &mut block);
-        out[lane * 16..(lane + 1) * 16].copy_from_slice(&block);
+    for (lane, block) in out.chunks_exact_mut(16).enumerate() {
+        let block: &mut [u32; 16] = block.try_into().expect("16-word block");
+        block_scalar(key, counter.wrapping_add(lane as u64), block);
     }
+}
+
+/// The 64-bit counters of `N` consecutive blocks, split into the low
+/// (state word 12) and high (state word 13) halves per lane.
+#[cfg(target_arch = "x86_64")]
+fn lane_counters<const N: usize>(counter: u64) -> ([i32; N], [i32; N]) {
+    let mut lo = [0i32; N];
+    let mut hi = [0i32; N];
+    for lane in 0..N {
+        let c = counter.wrapping_add(lane as u64);
+        lo[lane] = c as i32;
+        hi[lane] = (c >> 32) as i32;
+    }
+    (lo, hi)
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{BUF_WORDS, LANES, SIGMA};
+    use super::{lane_counters, BUF_WORDS, SIGMA};
     use std::arch::x86_64::*;
 
-    /// Eight ChaCha8 blocks at once: one AVX2 lane per block, one vector
-    /// per ChaCha state word. Produces the identical keystream to the
-    /// scalar kernel (integer arithmetic is exact on both paths).
+    /// Blocks per AVX2 kernel call: one 32-bit lane each.
+    const LANES: usize = 8;
+
+    /// Sixteen ChaCha8 blocks as two runs of the 8-lane kernel.
     ///
     /// # Safety
     ///
     /// Requires AVX2 (caller checks `is_x86_feature_detected!("avx2")`).
     #[target_feature(enable = "avx2")]
     pub unsafe fn blocks(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+        let (first, second) = out.split_at_mut(BUF_WORDS / 2);
+        blocks8(key, counter, first.try_into().expect("half buffer"));
+        blocks8(key, counter.wrapping_add(LANES as u64), second.try_into().expect("half buffer"));
+    }
+
+    /// Eight ChaCha8 blocks at once: one AVX2 lane per block, one vector
+    /// per ChaCha state word.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, as [`blocks`].
+    #[target_feature(enable = "avx2")]
+    unsafe fn blocks8(key: &[u32; 8], counter: u64, out: &mut [u32; 16 * LANES]) {
         macro_rules! rotl {
             ($x:expr, $n:literal) => {
                 _mm256_or_si256(_mm256_slli_epi32::<$n>($x), _mm256_srli_epi32::<{ 32 - $n }>($x))
@@ -126,16 +159,9 @@ mod avx2 {
         for (i, slot) in init.iter_mut().enumerate().take(12).skip(4) {
             *slot = _mm256_set1_epi32(key[i - 4] as i32);
         }
-        // Per-lane counters (64-bit, split into words 12 and 13).
-        let mut lo = [0i32; LANES];
-        let mut hi = [0i32; LANES];
-        for lane in 0..LANES {
-            let c = counter.wrapping_add(lane as u64);
-            lo[lane] = c as i32;
-            hi[lane] = (c >> 32) as i32;
-        }
-        init[12] = _mm256_setr_epi32(lo[0], lo[1], lo[2], lo[3], lo[4], lo[5], lo[6], lo[7]);
-        init[13] = _mm256_setr_epi32(hi[0], hi[1], hi[2], hi[3], hi[4], hi[5], hi[6], hi[7]);
+        let (lo, hi) = lane_counters::<LANES>(counter);
+        init[12] = _mm256_loadu_si256(lo.as_ptr().cast());
+        init[13] = _mm256_loadu_si256(hi.as_ptr().cast());
         // Words 14-15 (nonce) stay zero.
 
         let mut x = init;
@@ -152,7 +178,7 @@ mod avx2 {
 
         // Add-back, then scatter from word-major lanes to block-major
         // words.
-        let mut stage = [0u32; BUF_WORDS];
+        let mut stage = [0u32; 16 * LANES];
         for (i, &v) in x.iter().enumerate() {
             let sum = _mm256_add_epi32(v, init[i]);
             _mm256_storeu_si256(stage.as_mut_ptr().add(i * LANES).cast::<__m256i>(), sum);
@@ -166,29 +192,129 @@ mod avx2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0); // 0 unknown, 1 no, 2 yes
-    match STATE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let yes = std::arch::is_x86_feature_detected!("avx2");
-            STATE.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
-            yes
+mod avx512 {
+    use super::{lane_counters, BLOCKS, BUF_WORDS, SIGMA};
+    use std::arch::x86_64::*;
+
+    /// Sixteen ChaCha8 blocks at once: one AVX-512 lane per block, one
+    /// vector per ChaCha state word, then a 16×16 transpose in registers
+    /// so each vector holds one whole block.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F (caller checks
+    /// `is_x86_feature_detected!("avx512f")`).
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn blocks(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+        macro_rules! qr {
+            ($a:expr, $b:expr, $c:expr, $d:expr) => {
+                $a = _mm512_add_epi32($a, $b);
+                $d = _mm512_rol_epi32::<16>(_mm512_xor_si512($d, $a));
+                $c = _mm512_add_epi32($c, $d);
+                $b = _mm512_rol_epi32::<12>(_mm512_xor_si512($b, $c));
+                $a = _mm512_add_epi32($a, $b);
+                $d = _mm512_rol_epi32::<8>(_mm512_xor_si512($d, $a));
+                $c = _mm512_add_epi32($c, $d);
+                $b = _mm512_rol_epi32::<7>(_mm512_xor_si512($b, $c));
+            };
+        }
+
+        let mut init = [_mm512_setzero_si512(); 16];
+        for (i, slot) in init.iter_mut().enumerate().take(4) {
+            *slot = _mm512_set1_epi32(SIGMA[i] as i32);
+        }
+        for (i, slot) in init.iter_mut().enumerate().take(12).skip(4) {
+            *slot = _mm512_set1_epi32(key[i - 4] as i32);
+        }
+        let (lo, hi) = lane_counters::<BLOCKS>(counter);
+        init[12] = _mm512_loadu_si512(lo.as_ptr().cast());
+        init[13] = _mm512_loadu_si512(hi.as_ptr().cast());
+        // Words 14-15 (nonce) stay zero.
+
+        let mut x = init;
+        for _ in 0..4 {
+            qr!(x[0], x[4], x[8], x[12]);
+            qr!(x[1], x[5], x[9], x[13]);
+            qr!(x[2], x[6], x[10], x[14]);
+            qr!(x[3], x[7], x[11], x[15]);
+            qr!(x[0], x[5], x[10], x[15]);
+            qr!(x[1], x[6], x[11], x[12]);
+            qr!(x[2], x[7], x[8], x[13]);
+            qr!(x[3], x[4], x[9], x[14]);
+        }
+        for (v, &i) in x.iter_mut().zip(&init) {
+            *v = _mm512_add_epi32(*v, i);
+        }
+
+        // Transpose: `x[w]` holds word `w` of every block; block `b` is
+        // column `b`. Interleave 32-bit then 64-bit pairs, so `b[4g + m]`
+        // holds words 4g..4g+4 of block 4k + m in its 128-bit lane k.
+        let mut a = [_mm512_setzero_si512(); 16];
+        for p in 0..8 {
+            a[2 * p] = _mm512_unpacklo_epi32(x[2 * p], x[2 * p + 1]);
+            a[2 * p + 1] = _mm512_unpackhi_epi32(x[2 * p], x[2 * p + 1]);
+        }
+        let mut b = [_mm512_setzero_si512(); 16];
+        for g in 0..4 {
+            b[4 * g] = _mm512_unpacklo_epi64(a[4 * g], a[4 * g + 2]);
+            b[4 * g + 1] = _mm512_unpackhi_epi64(a[4 * g], a[4 * g + 2]);
+            b[4 * g + 2] = _mm512_unpacklo_epi64(a[4 * g + 1], a[4 * g + 3]);
+            b[4 * g + 3] = _mm512_unpackhi_epi64(a[4 * g + 1], a[4 * g + 3]);
+        }
+        // Then a 4×4 transpose of 128-bit lanes per `m`: block 4k + m is
+        // lane k of b[m], b[4 + m], b[8 + m], b[12 + m].
+        // `out` is 256 words: sixteen 512-bit stores, one per block.
+        let dst = out.as_mut_ptr().cast::<__m512i>();
+        for m in 0..4 {
+            let c0 = _mm512_shuffle_i32x4::<0x44>(b[m], b[4 + m]);
+            let c1 = _mm512_shuffle_i32x4::<0xee>(b[m], b[4 + m]);
+            let c2 = _mm512_shuffle_i32x4::<0x44>(b[8 + m], b[12 + m]);
+            let c3 = _mm512_shuffle_i32x4::<0xee>(b[8 + m], b[12 + m]);
+            _mm512_storeu_si512(dst.add(m), _mm512_shuffle_i32x4::<0x88>(c0, c2));
+            _mm512_storeu_si512(dst.add(4 + m), _mm512_shuffle_i32x4::<0xdd>(c0, c2));
+            _mm512_storeu_si512(dst.add(8 + m), _mm512_shuffle_i32x4::<0x88>(c1, c3));
+            _mm512_storeu_si512(dst.add(12 + m), _mm512_shuffle_i32x4::<0xdd>(c1, c3));
         }
     }
 }
 
-/// Fills `out` with blocks `counter ..` on the fastest available kernel.
-fn blocks(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+/// The keystream kernel a host runs, fastest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 presence just checked.
-        unsafe { avx2::blocks(key, counter, out) };
-        return;
+    Avx512,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    Scalar,
+}
+
+/// The fastest keystream tier this CPU supports (std caches the
+/// feature probe).
+fn tier() -> Tier {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return Tier::Avx512;
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Tier::Avx2;
+        }
     }
-    blocks_scalar(key, counter, out);
+    Tier::Scalar
+}
+
+/// Fills `out` with blocks `counter ..` on `tier`'s kernel.
+fn blocks_on(tier: Tier, key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+    match tier {
+        // SAFETY: `tier` only names a SIMD kernel the CPU has (see
+        // `tier()`; the tests pass host-checked tiers).
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { avx512::blocks(key, counter, out) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { avx2::blocks(key, counter, out) },
+        Tier::Scalar => blocks_scalar(key, counter, out),
+    }
 }
 
 /// A deterministic ChaCha generator with 8 rounds.
@@ -199,7 +325,7 @@ pub struct ChaCha8Rng {
     /// 64-bit block counter (words 12–13 of the ChaCha state) of the
     /// *next* refill.
     counter: u64,
-    /// Buffered keystream words ([`LANES`] consecutive blocks).
+    /// Buffered keystream words ([`BLOCKS`] consecutive blocks).
     buf: [u32; BUF_WORDS],
     /// Next unread word in `buf`; `BUF_WORDS` means "refill".
     index: usize,
@@ -207,8 +333,8 @@ pub struct ChaCha8Rng {
 
 impl ChaCha8Rng {
     fn refill(&mut self) {
-        blocks(&self.key, self.counter, &mut self.buf);
-        self.counter = self.counter.wrapping_add(LANES as u64);
+        blocks_on(tier(), &self.key, self.counter, &mut self.buf);
+        self.counter = self.counter.wrapping_add(BLOCKS as u64);
         self.index = 0;
     }
 }
@@ -311,7 +437,7 @@ mod tests {
 
     /// RFC 8439's test vector structure only covers ChaCha20; pin the
     /// 8-round keystream against an independent single-block scalar
-    /// evaluation instead, across the buffer boundary.
+    /// evaluation instead, across three refills.
     #[test]
     fn stream_matches_single_block_reference() {
         let seed = [7u8; 32];
@@ -322,7 +448,7 @@ mod tests {
         }
         let mut expected = Vec::new();
         let mut block = [0u32; 16];
-        for counter in 0..3 * LANES as u64 {
+        for counter in 0..3 * BLOCKS as u64 + 1 {
             block_scalar(&key, counter, &mut block);
             expected.extend_from_slice(&block);
         }
@@ -330,21 +456,49 @@ mod tests {
         assert_eq!(got, expected);
     }
 
+    /// Every tier this host can run.
+    fn host_tiers() -> Vec<Tier> {
+        #[allow(unused_mut)]
+        let mut tiers = vec![Tier::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                tiers.push(Tier::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                tiers.push(Tier::Avx512);
+            }
+        }
+        tiers
+    }
+
     #[test]
     fn scalar_and_simd_kernels_agree() {
         let key = [0x0123_4567u32, 0x89ab_cdef, 1, 2, 3, 4, 5, 6];
-        for counter in [0u64, 1, 1 << 31, u64::MAX - 3] {
-            let mut fast = [0u32; BUF_WORDS];
-            let mut slow = [0u32; BUF_WORDS];
-            blocks(&key, counter, &mut fast);
-            blocks_scalar(&key, counter, &mut slow);
-            assert_eq!(fast.to_vec(), slow.to_vec(), "counter {counter}");
+        // The low counter word wraps inside one refill at 2^32 - 5; at
+        // 2^32 - 16 the refill ends exactly on the wrap; the whole
+        // 64-bit counter wraps from u64::MAX - 7.
+        for counter in [0u64, 1, 1 << 31, (1 << 32) - 5, (1 << 32) - 16, u64::MAX - 7] {
+            let mut expected = [0u32; BUF_WORDS];
+            for (lane, block) in expected.chunks_exact_mut(16).enumerate() {
+                block_scalar(&key, counter.wrapping_add(lane as u64), block.try_into().unwrap());
+            }
+            for tier in host_tiers() {
+                let mut got = [0u32; BUF_WORDS];
+                blocks_on(tier, &key, counter, &mut got);
+                assert_eq!(got.to_vec(), expected.to_vec(), "{tier:?} at counter {counter}");
+            }
         }
     }
 
     #[test]
+    fn detected_tier_is_a_host_tier() {
+        assert!(host_tiers().contains(&tier()));
+    }
+
+    #[test]
     fn fill_u64s_matches_sequential_draws() {
-        for (start, len) in [(0usize, 500usize), (1, 300), (127, 64), (3, 1)] {
+        for (start, len) in [(0usize, 500usize), (1, 300), (255, 64), (127, 64), (3, 1)] {
             let mut a = ChaCha8Rng::seed_from_u64(21);
             let mut b = ChaCha8Rng::seed_from_u64(21);
             for _ in 0..start {
