@@ -21,6 +21,8 @@
 //! inserts first, the value is the one every other walk would have
 //! computed — and an evicted entry is recomputed, never changed.
 
+use std::fmt::Write;
+
 use qpd_circuit::Circuit;
 use qpd_core::{Stage, StageCache, StageCacheStats, StageKind};
 use qpd_mapping::{MappingError, SabreRouter};
@@ -63,9 +65,7 @@ pub fn circuit_key(circuit: &Circuit) -> u64 {
         // and cache sidecars persist route keys. Keep the form stable
         // across builds; if it changes, routes a sidecar saved under
         // the old form stop matching and are recomputed.
-        for byte in format!("{:?}", inst.gate()).into_bytes() {
-            h.push(byte as u64);
-        }
+        write!(h, "{:?}", inst.gate()).expect("hashing never fails");
         h.push(inst.qubits().len() as u64);
         for q in inst.qubits() {
             h.push(q.index() as u64);

@@ -90,10 +90,12 @@
 //! are `{"rounds_done", "truncated", "reason"?, "archive_len",
 //! "front":[Evaluated…], "checkpoint"?}` (no raw evaluation counter —
 //! shared-cache traffic is scheduling-dependent, and every response
-//! field must be byte-reproducible); stats results
-//! expose the per-stage cache counters (`hits`/`misses`/
-//! `unique_misses` per stage, pipeline order) for multi-tenant
-//! cache-pressure visibility.
+//! field must be byte-reproducible); stats results are
+//! `{"stages":[{"stage", "hits", "misses", "unique_misses"}…],
+//! "engines", "queued"}`: the per-stage cache counters in pipeline
+//! order, for multi-tenant cache-pressure visibility, plus the number
+//! of design engines memoized (at most [`server::ENGINE_CAP`]) and of
+//! requests waiting in the queue.
 //!
 //! Error codes: `bad_request` (malformed JSON or fields),
 //! `unknown_benchmark`, `bad_qasm`, `overloaded` (admission control —

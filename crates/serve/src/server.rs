@@ -1,7 +1,6 @@
 //! The daemon: accept loop, bounded request queue, worker pool, and
 //! the shared warm stage graph every request evaluates through.
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -10,10 +9,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use qpd_core::StagePlan;
+use qpd_core::{StageCache, StagePlan};
+use qpd_explore::cache::Fnv64;
 use qpd_explore::{
-    circuit_key, merge_checkpoints, sidecar, write_atomic, CandidateSpec, Checkpoint,
-    ExploreConfig, ExploreSpace, ExploreState, Explorer, Json, StageCaches, DEFAULT_MEMO_CAP,
+    merge_checkpoints, sidecar, write_atomic, CandidateSpec, Checkpoint, ExploreConfig,
+    ExploreSpace, ExploreState, Explorer, Json, StageCaches, DEFAULT_MEMO_CAP,
 };
 
 use crate::protocol::{
@@ -65,6 +65,22 @@ impl Default for ServerConfig {
 /// (`EXPLORE_serve_caches.json`) on graceful shutdown.
 pub const SIDECAR_LABEL: &str = "serve";
 
+/// Entry bound of the daemon's design-engine memo (second-chance
+/// eviction, like every stage cache). An evicted engine is rebuilt on
+/// its next request, never changed.
+pub const ENGINE_CAP: usize = 256;
+
+/// A memoized design engine, next to the request content it was built
+/// from.
+struct MemoEngine {
+    source: Source,
+    settings: EngineSettings,
+    engine: Explorer,
+}
+
+/// The engine memo: one table entry per distinct request content.
+type EngineMemo = StageCache<Arc<MemoEngine>>;
+
 /// One queued unit of work.
 struct Job {
     id: String,
@@ -81,10 +97,12 @@ struct Shared {
     plan: Arc<StagePlan>,
     /// The downstream routing/yield caches.
     caches: Arc<StageCaches>,
-    /// Engines reused across `design` requests, keyed by circuit +
-    /// engine settings. Engines are pure given their key, so reuse
-    /// changes construction cost only, never results.
-    engines: Mutex<HashMap<u64, Arc<Explorer>>>,
+    /// Engines reused across `design` requests, keyed by request
+    /// content (source text + engine settings) and bounded by
+    /// [`ENGINE_CAP`]. Engines are pure given their source and
+    /// settings, so reuse and eviction change construction cost only,
+    /// never results.
+    engines: EngineMemo,
     queue: Mutex<Vec<Job>>,
     available: Condvar,
     shutdown: AtomicBool,
@@ -115,7 +133,7 @@ impl Server {
             addr,
             plan: Arc::new(StagePlan::with_cap(memo_cap)),
             caches: Arc::new(StageCaches::with_cap(memo_cap)),
-            engines: Mutex::new(HashMap::new()),
+            engines: StageCache::with_cap(Some(ENGINE_CAP)),
             queue: Mutex::new(Vec::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -406,7 +424,7 @@ fn stats_result(shared: &Shared) -> Json {
                     .collect(),
             ),
         ),
-        ("engines", Json::int(shared.engines.lock().expect("engines").len() as u64)),
+        ("engines", Json::int(shared.engines.len() as u64)),
         ("queued", Json::int(shared.queue.lock().expect("queue").len() as u64)),
     ])
 }
@@ -421,11 +439,20 @@ fn build_circuit(id: &str, source: &Source) -> Result<qpd_circuit::Circuit, Stri
     }
 }
 
-/// An engine-identity key: every input that changes what a one-shot
-/// evaluation computes (circuit content + engine settings).
-fn engine_key(circuit: &qpd_circuit::Circuit, s: EngineSettings) -> u64 {
-    let mut h = qpd_explore::cache::Fnv64::new();
-    h.push(circuit_key(circuit));
+/// The engine-memo key: every input that changes what a one-shot
+/// evaluation computes, read straight off the request (source kind and
+/// text, engine settings), so a warm lookup never builds the circuit.
+fn request_key(source: &Source, s: EngineSettings) -> u64 {
+    let (kind, text) = match source {
+        Source::Benchmark(name) => (0, name),
+        Source::Qasm(text) => (1, text),
+    };
+    let mut h = Fnv64::new();
+    h.push(kind);
+    h.push(text.len() as u64);
+    for &byte in text.as_bytes() {
+        h.push_byte(byte);
+    }
     h.push(s.alloc_trials as u64);
     h.push(s.yield_trials);
     h.push(s.sigma_ghz.to_bits());
@@ -434,30 +461,48 @@ fn engine_key(circuit: &qpd_circuit::Circuit, s: EngineSettings) -> u64 {
     h.finish()
 }
 
+/// The memoized engine under `key`, if it was built for exactly this
+/// source and these settings: a 64-bit key collision is a miss, never
+/// another program's engine. Sigma compares by bits, as the key hashes
+/// it (`0.0 == -0.0` as floats).
+fn memo_hit(
+    memo: &EngineMemo,
+    key: u64,
+    source: &Source,
+    settings: EngineSettings,
+) -> Option<Arc<MemoEngine>> {
+    memo.get(key).filter(|m| {
+        m.source == *source
+            && m.settings == settings
+            && m.settings.sigma_ghz.to_bits() == settings.sigma_ghz.to_bits()
+    })
+}
+
 /// An engine sharing the server-wide stage graph, reused across design
-/// requests with the same circuit and settings.
+/// requests with the same source and settings, or the error line to
+/// send instead. Failed builds are never memoized.
 fn design_engine(
     shared: &Shared,
-    circuit: qpd_circuit::Circuit,
+    id: &str,
+    source: &Source,
     settings: EngineSettings,
-) -> Result<Arc<Explorer>, qpd_explore::ExploreError> {
-    let key = engine_key(&circuit, settings);
-    if let Some(engine) = shared.engines.lock().expect("engines").get(&key) {
-        return Ok(Arc::clone(engine));
+) -> Result<Arc<MemoEngine>, String> {
+    let key = request_key(source, settings);
+    if let Some(hit) = memo_hit(&shared.engines, key, source, settings) {
+        return Ok(hit);
     }
-    // Built outside the lock (construction routes a baseline); if two
-    // workers race, both build identical engines and the first insert
-    // wins, so every request still observes one value per key.
+    // Built outside the memo's lock (construction routes a baseline);
+    // if two workers race, both build identical engines and the first
+    // insert is kept.
+    let circuit = build_circuit(id, source)?;
     let config = settings.to_config();
     let space = ExploreSpace::new(circuit, config.max_aux);
-    let engine = Arc::new(Explorer::with_shared(
-        space,
-        config,
-        Arc::clone(&shared.plan),
-        Arc::clone(&shared.caches),
-    )?);
-    let mut engines = shared.engines.lock().expect("engines");
-    Ok(Arc::clone(engines.entry(key).or_insert(engine)))
+    let engine =
+        Explorer::with_shared(space, config, Arc::clone(&shared.plan), Arc::clone(&shared.caches))
+            .map_err(|e| err_line(Some(id), "internal", &e.to_string()))?;
+    let memo = Arc::new(MemoEngine { source: source.clone(), settings, engine });
+    shared.engines.insert(key, Arc::clone(&memo));
+    Ok(memo)
 }
 
 fn handle_design(
@@ -468,14 +513,11 @@ fn handle_design(
     settings: EngineSettings,
     _out: &Arc<Mutex<TcpStream>>,
 ) -> String {
-    let circuit = match build_circuit(id, source) {
-        Ok(c) => c,
+    let memo = match design_engine(shared, id, source, settings) {
+        Ok(memo) => memo,
         Err(line) => return line,
     };
-    let engine = match design_engine(shared, circuit, settings) {
-        Ok(e) => e,
-        Err(e) => return err_line(Some(id), "internal", &e.to_string()),
-    };
+    let engine = &memo.engine;
     let spec = match spec {
         None => CandidateSpec::eff_full(engine.space().full_weighted_len()),
         Some(json) => match CandidateSpec::from_json(json) {
@@ -579,4 +621,53 @@ fn handle_explore(
         result.push(("checkpoint", Json::str(path.display().to_string())));
     }
     ok_line(id, Json::obj(result))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A memo entry claiming to serve `source` under `settings`; the
+    /// engine itself is a tiny stand-in, since lookups never read it.
+    fn entry(source: Source, settings: EngineSettings) -> Arc<MemoEngine> {
+        let mut circuit = qpd_circuit::Circuit::new(3);
+        circuit.cx(0, 1).cx(1, 2);
+        let config = settings.to_config();
+        let engine = Explorer::new(ExploreSpace::new(circuit, config.max_aux), config).unwrap();
+        Arc::new(MemoEngine { source, settings, engine })
+    }
+
+    #[test]
+    fn an_entry_for_other_content_under_the_requests_key_is_a_miss() {
+        let settings =
+            EngineSettings { alloc_trials: 20, yield_trials: 100, ..EngineSettings::default() };
+        let source = Source::Benchmark("cm152a_212".into());
+        let key = request_key(&source, settings);
+        let impostors = [
+            entry(Source::Qasm("cm152a_212".into()), settings),
+            entry(Source::Benchmark("radd_250".into()), settings),
+            entry(source.clone(), EngineSettings { seed: settings.seed + 1, ..settings }),
+            entry(source.clone(), EngineSettings { sigma_ghz: 0.04, ..settings }),
+        ];
+        for impostor in impostors {
+            let memo = EngineMemo::with_cap(Some(ENGINE_CAP));
+            memo.insert(key, impostor);
+            assert!(memo_hit(&memo, key, &source, settings).is_none());
+        }
+        let memo = EngineMemo::with_cap(Some(ENGINE_CAP));
+        memo.insert(key, entry(source.clone(), settings));
+        assert!(memo_hit(&memo, key, &source, settings).is_some());
+    }
+
+    #[test]
+    fn request_keys_separate_source_kind_text_and_settings() {
+        let s = EngineSettings::default();
+        let bench = Source::Benchmark("qft_16".into());
+        let key = request_key(&bench, s);
+        assert_eq!(key, request_key(&bench.clone(), s));
+        assert_ne!(key, request_key(&Source::Qasm("qft_16".into()), s));
+        assert_ne!(key, request_key(&Source::Benchmark("qft_17".into()), s));
+        assert_ne!(key, request_key(&bench, EngineSettings { max_aux: s.max_aux + 1, ..s }));
+        assert_ne!(key, request_key(&bench, EngineSettings { sigma_ghz: -s.sigma_ghz, ..s }));
+    }
 }

@@ -3,6 +3,8 @@
 //! clients, after a restart that warm-started from the cache sidecar,
 //! and for every evaluation thread count — and a `design` response is
 //! byte-identical to a direct in-process engine with no daemon at all.
+//! The engine memo is bounded, and neither eviction nor a failed build
+//! changes what any request observes.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -10,6 +12,7 @@ use std::thread::JoinHandle;
 
 use qpd_explore::{sidecar, CandidateSpec, Checkpoint, ExploreSpace, Explorer, Json};
 use qpd_serve::protocol::{self, Request};
+use qpd_serve::server::ENGINE_CAP;
 use qpd_serve::{Client, Exchange, Server, ServerConfig};
 
 const DESIGN: &str = r#"{"id":"d1","op":"design","benchmark":"cm152a_212"}"#;
@@ -301,5 +304,58 @@ fn merge_op_adopts_shards_into_the_whole_run_checkpoint() {
         doc.get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
         Some("bad_request")
     );
+    shut_down(addr, handle);
+}
+
+fn stats_engines(client: &mut Client) -> u64 {
+    let stats = client.request_raw(r#"{"id":"s","op":"stats"}"#).unwrap();
+    let doc = Json::parse(&stats.response).unwrap();
+    doc.get("result").and_then(|r| r.get("engines")).and_then(Json::as_u64).expect("engines")
+}
+
+/// A design line for a small inline QASM program at small settings
+/// and the given seed.
+fn reseeded(seed: usize) -> String {
+    format!(
+        r#"{{"id":"r{seed}","op":"design","qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\ncx q[0],q[1];\ncx q[1],q[2];\ncx q[2],q[3];\ncx q[3],q[0];\n","settings":{{"alloc_trials":20,"yield_trials":100,"seed":{seed},"max_aux":0}}}}"#
+    )
+}
+
+#[test]
+fn engine_memo_stays_bounded_and_eviction_never_changes_bytes() {
+    let dir = tmp_dir("det_engine_cap");
+    let (addr, handle) = start(&dir, None, None, 8);
+    let mut client = Client::connect(addr).unwrap();
+    let first = client.request_raw(&reseeded(0)).unwrap();
+    assert!(first.response.contains(r#""ok":true"#), "{}", first.response);
+    for seed in 1..ENGINE_CAP + 8 {
+        client.request_raw(&reseeded(seed)).unwrap();
+    }
+    assert_eq!(stats_engines(&mut client), ENGINE_CAP as u64, "engine memo outgrew its bound");
+    // No line repeated, so no entry was ever hit: the clock evicted in
+    // insertion order, and the first line's engine is rebuilt here.
+    assert_eq!(client.request_raw(&reseeded(0)).unwrap(), first, "rebuilt engine changed bytes");
+    assert_eq!(stats_engines(&mut client), ENGINE_CAP as u64);
+    shut_down(addr, handle);
+}
+
+#[test]
+fn failed_builds_answer_identically_and_are_never_memoized() {
+    let dir = tmp_dir("det_failed_builds");
+    let (addr, handle) = start(&dir, None, None, 8);
+    let mut client = Client::connect(addr).unwrap();
+    client.request_raw(&reseeded(0)).unwrap();
+    assert_eq!(stats_engines(&mut client), 1);
+    for line in [
+        r#"{"id":"u","op":"design","benchmark":"no_such_bench"}"#,
+        r#"{"id":"q","op":"design","qasm":"OPENQASM 9.9;"}"#,
+    ] {
+        let once = client.request_raw(line).unwrap();
+        let twice = client.request_raw(line).unwrap();
+        assert_eq!(once, twice, "{line}");
+        let doc = Json::parse(&once.response).unwrap();
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false), "{line}");
+    }
+    assert_eq!(stats_engines(&mut client), 1, "a failed build was memoized");
     shut_down(addr, handle);
 }

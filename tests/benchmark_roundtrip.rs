@@ -79,6 +79,33 @@ fn benchmark_profiles_are_stable_fingerprints() {
 }
 
 #[test]
+fn circuit_keys_are_stable_across_builds() {
+    // Golden program keys. Route-cache keys fold `circuit_key` in and
+    // cache sidecars persist them, so a drifting key silently turns
+    // every saved route into a miss. Like the profile fingerprints,
+    // misex1_241's key follows the RNG backend.
+    let expected: &[(&str, u64)] = &[
+        ("adr4_197", 0x6838_c5e9_4de1_0b79),
+        ("rd84_142", 0xdb00_ac6d_b3f4_a315),
+        ("misex1_241", 0xdfbc_b300_626c_440a),
+        ("square_root_7", 0xe5eb_4759_c36f_ee0a),
+        ("radd_250", 0xc407_f121_d1a0_b537),
+        ("cm152a_212", 0xae45_bbd2_e52f_0dbc),
+        ("dc1_220", 0xbfa3_0719_8088_25c5),
+        ("z4_268", 0x8134_e990_eb80_8d87),
+        ("sym6_145", 0x09de_2e23_d1e1_31d2),
+        ("UCCSD_ansatz_8", 0xdf61_05fe_d640_0ee2),
+        ("ising_model_16", 0x34a5_c81c_678c_e3ca),
+        ("qft_16", 0x31f8_be4b_ebe2_822e),
+    ];
+    assert_eq!(expected.len(), qpd::benchmarks::ALL.len());
+    for &(name, key) in expected {
+        let circuit = qpd::benchmarks::build(name).unwrap();
+        assert_eq!(qpd::explore::circuit_key(&circuit), key, "{name} circuit key drifted");
+    }
+}
+
+#[test]
 fn experiment_pipeline_is_deterministic() {
     let settings = EvalSettings::quick();
     let a = run_benchmark("sym6_145", &settings).unwrap();
