@@ -23,10 +23,11 @@
 //! Internally the pipeline is an explicit **stage graph** ([`stage`]):
 //! each subroutine is a [`stage::Stage`] with a content key derived from
 //! its true inputs, served through a bounded per-stage cache
-//! ([`stage::StageCache`], `QPD_MEMO_CAP`) owned by a
-//! [`stage::StagePlan`]. [`DesignFlow`] is a thin facade over the plan —
-//! caching is bit-transparent, and a knob change recomputes only the
-//! stages it dirties ([`stage::StageKind::invalidates`]).
+//! ([`stage::StageCache`], bounded by [`memo_cap`], batches served by
+//! [`stage::StageCache::run_batch`]) owned by a [`stage::StagePlan`].
+//! [`DesignFlow`] is a thin facade over the plan — caching is
+//! bit-transparent, and a knob change recomputes only the stages it
+//! dirties ([`stage::StageKind::invalidates`]).
 //!
 //! ```
 //! use qpd_circuit::Circuit;
@@ -64,9 +65,9 @@ pub use pareto::{
     crowding_distances, dominates_nd, epsilon_cell, epsilon_dominates_nd,
     epsilon_weakly_dominates_nd, pareto_front, pareto_front_nd,
 };
-pub use pipeline::{BusStrategy, DesignFlow, FrequencyStrategy, LayoutJob};
+pub use pipeline::{BusStrategy, DesignFlow, FrequencyStrategy};
 pub use placement::{place_auxiliary, place_qubits};
 pub use stage::{
-    profile_key, AssembleJob, AssembleStage, BusOrderStage, PlacementStage, Stage, StageCache,
-    StageCacheStats, StageKind, StagePlan, StageSet, MEMO_CAP_ENV,
+    memo_cap, profile_key, AssembleJob, AssembleStage, BusOrderStage, PlacementStage, Stage,
+    StageCache, StageCacheStats, StageKind, StagePlan, StageSet, DEFAULT_MEMO_CAP, MEMO_CAP_ENV,
 };

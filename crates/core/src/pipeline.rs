@@ -5,6 +5,8 @@
 //! frequency allocation + assembly) is a [`crate::stage::Stage`] served
 //! through a per-stage content-keyed cache, so repeated calls — and
 //! calls differing only in downstream knobs — skip the upstream work.
+//! Assembly is batch-first: a single design is a batch of one
+//! [`StagePlan::assemble_batch`], a series is one batch.
 //! Caching is bit-transparent: every stage is a pure function of its
 //! content key, and the workspace equivalence tests compare the facade
 //! against a monolithic oracle built from the public subroutines.
@@ -39,22 +41,6 @@ pub enum BusStrategy {
         /// Seed for the random square choice.
         seed: u64,
     },
-}
-
-/// One layout of a batched back-half submission
-/// ([`DesignFlow::design_with_layout_batch`]): an explicit layout plus
-/// the per-candidate knobs (frequency strategy, hardware family) that
-/// override the base flow's for this job.
-#[derive(Debug, Clone, Copy)]
-pub struct LayoutJob<'a> {
-    /// Qubit coordinates.
-    pub coords: &'a [qpd_topology::Coord],
-    /// Four-qubit bus squares.
-    pub squares: &'a [Square],
-    /// Frequency strategy for this job.
-    pub frequency: FrequencyStrategy,
-    /// Hardware family for this job.
-    pub hardware: HardwareFamily,
 }
 
 /// The composed design flow: profile in, architecture (series) out.
@@ -109,15 +95,6 @@ impl DesignFlow {
     /// for cache statistics and for explicit cache management.
     pub fn plan(&self) -> &StagePlan {
         &self.plan
-    }
-
-    /// Replaces the stage plan with a fresh one whose caches hold at
-    /// most `cap` entries each (`None` = unbounded). Detaches this flow
-    /// from any plan shared with earlier clones; caching stays
-    /// bit-transparent at every cap because stages are pure.
-    pub fn with_memo_cap(mut self, cap: Option<usize>) -> Self {
-        self.plan = Arc::new(StagePlan::with_cap(cap));
-        self
     }
 
     /// Attaches this flow to an existing (shared) stage plan: every
@@ -272,8 +249,10 @@ impl DesignFlow {
     ) -> Result<Architecture, DesignError> {
         let coords = self.place(profile)?;
         let order = self.bus_order(profile)?;
-        let k = num_buses.min(order.len());
-        self.assemble(&coords, &order[..k])
+        let stage = self.assemble_stage();
+        let squares = &order[..num_buses.min(order.len())];
+        let job = AssembleJob { stage: &stage, coords: &coords, squares };
+        Ok(self.plan.assemble_batch(&[job])?.remove(0))
     }
 
     /// Runs the flow once per bus count `0..=max`, returning the paper's
@@ -298,71 +277,6 @@ impl DesignFlow {
         self.plan.assemble_batch(&jobs)
     }
 
-    /// Runs the back half of the flow on an **explicit layout**: the
-    /// given qubit coordinates and 4-qubit-bus squares, with this flow's
-    /// frequency strategy and allocation knobs. This is the entry point
-    /// the design-space explorer (`qpd-explore`) uses to evaluate
-    /// perturbed bus sets and placement variants that no strategy of
-    /// [`Self::bus_order`] generates.
-    ///
-    /// The placement and bus-selection knobs of this flow are ignored;
-    /// square validity (three placed corners, prohibited condition) is
-    /// still enforced by the architecture builder.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DesignError::EmptyProgram`] for empty `coords` and
-    /// propagates builder errors for invalid squares.
-    pub fn design_with_layout(
-        &self,
-        coords: &[qpd_topology::Coord],
-        squares: &[Square],
-    ) -> Result<Architecture, DesignError> {
-        if coords.is_empty() {
-            return Err(DesignError::EmptyProgram);
-        }
-        self.assemble(coords, squares)
-    }
-
-    /// [`Self::design_with_layout`] for a whole batch of layouts at
-    /// once, submitted through [`StagePlan::assemble_batch`] so every
-    /// stage-cache miss in the batch runs in one seed-major allocation
-    /// batch over shared noise planes.
-    ///
-    /// Each job may override the flow's frequency strategy and hardware
-    /// family — the two knobs the explorer varies per candidate — while
-    /// inheriting every other allocation knob from this flow. Results
-    /// are bit-identical to per-job [`Self::design_with_layout`] calls
-    /// on correspondingly configured flow clones.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DesignError::EmptyProgram`] if any job has no qubits
-    /// and propagates builder errors for invalid squares.
-    pub fn design_with_layout_batch(
-        &self,
-        jobs: &[LayoutJob<'_>],
-    ) -> Result<Vec<Architecture>, DesignError> {
-        if jobs.iter().any(|j| j.coords.is_empty()) {
-            return Err(DesignError::EmptyProgram);
-        }
-        let stages: Vec<AssembleStage> = jobs
-            .iter()
-            .map(|j| {
-                let mut stage = self.assemble_stage();
-                stage.frequency = j.frequency;
-                stage.hardware = j.hardware;
-                stage
-            })
-            .collect();
-        let batch: Vec<AssembleJob<'_>> = stages
-            .iter()
-            .zip(jobs)
-            .map(|(stage, j)| AssembleJob { stage, coords: j.coords, squares: j.squares })
-            .collect();
-        self.plan.assemble_batch(&batch)
-    }
-
     /// The qubit placement only (exposed for the `eff-layout-only`
     /// configuration and diagnostics).
     ///
@@ -373,7 +287,7 @@ impl DesignFlow {
         &self,
         profile: &CouplingProfile,
     ) -> Result<Vec<qpd_topology::Coord>, DesignError> {
-        self.plan.place(&self.placement_stage(), profile)
+        self.plan.placement_cache().run_stage(&self.placement_stage(), &profile)
     }
 
     /// The bus selection order for this flow's strategy: prefixes of the
@@ -384,7 +298,7 @@ impl DesignFlow {
     /// Returns [`DesignError::EmptyProgram`] for a 0-qubit profile.
     pub fn bus_order(&self, profile: &CouplingProfile) -> Result<Vec<Square>, DesignError> {
         let coords = self.place(profile)?;
-        self.plan.bus_order(&self.bus_stage(), &coords, profile)
+        self.plan.bus_cache().run_stage(&self.bus_stage(), &(&coords[..], profile))
     }
 
     /// The placement stage this flow's knobs configure.
@@ -398,8 +312,9 @@ impl DesignFlow {
     }
 
     /// The frequency/assembly stage this flow's knobs configure — what
-    /// callers batching several flows' assembles into one
-    /// [`StagePlan::assemble_batch`] put in their [`AssembleJob`]s.
+    /// callers assembling explicit layouts, or batching several flows'
+    /// assembles into one [`StagePlan::assemble_batch`], put in their
+    /// [`AssembleJob`]s.
     pub fn assemble_stage(&self) -> AssembleStage {
         AssembleStage {
             frequency: self.frequency,
@@ -410,14 +325,6 @@ impl DesignFlow {
             name_prefix: self.name_prefix.clone(),
             hardware: self.hardware,
         }
-    }
-
-    fn assemble(
-        &self,
-        coords: &[qpd_topology::Coord],
-        squares: &[Square],
-    ) -> Result<Architecture, DesignError> {
-        self.plan.assemble(&self.assemble_stage(), coords, squares)
     }
 }
 
@@ -546,21 +453,17 @@ mod tests {
 
     #[test]
     fn explicit_layout_design_matches_flow() {
-        // Feeding the flow's own placement and bus order back through the
-        // explicit-layout entry point reproduces `design` exactly.
+        // Feeding the flow's own placement and bus order back through an
+        // explicit-layout batch of one reproduces `design` exactly.
         let profile = grid_profile();
         let flow = fast_flow();
         let coords = flow.place(&profile).unwrap();
         let order = flow.bus_order(&profile).unwrap();
-        let via_layout = flow.design_with_layout(&coords, &order).unwrap();
+        let stage = flow.assemble_stage();
+        let job = AssembleJob { stage: &stage, coords: &coords, squares: &order };
+        let via_layout = StagePlan::new().assemble_batch(&[job]).unwrap();
         let via_flow = flow.design(&profile).unwrap();
-        assert_eq!(via_layout, via_flow);
-    }
-
-    #[test]
-    fn empty_layout_errors() {
-        let err = fast_flow().design_with_layout(&[], &[]).unwrap_err();
-        assert_eq!(err, DesignError::EmptyProgram);
+        assert_eq!(via_layout, [via_flow]);
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! - [`StageCache`] — a bounded, content-keyed memo table shared across
 //!   threads: whichever caller computes a key first, the value is the one
 //!   every other caller would have produced, so cross-thread sharing can
-//!   never break determinism. `QPD_MEMO_CAP` bounds the table with a
+//!   never break determinism. [`memo_cap`] bounds the table with a
 //!   deterministic second-chance (clock) eviction, so very long runs
-//!   cannot grow memory without bound;
+//!   cannot grow memory without bound. Every cached stage goes through
+//!   one batch rule, [`StageCache::run_batch`]; a singleton is a batch
+//!   of one;
 //! - [`StageKind`] / [`StageSet`] — the stage dependency graph and its
 //!   dirty-propagation rule: a knob change dirties one stage, and
 //!   [`StageKind::invalidates`] names everything downstream of it.
@@ -205,13 +207,26 @@ impl std::fmt::Display for StageSet {
     }
 }
 
-/// The environment variable bounding every [`StageCache`]: unset, empty,
-/// or `0` means unbounded; any positive integer caps the number of
-/// entries per cache, evicted second-chance.
+/// The environment variable bounding every [`StageCache`]; see
+/// [`memo_cap`].
 pub const MEMO_CAP_ENV: &str = "QPD_MEMO_CAP";
 
-fn env_cap() -> Option<usize> {
-    std::env::var(MEMO_CAP_ENV).ok().and_then(|v| v.parse::<usize>().ok()).filter(|&cap| cap > 0)
+/// Entries per stage cache when `QPD_MEMO_CAP` is unset: the assembly
+/// cache holds whole [`Architecture`]s, and 4096 keeps CI- and
+/// paper-scale runs fully warm.
+pub const DEFAULT_MEMO_CAP: usize = 4096;
+
+/// The bound every [`StageCache::new`] applies: `QPD_MEMO_CAP` when set
+/// to a positive integer, unbounded (`None`) for `0`, and
+/// [`DEFAULT_MEMO_CAP`] otherwise — unparsable included, so a typo can
+/// never disable the bound. The bound trades recomputation for memory
+/// only; caching never changes outputs.
+pub fn memo_cap() -> Option<usize> {
+    match std::env::var(MEMO_CAP_ENV).map(|v| v.parse::<usize>()) {
+        Ok(Ok(0)) => None,
+        Ok(Ok(cap)) => Some(cap),
+        _ => Some(DEFAULT_MEMO_CAP),
+    }
 }
 
 #[derive(Debug)]
@@ -245,12 +260,12 @@ struct CacheInner<V> {
 ///
 /// # Bounding
 ///
-/// [`StageCache::new`] reads [`MEMO_CAP_ENV`] (`QPD_MEMO_CAP`) once at
-/// construction; [`StageCache::with_cap`] overrides it. When the table
-/// is full, insertion runs the **second-chance (clock) rule**: keys are
-/// visited in insertion order, a key that was hit since its last visit
-/// is spared (its reference bit cleared, the key rotated to the back),
-/// and the first unreferenced key is evicted. The rule depends only on
+/// [`StageCache::new`] reads [`memo_cap`] once at construction;
+/// [`StageCache::with_cap`] overrides it. When the table is full,
+/// insertion runs the **second-chance (clock) rule**: keys are visited
+/// in insertion order, a key that was hit since its last visit is
+/// spared (its reference bit cleared, the key rotated to the back), and
+/// the first unreferenced key is evicted. The rule depends only on
 /// the sequence of inserts and hits, never on hash iteration order, so
 /// eviction is deterministic for a deterministic call sequence — and
 /// because values are pure, even a thread-racy call sequence can only
@@ -271,9 +286,9 @@ impl<V: Clone> Default for StageCache<V> {
 }
 
 impl<V: Clone> StageCache<V> {
-    /// An empty cache, bounded by `QPD_MEMO_CAP` when that is set.
+    /// An empty cache, bounded by [`memo_cap`].
     pub fn new() -> Self {
-        Self::with_cap(env_cap())
+        Self::with_cap(memo_cap())
     }
 
     /// An empty cache with an explicit bound (`None` = unbounded).
@@ -340,36 +355,66 @@ impl<V: Clone> StageCache<V> {
         inner.table.insert(key, CacheEntry { value, referenced: false });
     }
 
-    /// The value for `key`, computing and inserting it on first demand.
-    /// `compute` runs outside the lock: stage bodies are expensive and
-    /// may fan out onto the shared worker pool.
-    pub fn get_or_insert_with(&self, key: u64, compute: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.get(key) {
-            return v;
+    /// Serves a batch of content keys through the cache — the one batch
+    /// rule of every cached stage. Keys are probed in order, each found
+    /// key counting a hit; if all hit, `compute` is never called.
+    /// Otherwise `compute` gets the index of the first occurrence of each
+    /// distinct missed key, in order, and returns one value per index;
+    /// every missed occurrence is then inserted and counts a miss. Values
+    /// return in key order from the probe or from `compute`, never
+    /// re-read from the table, so eviction inside the batch cannot change
+    /// a result. `compute` runs outside the lock: stage bodies may fan
+    /// out onto the worker pool.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `compute`'s error; nothing is inserted then.
+    pub fn run_batch<E>(
+        &self,
+        keys: &[u64],
+        compute: impl FnOnce(&[usize]) -> Result<Vec<V>, E>,
+    ) -> Result<Vec<V>, E> {
+        let probed: Vec<Option<V>> = keys.iter().map(|&key| self.get(key)).collect();
+        if probed.iter().all(Option::is_some) {
+            return Ok(probed.into_iter().flatten().collect());
         }
-        let v = compute();
-        self.insert(key, v.clone());
-        v
+        // Key → slot in `firsts`: linear in the batch size, which an
+        // `explore` request controls.
+        let mut slot_of: HashMap<u64, usize> = HashMap::new();
+        let mut firsts: Vec<usize> = Vec::new();
+        for (i, (&key, found)) in keys.iter().zip(&probed).enumerate() {
+            if found.is_none() {
+                slot_of.entry(key).or_insert_with(|| {
+                    firsts.push(i);
+                    firsts.len() - 1
+                });
+            }
+        }
+        let computed = compute(&firsts)?;
+        assert_eq!(computed.len(), firsts.len(), "one computed value per missed key");
+        let out = probed.into_iter().zip(keys).map(|(found, &key)| {
+            found.unwrap_or_else(|| {
+                let value = computed[slot_of[&key]].clone();
+                self.insert(key, value.clone());
+                value
+            })
+        });
+        Ok(out.collect())
     }
 
-    /// Runs `stage` on `input` through this cache: a content-key lookup,
-    /// then (on miss) the stage body. Returns the key alongside the
-    /// output so callers can chain it into downstream keys.
+    /// Runs `stage` on `input` through this cache: a batch of one
+    /// ([`StageCache::run_batch`]).
     ///
     /// # Errors
     ///
     /// Propagates the stage's error; failures are never cached.
-    pub fn run_stage<S>(&self, stage: &S, input: &S::Input<'_>) -> Result<(u64, V), S::Error>
-    where
-        S: Stage<Output = V>,
-    {
+    pub fn run_stage<S: Stage<Output = V>>(
+        &self,
+        stage: &S,
+        input: &S::Input<'_>,
+    ) -> Result<V, S::Error> {
         let key = stage.content_key(input);
-        if let Some(v) = self.get(key) {
-            return Ok((key, v));
-        }
-        let v = stage.run(input)?;
-        self.insert(key, v.clone());
-        Ok((key, v))
+        Ok(self.run_batch(&[key], |_| stage.run(input).map(|v| vec![v]))?.remove(0))
     }
 
     /// Number of lookups served from the table.
@@ -379,10 +424,11 @@ impl<V: Clone> StageCache<V> {
 
     /// Number of lookups that had to compute.
     ///
-    /// Scheduling-dependent: two threads racing on one key can both
-    /// miss (each computes, each inserts, first wins), so this counter
-    /// may differ run-to-run under a parallel workload. For a
-    /// thread-stable figure use [`StageCache::unique_misses`].
+    /// Scheduling-dependent only across concurrent callers, such as the
+    /// daemon's workers, never within one [`StageCache::run_batch`]: two
+    /// callers racing on one key can both miss (each computes, each
+    /// inserts, first wins). For a thread-stable figure use
+    /// [`StageCache::unique_misses`].
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -742,7 +788,7 @@ pub struct StagePlan {
 }
 
 impl StagePlan {
-    /// An empty plan (caches bounded by `QPD_MEMO_CAP` when set).
+    /// An empty plan (caches bounded by [`memo_cap`]).
     pub fn new() -> Self {
         StagePlan::default()
     }
@@ -757,59 +803,14 @@ impl StagePlan {
         }
     }
 
-    /// Runs the placement stage through its cache.
+    /// Runs a batch of frequency/assembly jobs through the cache
+    /// ([`StageCache::run_batch`]): every distinct missed key is
+    /// assembled once, and all optimized misses go through **one**
+    /// seed-major [`FrequencyAllocator::allocate_batch`] call against the
+    /// plan's noise-plane cache. A singleton is a batch of one.
     ///
-    /// # Errors
-    ///
-    /// [`DesignError::EmptyProgram`] for a 0-qubit profile.
-    pub fn place(
-        &self,
-        stage: &PlacementStage,
-        profile: &CouplingProfile,
-    ) -> Result<Vec<Coord>, DesignError> {
-        self.placement.run_stage(stage, &profile).map(|(_, v)| v)
-    }
-
-    /// Runs the bus-selection stage through its cache.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible in practice; typed for uniformity.
-    pub fn bus_order(
-        &self,
-        stage: &BusOrderStage,
-        coords: &[Coord],
-        profile: &CouplingProfile,
-    ) -> Result<Vec<Square>, DesignError> {
-        self.bus.run_stage(stage, &(coords, profile)).map(|(_, v)| v)
-    }
-
-    /// Runs the frequency/assembly stage through its cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates architecture-builder errors (invalid squares).
-    pub fn assemble(
-        &self,
-        stage: &AssembleStage,
-        coords: &[Coord],
-        squares: &[Square],
-    ) -> Result<Architecture, DesignError> {
-        let mut out = self.assemble_batch(&[AssembleJob { stage, coords, squares }])?;
-        Ok(out.pop().expect("one job in, one architecture out"))
-    }
-
-    /// Runs a whole batch of frequency/assembly jobs through the cache.
-    /// Every distinct missed key is assembled once, and all optimized
-    /// misses go through **one** seed-major
-    /// [`FrequencyAllocator::allocate_batch`] call against the plan's
-    /// noise-plane cache.
-    ///
-    /// Cache accounting matches the per-job path: every job counts one
-    /// hit or one miss, and `unique_misses` grows once per distinct
-    /// key. Each returned architecture is bit-identical to
-    /// [`StagePlan::assemble`] on that job alone; only *when* shared
-    /// work happens changes.
+    /// Each returned architecture is bit-identical to a batch of one of
+    /// that job on a fresh plan; only *when* shared work happens changes.
     ///
     /// # Errors
     ///
@@ -819,76 +820,53 @@ impl StagePlan {
         &self,
         jobs: &[AssembleJob<'_>],
     ) -> Result<Vec<Architecture>, DesignError> {
-        // Pass 1 — probe the cache in submission order (hit accounting
-        // identical to per-job calls).
         let keys: Vec<u64> =
             jobs.iter().map(|j| j.stage.content_key(&(j.coords, j.squares))).collect();
-        let mut out: Vec<Option<Architecture>> =
-            keys.iter().map(|&k| self.assemble.get(k)).collect();
-        if out.iter().all(Option::is_some) {
-            return Ok(out.into_iter().flatten().collect());
-        }
-
-        // Pass 2 — build each distinct missed key's chip once, in
-        // first-occurrence order, then allocate every optimized one in
-        // one batch. The scratch is swapped out of its slot (not locked
-        // across the allocation) so concurrent batches never serialize;
-        // see the field docs.
-        let mut missed: Vec<(u64, &AssembleJob<'_>)> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        for ((slot, &key), job) in out.iter().zip(&keys).zip(jobs) {
-            if slot.is_none() && seen.insert(key) {
-                missed.push((key, job));
-            }
-        }
-        let built: Vec<Result<Architecture, DesignError>> = missed
-            .iter()
-            .map(|(_, job)| job.stage.build_architecture(job.coords, job.squares))
-            .collect();
-        let allocators: Vec<Option<FrequencyAllocator>> = missed
-            .iter()
-            .zip(&built)
-            .map(|((_, job), arch)| {
-                (arch.is_ok() && job.stage.frequency == FrequencyStrategy::Optimized)
-                    .then(|| job.stage.allocator())
-            })
-            .collect();
-        let alloc_jobs: Vec<AllocJob<'_>> = allocators
-            .iter()
-            .zip(&built)
-            .filter_map(|(allocator, arch)| {
-                Some(AllocJob { allocator: allocator.as_ref()?, arch: arch.as_ref().ok()? })
-            })
-            .collect();
-        let mut scratch = self
-            .assemble_scratch
-            .lock()
-            .expect("assemble scratch poisoned")
-            .take()
-            .unwrap_or_default();
-        let mut plans = FrequencyAllocator::allocate_batch(&alloc_jobs, &mut scratch).into_iter();
-        *self.assemble_scratch.lock().expect("assemble scratch poisoned") = Some(scratch);
-        let mut computed: HashMap<u64, Architecture> = HashMap::new();
-        for (((key, job), arch), allocator) in missed.iter().zip(built).zip(&allocators) {
-            let arch = arch?;
-            let plan = match allocator {
-                Some(_) => plans.next().expect("one plan per allocation job"),
-                None => job.stage.pattern_plan(&arch),
-            };
-            computed.insert(*key, job.stage.attach(arch, plan)?);
-        }
-
-        // Pass 3 — fill and cache every missed occurrence (each one
-        // counts a miss, exactly as sequential per-job calls that raced
-        // would).
-        for (slot, &key) in out.iter_mut().zip(&keys) {
-            if slot.is_none() {
-                let arch = computed.get(&key).expect("computed every missed key").clone();
-                self.assemble.insert(key, arch.clone());
-                *slot = Some(arch);
-            }
-        }
-        Ok(out.into_iter().map(|a| a.expect("every job resolved")).collect())
+        self.assemble.run_batch(&keys, |missed| {
+            let missed: Vec<&AssembleJob<'_>> = missed.iter().map(|&i| &jobs[i]).collect();
+            let built: Vec<Result<Architecture, DesignError>> =
+                missed.iter().map(|j| j.stage.build_architecture(j.coords, j.squares)).collect();
+            let allocators: Vec<Option<FrequencyAllocator>> = missed
+                .iter()
+                .zip(&built)
+                .map(|(job, arch)| {
+                    (arch.is_ok() && job.stage.frequency == FrequencyStrategy::Optimized)
+                        .then(|| job.stage.allocator())
+                })
+                .collect();
+            let alloc_jobs: Vec<AllocJob<'_>> = allocators
+                .iter()
+                .zip(&built)
+                .filter_map(|(allocator, arch)| {
+                    Some(AllocJob { allocator: allocator.as_ref()?, arch: arch.as_ref().ok()? })
+                })
+                .collect();
+            // The scratch is swapped out of its slot (not locked across
+            // the allocation) so concurrent batches never serialize; see
+            // the field docs.
+            let mut scratch = self
+                .assemble_scratch
+                .lock()
+                .expect("assemble scratch poisoned")
+                .take()
+                .unwrap_or_default();
+            let mut plans =
+                FrequencyAllocator::allocate_batch(&alloc_jobs, &mut scratch).into_iter();
+            *self.assemble_scratch.lock().expect("assemble scratch poisoned") = Some(scratch);
+            missed
+                .iter()
+                .zip(built)
+                .zip(&allocators)
+                .map(|((job, arch), allocator)| {
+                    let arch = arch?;
+                    let plan = match allocator {
+                        Some(_) => plans.next().expect("one plan per allocation job"),
+                        None => job.stage.pattern_plan(&arch),
+                    };
+                    job.stage.attach(arch, plan)
+                })
+                .collect()
+        })
     }
 
     /// The placement-stage cache.
@@ -949,21 +927,70 @@ mod tests {
         )
     }
 
+    /// `run_batch` computing `10 * key` for each handed index, logging
+    /// the index lists `compute` receives.
+    fn batch(cache: &StageCache<u64>, keys: &[u64], calls: &mut Vec<Vec<usize>>) -> Vec<u64> {
+        let out: Result<_, ()> = cache.run_batch(keys, |missed| {
+            calls.push(missed.to_vec());
+            Ok(missed.iter().map(|&i| keys[i] * 10).collect())
+        });
+        out.unwrap()
+    }
+
     #[test]
     fn cache_computes_once_per_key() {
         let cache: StageCache<u64> = StageCache::with_cap(None);
-        let mut calls = 0;
+        let mut calls = Vec::new();
         for _ in 0..3 {
-            let v = cache.get_or_insert_with(42, || {
-                calls += 1;
-                7
-            });
-            assert_eq!(v, 7);
+            assert_eq!(batch(&cache, &[42], &mut calls), [420]);
         }
-        assert_eq!(calls, 1);
+        assert_eq!(calls.len(), 1);
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (2, 1, 1));
+    }
+
+    #[test]
+    fn run_batch_computes_a_duplicated_miss_once() {
+        let cache: StageCache<u64> = StageCache::with_cap(None);
+        let mut calls = Vec::new();
+        assert_eq!(batch(&cache, &[5, 5, 5], &mut calls), [50, 50, 50]);
+        assert_eq!(calls, [vec![0]]);
+        // Every missed occurrence counts a miss; the key is unique once.
+        assert_eq!((cache.hits(), cache.misses(), cache.unique_misses()), (0, 3, 1));
+    }
+
+    #[test]
+    fn run_batch_hands_compute_first_occurrences_in_order() {
+        let cache: StageCache<u64> = StageCache::with_cap(None);
+        cache.insert(3, 30);
+        let mut calls = Vec::new();
+        assert_eq!(batch(&cache, &[9, 3, 7, 9, 8, 7], &mut calls), [90, 30, 70, 90, 80, 70]);
+        assert_eq!(calls, [vec![0, 2, 4]]);
+    }
+
+    #[test]
+    fn all_hit_batch_never_computes() {
+        let cache: StageCache<u64> = StageCache::with_cap(None);
+        cache.insert(1, 10);
+        let out: Result<_, ()> = cache.run_batch(&[1, 1], |_| panic!("compute called"));
+        assert_eq!(out.unwrap(), [10, 10]);
         assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn failing_compute_inserts_nothing() {
+        let cache: StageCache<u64> = StageCache::with_cap(None);
+        let out: Result<Vec<u64>, &str> = cache.run_batch(&[1, 2], |_| Err("boom"));
+        assert_eq!(out, Err("boom"));
+        assert_eq!((cache.len(), cache.misses(), cache.unique_misses()), (0, 0, 0));
+    }
+
+    #[test]
+    fn eviction_inside_a_batch_never_changes_a_result() {
+        // At a bound of 1 each insert evicts the previous one: values
+        // must come from `compute`, never from re-reading the table.
+        let cache: StageCache<u64> = StageCache::with_cap(Some(1));
+        assert_eq!(batch(&cache, &[4, 5, 6], &mut Vec::new()), [40, 50, 60]);
+        assert_eq!((cache.len(), cache.evictions()), (1, 2));
     }
 
     #[test]
@@ -1020,10 +1047,11 @@ mod tests {
         // The purity contract in action: an evicted key recomputes to
         // the same value.
         let cache: StageCache<u64> = StageCache::with_cap(Some(1));
-        let f = |k: u64| k * k;
-        assert_eq!(cache.get_or_insert_with(3, || f(3)), 9);
-        assert_eq!(cache.get_or_insert_with(4, || f(4)), 16); // evicts 3
-        assert_eq!(cache.get_or_insert_with(3, || f(3)), 9); // recomputed
+        let mut calls = Vec::new();
+        assert_eq!(batch(&cache, &[3], &mut calls), [30]);
+        assert_eq!(batch(&cache, &[4], &mut calls), [40]); // evicts 3
+        assert_eq!(batch(&cache, &[3], &mut calls), [30]); // recomputed
+        assert_eq!(calls.len(), 3);
     }
 
     #[test]
@@ -1192,8 +1220,8 @@ mod tests {
         let p = profile();
         let plan = StagePlan::new();
         let place = PlacementStage { auxiliary_qubits: 0 };
-        let a = plan.place(&place, &p).unwrap();
-        let b = plan.place(&place, &p).unwrap();
+        let a = plan.placement_cache().run_stage(&place, &&p).unwrap();
+        let b = plan.placement_cache().run_stage(&place, &&p).unwrap();
         assert_eq!(a, b);
         let stats = plan.stats();
         assert_eq!(stats[0].kind, StageKind::Placement);

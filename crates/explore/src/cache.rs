@@ -3,14 +3,15 @@
 //!
 //! Since the stage-graph refactor this module no longer owns a memo
 //! implementation: the tables are [`qpd_core::StageCache`]s (bounded by
-//! `QPD_MEMO_CAP`, deterministic second-chance eviction), and the
-//! evaluation pipeline is expressed as [`qpd_core::Stage`]s:
+//! [`qpd_core::memo_cap`], deterministic second-chance eviction), and
+//! the evaluation pipeline is expressed as [`qpd_core::Stage`]s, each
+//! batch served through [`qpd_core::StageCache::run_batch`]:
 //!
 //! - placement and bus insertion (square perturbations included) are
 //!   served by [`crate::space::ExploreSpace`]'s precomputed layouts — a
 //!   perfect, always-warm cache over the small `(variant, aux)` grid;
-//! - frequency allocation + assembly run through the shared
-//!   [`qpd_core::StagePlan`] of the explorer's [`qpd_core::DesignFlow`];
+//! - frequency allocation + assembly run through the explorer's shared
+//!   [`qpd_core::StagePlan`];
 //! - [`RouteStage`] and [`YieldStage`] (this module) run through
 //!   [`StageCaches`]. **Screening is the same yield stage at a reduced
 //!   trial budget** — the trial count is part of the content key, so
@@ -174,7 +175,7 @@ pub struct StageCaches {
 }
 
 impl StageCaches {
-    /// Empty caches (bounded by `QPD_MEMO_CAP` when set).
+    /// Empty caches (bounded by [`qpd_core::memo_cap`]).
     pub fn new() -> Self {
         StageCaches::default()
     }

@@ -18,9 +18,10 @@
 //!
 //! Rounds are **step-synchronized**: at every step each walk proposes
 //! one candidate from its own RNG stream (walk order), and the whole
-//! round's worth of proposals is submitted as *one batch* —
-//! materialization and routing fan out per candidate on the `qpd-par`
-//! pool, and every yield-cache miss runs through
+//! round's worth of proposals is submitted as *one batch* — each stage
+//! cache serves it in one [`qpd_core::StageCache::run_batch`], the
+//! distinct missed topologies route on the `qpd-par` pool, and the
+//! distinct yield-cache misses run through
 //! [`qpd_yield::YieldSimulator::evaluate_batch`], which groups
 //! candidates sharing a fabrication-noise trial stream (same seed,
 //! trial budget, effective sigma, and qubit count) and generates each
@@ -74,8 +75,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use qpd_core::{
-    crowding_distances, dominates_nd, epsilon_weakly_dominates_nd, DesignError, DesignFlow,
-    FrequencyStrategy, LayoutJob, Stage, StageCacheStats,
+    crowding_distances, dominates_nd, epsilon_weakly_dominates_nd, AssembleJob, AssembleStage,
+    DesignError, DesignFlow, FrequencyStrategy, Stage, StageCacheStats, StagePlan,
 };
 use qpd_mapping::MappingError;
 use qpd_topology::Architecture;
@@ -511,36 +512,13 @@ pub fn pareto_indices(archive: &[Evaluated]) -> Vec<usize> {
     qpd_core::pareto_front_nd(&points)
 }
 
-/// Entries per stage cache when `QPD_MEMO_CAP` is unset: the explorer's
-/// frequency/assembly cache holds whole [`Architecture`]s, so an
-/// unbounded table would grow with every distinct candidate of a very
-/// long adaptive run — exactly what `archive_cap` bounds on the archive
-/// side. 4096 keeps CI- and paper-scale runs fully warm.
-pub const DEFAULT_MEMO_CAP: usize = 4096;
-
-/// The explorer's per-stage cache bound: `QPD_MEMO_CAP` when set (an
-/// explicit `0` means unbounded, matching [`qpd_core::StageCache::new`]),
-/// [`DEFAULT_MEMO_CAP`] otherwise — including when the variable is set
-/// but unparsable, so a typo can never silently disable the memory
-/// bound. Caching never changes outputs; the bound trades recomputation
-/// for memory only.
-fn explorer_memo_cap() -> Option<usize> {
-    match std::env::var(qpd_core::MEMO_CAP_ENV) {
-        Err(_) => Some(DEFAULT_MEMO_CAP),
-        Ok(v) => match v.parse::<usize>() {
-            Ok(0) => None,
-            Ok(cap) => Some(cap),
-            Err(_) => Some(DEFAULT_MEMO_CAP),
-        },
-    }
-}
-
 /// The engine: a space, a budget, and the shared per-stage caches.
 ///
 /// Evaluation runs the explicit stage cascade: placement and bus
 /// resolution from the space's precomputed layouts, frequency
-/// allocation + assembly through the flow's shared
-/// [`qpd_core::StagePlan`], routing and yield through [`StageCaches`].
+/// allocation + assembly through the shared [`StagePlan`], routing and
+/// yield through [`StageCaches`]. Each cached stage serves a whole batch
+/// of candidates through [`qpd_core::StageCache::run_batch`].
 /// Every stage is content-keyed, so a knob change recomputes only the
 /// stages it dirties ([`CandidateSpec::dirty_stages`]) — a freq-only
 /// move skips placement, bus insertion, and routing entirely.
@@ -548,10 +526,11 @@ fn explorer_memo_cap() -> Option<usize> {
 pub struct Explorer {
     space: ExploreSpace,
     config: ExploreConfig,
-    /// The base design flow (allocation knobs fixed by the config); its
-    /// stage plan is shared by every per-candidate clone, so the
-    /// frequency/assembly cache persists across evaluations.
-    flow: DesignFlow,
+    /// The upstream (placement, bus, frequency/assembly) caches.
+    plan: Arc<StagePlan>,
+    /// The assembly stage under the config's allocation knobs; each
+    /// candidate sets its frequency and hardware family on a clone.
+    assemble: AssembleStage,
     /// The downstream routing/yield tables. `Arc`-shared so a resident
     /// server can hand every request's engine the same warm caches;
     /// sharing is observation-free — stages are pure functions of their
@@ -569,20 +548,15 @@ pub struct Explorer {
 }
 
 impl Explorer {
-    /// Builds an engine, routing the zero-bus baseline once to anchor
-    /// the objective normalization.
+    /// Builds an engine over fresh stage tables (bounded by
+    /// [`qpd_core::memo_cap`]), routing the zero-bus baseline once to
+    /// anchor the objective normalization.
     ///
     /// # Errors
     ///
     /// Fails only if the baseline design cannot be built or routed.
     pub fn new(space: ExploreSpace, config: ExploreConfig) -> Result<Self, ExploreError> {
-        let cap = explorer_memo_cap();
-        let flow = DesignFlow::new()
-            .with_allocation_trials(config.alloc_trials)
-            .with_allocation_seed(config.seed)
-            .with_sigma_ghz(config.sigma_ghz)
-            .with_memo_cap(cap);
-        Self::with_flow(space, config, flow, Arc::new(StageCaches::with_cap(cap)))
+        Self::with_shared(space, config, Arc::new(StagePlan::new()), Arc::new(StageCaches::new()))
     }
 
     /// Like [`Explorer::new`], but evaluating through a caller-supplied
@@ -603,28 +577,20 @@ impl Explorer {
     pub fn with_shared(
         space: ExploreSpace,
         config: ExploreConfig,
-        plan: Arc<qpd_core::StagePlan>,
+        plan: Arc<StagePlan>,
         caches: Arc<StageCaches>,
     ) -> Result<Self, ExploreError> {
-        let flow = DesignFlow::new()
+        let assemble = DesignFlow::new()
             .with_allocation_trials(config.alloc_trials)
             .with_allocation_seed(config.seed)
             .with_sigma_ghz(config.sigma_ghz)
-            .with_plan(plan);
-        Self::with_flow(space, config, flow, caches)
-    }
-
-    fn with_flow(
-        space: ExploreSpace,
-        config: ExploreConfig,
-        flow: DesignFlow,
-        caches: Arc<StageCaches>,
-    ) -> Result<Self, ExploreError> {
+            .assemble_stage();
         let program_key = circuit_key(space.circuit());
         let mut explorer = Explorer {
             space,
             config,
-            flow,
+            plan,
+            assemble,
             caches,
             circuit_key: program_key,
             baseline_gates: 1,
@@ -641,8 +607,8 @@ impl Explorer {
             placement: crate::spec::PlacementVariant::Identity,
             hardware: HardwareFamily::FixedFrequencyTransmon,
         };
-        let mut chips = explorer.assemble(std::slice::from_ref(&baseline))?;
-        let (gates, depth) = explorer.route(&chips.pop().expect("one spec in, one chip out"))?;
+        let chips = explorer.assemble(std::slice::from_ref(&baseline))?;
+        let (gates, depth) = explorer.route(&chips)?[0];
         explorer.baseline_gates = gates;
         explorer.baseline_depth = depth;
         Ok(explorer)
@@ -665,10 +631,10 @@ impl Explorer {
     }
 
     /// Hit/miss counters of every cached stage of the cascade, pipeline
-    /// order: placement, bus, and frequency from the flow's shared
-    /// [`qpd_core::StagePlan`], then routing and yield.
+    /// order: placement, bus, and frequency from the shared
+    /// [`StagePlan`], then routing and yield.
     pub fn stage_stats(&self) -> Vec<StageCacheStats> {
-        let mut stats = self.flow.plan().stats();
+        let mut stats = self.plan.stats();
         stats.extend(self.caches.stats());
         stats
     }
@@ -678,46 +644,44 @@ impl Explorer {
     /// `bench_snapshot`'s cold-cache kernel uses this to re-measure
     /// uncached evaluation without rebuilding the engine.
     pub fn clear_stage_caches(&self) {
-        self.flow.plan().clear();
+        self.plan.clear();
         self.caches.clear();
     }
 
-    fn yield_stage(&self, spec: &CandidateSpec, trials: u64) -> YieldStage {
-        YieldStage {
-            trials,
-            seed: self.config.seed,
-            sigma_ghz: self.config.sigma_ghz,
-            hardware: spec.hardware,
-        }
-    }
-
     /// Resolves every spec's layout (fanned out on the worker pool) and
-    /// assembles the chips as one [`DesignFlow::design_with_layout_batch`]
-    /// submission: the assemble-stage misses run as one seed-major
-    /// allocation batch over one set of fabrication-noise planes, while
-    /// cache accounting stays per spec (one assemble hit or miss each).
-    /// Every frequency strategy and hardware family draws from the flow's
-    /// one stage plan; both are part of the assembly content key, so they
-    /// never collide in it.
+    /// assembles the chips as one [`StagePlan::assemble_batch`]: the
+    /// assemble-stage misses run as one seed-major allocation batch over
+    /// one set of fabrication-noise planes. Every frequency strategy and
+    /// hardware family draws from the one stage plan; both are part of
+    /// the assembly content key, so they never collide in it.
     fn assemble(&self, specs: &[CandidateSpec]) -> Result<Vec<Architecture>, ExploreError> {
         let layouts = qpd_par::par_map(specs, |spec| self.space.resolve(spec));
-        let jobs: Vec<LayoutJob<'_>> = specs
+        let stages: Vec<AssembleStage> = specs
             .iter()
-            .zip(&layouts)
-            .map(|(spec, (coords, squares))| LayoutJob {
-                coords,
-                squares,
+            .map(|spec| AssembleStage {
                 frequency: spec.frequency,
                 hardware: spec.hardware,
+                ..self.assemble.clone()
             })
             .collect();
-        Ok(self.flow.design_with_layout_batch(&jobs)?)
+        let jobs: Vec<AssembleJob<'_>> = stages
+            .iter()
+            .zip(&layouts)
+            .map(|(stage, (coords, squares))| AssembleJob { stage, coords, squares })
+            .collect();
+        Ok(self.plan.assemble_batch(&jobs)?)
     }
 
-    fn route(&self, arch: &Architecture) -> Result<(u64, u64), ExploreError> {
+    /// Routes every chip through the route cache: only the distinct
+    /// missed topologies fan out on the worker pool, so an all-hit batch
+    /// never touches it, and two chips of one topology route once.
+    fn route(&self, archs: &[Architecture]) -> Result<Vec<(u64, u64)>, ExploreError> {
         let stage = RouteStage { circuit_key: self.circuit_key };
-        let (_, v) = self.caches.routes.run_stage(&stage, &(arch, self.space.circuit()))?;
-        Ok(v)
+        let circuit = self.space.circuit();
+        let keys: Vec<u64> = archs.iter().map(|arch| stage.content_key(&(arch, circuit))).collect();
+        Ok(self.caches.routes.run_batch(&keys, |missed| {
+            qpd_par::par_map(missed, |&i| stage.run(&(&archs[i], circuit))).into_iter().collect()
+        })?)
     }
 
     /// The number of screening trials, `>= 1`.
@@ -762,94 +726,59 @@ impl Explorer {
     /// part of the yield content key, so screened and full-fidelity
     /// results never collide in the memo table.
     ///
-    /// Chips come from [`Self::assemble`]; routing then fans out per
-    /// architecture. The yield stage runs in three passes that keep the
-    /// per-candidate cache accounting — every candidate contributes
-    /// precisely one hit or one miss:
-    ///
-    /// 1. probe the yield cache per candidate, in order (hits counted);
-    /// 2. hand the *distinct* missed keys to
-    ///    [`YieldSimulator::evaluate_batch`], which groups jobs by
-    ///    shared trial stream and runs the collision kernels SoA across
-    ///    the whole batch;
-    /// 3. insert once per missed occurrence (misses counted), so
-    ///    `hits + misses` equals the candidate count.
-    ///
-    /// Results return in input order; the first failure (in input
-    /// order) propagates.
+    /// Each stage serves the whole batch through its cache
+    /// ([`qpd_core::StageCache::run_batch`]), one hit or miss per
+    /// candidate: chips from [`Self::assemble`], routes from
+    /// [`Self::route`], and the distinct yield misses in one
+    /// [`YieldSimulator::evaluate_batch`], which groups jobs by shared
+    /// trial stream and runs the collision kernels SoA across the batch.
     ///
     /// # Errors
     ///
-    /// Propagates design, routing, and yield failures.
+    /// Propagates the first (in input order) design, routing, or yield
+    /// failure.
     fn evaluate_batch_at(
         &self,
         specs: &[CandidateSpec],
         trials: u64,
     ) -> Result<Vec<Evaluated>, ExploreError> {
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let assembled = self.assemble(specs)?;
-        let routed = qpd_par::par_map(&assembled, |arch| self.route(arch));
-        let mut archs = Vec::with_capacity(specs.len());
-        for (arch, r) in assembled.into_iter().zip(routed) {
-            let (gates, depth) = r?;
-            archs.push((arch, gates, depth));
-        }
-        let stages: Vec<YieldStage> =
-            specs.iter().map(|spec| self.yield_stage(spec, trials)).collect();
-        let keys: Vec<u64> =
-            stages.iter().zip(&archs).map(|(s, (arch, _, _))| s.content_key(&arch)).collect();
-        // Pass 1: probe in order. A found key counts its hit here; a
-        // missed key counts its miss at insertion below.
-        let cached: Vec<Option<(u64, u64)>> =
-            keys.iter().map(|&k| self.caches.yields.get(k)).collect();
-        // Pass 2: one grouped simulation over the distinct misses.
-        let mut first_miss: Vec<usize> = Vec::new();
-        let mut miss_keys: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        for i in 0..specs.len() {
-            if cached[i].is_none() && miss_keys.insert(keys[i]) {
-                first_miss.push(i);
-            }
-        }
-        let requests: Vec<BatchRequest<'_>> = first_miss
+        let archs = self.assemble(specs)?;
+        let routed = self.route(&archs)?;
+        let (seed, sigma_ghz) = (self.config.seed, self.config.sigma_ghz);
+        let stages: Vec<YieldStage> = specs
             .iter()
-            .map(|&i| BatchRequest { simulator: stages[i].simulator(), arch: &archs[i].0 })
+            .map(|spec| YieldStage { trials, seed, sigma_ghz, hardware: spec.hardware })
             .collect();
-        let mut computed: HashMap<u64, (u64, u64)> = HashMap::with_capacity(first_miss.len());
-        for (&i, outcome) in first_miss.iter().zip(YieldSimulator::evaluate_batch(&requests)) {
-            let estimate = outcome?;
-            computed.insert(keys[i], (estimate.successes(), estimate.trials()));
-        }
-        // Pass 3: insert per missed occurrence and assemble results in
-        // input order.
-        let mut out = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            let (yield_successes, yield_trials) = match cached[i] {
-                Some(v) => v,
-                None => {
-                    let v = computed[&keys[i]];
-                    self.caches.yields.insert(keys[i], v);
-                    v
-                }
-            };
-            let (arch, total_gates, routed_depth) = &archs[i];
+        let keys: Vec<u64> =
+            stages.iter().zip(&archs).map(|(stage, arch)| stage.content_key(&arch)).collect();
+        let yields = self.caches.yields.run_batch(&keys, |missed| {
+            let requests: Vec<BatchRequest<'_>> = missed
+                .iter()
+                .map(|&i| BatchRequest { simulator: stages[i].simulator(), arch: &archs[i] })
+                .collect();
+            YieldSimulator::evaluate_batch(&requests)
+                .into_iter()
+                .map(|outcome| outcome.map(|e| (e.successes(), e.trials())))
+                .collect()
+        })?;
+        let out = specs.iter().zip(&archs).enumerate().map(|(i, (spec, arch))| {
             let aux_built = spec.aux_qubits.min(self.space.max_aux()) as u64;
-            let hardware_cost = arch.four_qubit_buses().len() as u64 + aux_built;
-            out.push(Evaluated {
+            let ((total_gates, routed_depth), (yield_successes, yield_trials)) =
+                (routed[i], yields[i]);
+            Evaluated {
                 spec: spec.clone(),
                 arch_name: arch.name().to_string(),
                 key: keys[i],
                 objectives: Objectives {
                     yield_successes,
                     yield_trials,
-                    total_gates: *total_gates,
-                    routed_depth: *routed_depth,
-                    hardware_cost,
+                    total_gates,
+                    routed_depth,
+                    hardware_cost: arch.four_qubit_buses().len() as u64 + aux_built,
                 },
-            });
-        }
-        Ok(out)
+            }
+        });
+        Ok(out.collect())
     }
 
     /// The objectives as a normalized larger-is-better vector with every
@@ -1530,6 +1459,7 @@ fn splitmix(x: u64) -> u64 {
 mod tests {
     use super::*;
     use qpd_circuit::Circuit;
+    use qpd_core::DEFAULT_MEMO_CAP;
 
     fn demo_circuit() -> Circuit {
         let mut c = Circuit::new(6);
@@ -1608,7 +1538,7 @@ mod tests {
         // never the result.
         let config = ExploreConfig { seed: 11, ..ExploreConfig::quick() };
         let owned = explorer_with(config).run().unwrap();
-        let plan = Arc::new(qpd_core::StagePlan::with_cap(Some(DEFAULT_MEMO_CAP)));
+        let plan = Arc::new(StagePlan::with_cap(Some(DEFAULT_MEMO_CAP)));
         let caches = Arc::new(StageCaches::with_cap(Some(DEFAULT_MEMO_CAP)));
         let space = || ExploreSpace::new(demo_circuit(), config.max_aux);
         let first = Explorer::with_shared(space(), config, plan.clone(), caches.clone())
@@ -1742,7 +1672,39 @@ mod tests {
         if std::env::var(qpd_core::MEMO_CAP_ENV).is_err() {
             assert_eq!(explorer.caches().yields.cap(), Some(DEFAULT_MEMO_CAP));
             assert_eq!(explorer.caches().routes.cap(), Some(DEFAULT_MEMO_CAP));
+            // One policy: a bare plan is bounded at the same default.
+            let p = StagePlan::new();
+            let caps = [p.placement_cache().cap(), p.bus_cache().cap(), p.assemble_cache().cap()];
+            assert_eq!(caps, [Some(DEFAULT_MEMO_CAP); 3]);
         }
+    }
+
+    #[test]
+    fn route_counters_are_thread_stable() {
+        // Frequency-only pairs share a topology: in one batch each
+        // distinct topology routes once and every occurrence counts a
+        // miss, whatever the thread count.
+        let counts = [1usize, 2, 8].map(|threads| {
+            let explorer = quick_explorer(0);
+            let full = explorer.space().full_weighted_len();
+            // Three topologies, none of them the baseline's.
+            let specs: Vec<CandidateSpec> = [(full, 0), (0, 1), (full, 1)]
+                .into_iter()
+                .flat_map(|(count, aux_qubits)| {
+                    let spec = CandidateSpec { aux_qubits, ..CandidateSpec::eff_full(count) };
+                    let five = FrequencyStrategy::FiveFrequency;
+                    [CandidateSpec { frequency: five, ..spec.clone() }, spec]
+                })
+                .collect();
+            explorer.clear_stage_caches();
+            let routes = &explorer.caches().routes;
+            let read = || [routes.hits(), routes.misses(), routes.unique_misses()];
+            let before = read();
+            qpd_par::with_threads(threads, || explorer.evaluate_all(&specs)).unwrap();
+            let after = read();
+            [0, 1, 2].map(|i| after[i] - before[i])
+        });
+        assert_eq!(counts, [[0, 6, 3]; 3], "(hits, misses, unique) at 1, 2, 8 threads");
     }
 
     #[test]

@@ -18,17 +18,17 @@
 //! and maintains a Pareto archive over four objectives (Monte Carlo
 //! yield, post-mapping gate count, routed depth, and hardware cost =
 //! buses plus auxiliary qubits). Since the stage-graph refactor,
-//! candidate
-//! evaluation is the explicit five-stage cascade of
+//! candidate evaluation is the explicit five-stage cascade of
 //! [`qpd_core::stage`]: placement and bus insertion resolve from
 //! [`ExploreSpace`]'s precomputed layouts, frequency allocation +
 //! assembly run through the shared [`qpd_core::StagePlan`], and routing
 //! and yield run through the [`cache::StageCaches`] — every stage
-//! content-keyed and bounded by `QPD_MEMO_CAP` (deterministic
-//! second-chance eviction). A knob change recomputes only the stages it
-//! dirties ([`CandidateSpec::dirty_stages`]): a frequency-only move
-//! skips placement, bus insertion, *and* routing entirely, and a
-//! revisited candidate costs hash lookups only.
+//! content-keyed and bounded by [`qpd_core::memo_cap`] (deterministic
+//! second-chance eviction), each serving a batch of candidates as one
+//! [`qpd_core::StageCache::run_batch`]. A knob change recomputes only
+//! the stages it dirties ([`CandidateSpec::dirty_stages`]): a
+//! frequency-only move skips placement, bus insertion, *and* routing
+//! entirely, and a revisited candidate costs hash lookups only.
 //!
 //! Since the v2 engine, acceptance is **archive-guided Pareto
 //! dominance** by default ([`AcceptanceMode::Dominance`]): a walk moves
@@ -99,10 +99,11 @@ pub use checkpoint::{
 };
 pub use engine::{
     pareto_indices, AcceptanceMode, ExploreConfig, ExploreError, ExploreState, Explorer,
-    HardwareSweep, Provenance, ShardSpec, ShardState, WalkState, DEFAULT_MEMO_CAP,
+    HardwareSweep, Provenance, ShardSpec, ShardState, WalkState,
 };
 pub use json::{Json, JsonError, MAX_PARSE_DEPTH};
 pub use merge::{merge_checkpoints, merge_shard_states};
+pub use qpd_core::DEFAULT_MEMO_CAP;
 pub use qpd_yield::HardwareFamily;
 pub use space::ExploreSpace;
 pub use spec::{BusSpec, CandidateSpec, Evaluated, Objectives, PlacementVariant};

@@ -54,7 +54,7 @@
 //! | variable | effect |
 //! |---|---|
 //! | `QPD_THREADS` | Worker count for the [`par`] pool (frequency allocation, yield simulation, the experiment runner). Defaults to `std::thread::available_parallelism()`; results are bit-identical for every value. [`par::with_threads`] is the in-process equivalent. |
-//! | `QPD_MEMO_CAP` | Entry bound per stage cache ([`design::StageCache`]), evicted with a deterministic second-chance rule; `0` = unbounded. When unset, bare [`design::DesignFlow`]s are unbounded and the explorer bounds its caches at [`explore::DEFAULT_MEMO_CAP`]. Caching only changes *when* a stage runs, never its output. |
+//! | `QPD_MEMO_CAP` | Entry bound per stage cache ([`design::StageCache`]), evicted with a deterministic second-chance rule; `0` = unbounded. One policy ([`design::memo_cap`]) for every cache: unset or unparsable gives [`design::DEFAULT_MEMO_CAP`] (4096), for a bare [`design::DesignFlow`] and the explorer alike. The daemon sizes its shared caches with `--memo-cap` instead. Caching only changes *when* a stage runs, never its output. |
 //! | `QPD_BENCH_SAMPLES` | Caps timed samples per `bench_snapshot` kernel (default 3; raise for real measurements). |
 //! | `QPD_BENCH_JSON` | When set to a non-empty value other than `0`, `bench_snapshot` also prints one machine-readable JSON line per kernel. |
 //! | `QPD_BENCH_QUICK` | Shrinks `bench_snapshot`'s trial counts for CI smoke runs. |

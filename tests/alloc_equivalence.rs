@@ -10,9 +10,7 @@
 
 use proptest::prelude::*;
 
-use std::sync::Arc;
-
-use qpd::design::{AllocJob, LayoutJob, StagePlan};
+use qpd::design::{AllocJob, AssembleJob, AssembleStage, StagePlan};
 use qpd::eval::runner::{run_benchmark, EvalSettings};
 use qpd::prelude::*;
 use qpd::yield_sim::{
@@ -181,11 +179,10 @@ fn batch_draws_each_plane_once() {
     assert_eq!(mixed.samples_drawn(), before, "a warm repeat drew samples");
 }
 
-/// The stage-graph face of the batch path: `design_with_layout_batch`
-/// over mixed frequency/hardware jobs equals per-job
-/// `design_with_layout` calls on correspondingly configured flows, and
-/// the shared noise-plane cache surviving `StagePlan::clear` never
-/// changes a result.
+/// The stage-graph face of the batch path: one
+/// `StagePlan::assemble_batch` over mixed hardware-family jobs equals
+/// per-job batches of one on fresh plans, and the shared noise-plane
+/// cache surviving `StagePlan::clear` never changes a result.
 #[test]
 fn layout_batch_matches_singleton_flows_and_survives_clear() {
     let mut c = Circuit::new(6);
@@ -196,37 +193,30 @@ fn layout_batch_matches_singleton_flows_and_survives_clear() {
         let arch = base.design(&profile).unwrap();
         (arch.coords().to_vec(), arch.four_qubit_buses().to_vec())
     };
-    let jobs: Vec<LayoutJob<'_>> = HardwareFamily::ALL
+    let stages: Vec<AssembleStage> = HardwareFamily::ALL
         .iter()
-        .map(|&hardware| LayoutJob {
-            coords: &coords,
-            squares: &squares,
-            frequency: FrequencyStrategy::Optimized,
-            hardware,
-        })
+        .map(|&hardware| base.clone().with_hardware(hardware).assemble_stage())
+        .collect();
+    let jobs: Vec<AssembleJob<'_>> = stages
+        .iter()
+        .map(|stage| AssembleJob { stage, coords: &coords, squares: &squares })
         .collect();
     let singles: Vec<Architecture> = jobs
         .iter()
-        .map(|j| {
+        .map(|job| {
             // A fresh plan per job: no cache or scratch sharing at all.
-            let flow = DesignFlow::new()
-                .with_allocation_trials(150)
-                .with_allocation_seed(17)
-                .with_plan(Arc::new(StagePlan::new()))
-                .with_frequency_strategy(j.frequency)
-                .with_hardware(j.hardware);
-            flow.design_with_layout(&coords, &squares).unwrap()
+            StagePlan::new().assemble_batch(std::slice::from_ref(job)).unwrap().remove(0)
         })
         .collect();
     for threads in [1usize, 2, 8] {
         let batched =
-            qpd::par::with_threads(threads, || base.design_with_layout_batch(&jobs).unwrap());
+            qpd::par::with_threads(threads, || base.plan().assemble_batch(&jobs).unwrap());
         assert_eq!(batched, singles, "layout batch diverges at {threads} threads");
         // Cold caches, warm planes — the bench_snapshot cold-eval
         // shape. The surviving planes must be invisible in results.
         base.plan().clear();
         let after_clear =
-            qpd::par::with_threads(threads, || base.design_with_layout_batch(&jobs).unwrap());
+            qpd::par::with_threads(threads, || base.plan().assemble_batch(&jobs).unwrap());
         assert_eq!(after_clear, singles, "post-clear batch diverges at {threads} threads");
     }
 }

@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 
+use qpd::design::{AssembleJob, StagePlan};
 use qpd::explore::{
     CandidateSpec, Checkpoint, ExploreConfig, ExploreSpace, ExploreState, Explorer, HardwareSweep,
 };
@@ -113,18 +114,20 @@ fn batched_explorer(seed: u64) -> Explorer {
 }
 
 /// The chip `spec` designs under the explorer's allocation settings,
-/// built through the public flow rather than the engine.
+/// built through the public flow rather than the engine: a batch of one
+/// on a fresh plan.
 fn design_of(explorer: &Explorer, spec: &CandidateSpec) -> Architecture {
     let config = explorer.config();
     let (coords, squares) = explorer.space().resolve(spec);
-    DesignFlow::new()
+    let stage = DesignFlow::new()
         .with_allocation_trials(config.alloc_trials)
         .with_allocation_seed(config.seed)
         .with_sigma_ghz(config.sigma_ghz)
         .with_frequency_strategy(spec.frequency)
         .with_hardware(spec.hardware)
-        .design_with_layout(&coords, &squares)
-        .unwrap()
+        .assemble_stage();
+    let job = AssembleJob { stage: &stage, coords: &coords, squares: &squares };
+    StagePlan::new().assemble_batch(&[job]).unwrap().remove(0)
 }
 
 fn batched_bytes(seed: u64, state: &ExploreState) -> String {

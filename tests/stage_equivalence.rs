@@ -8,8 +8,10 @@
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
+
 use qpd::design::{
-    place_auxiliary, place_qubits, select_buses_random, select_buses_weighted, StageKind,
+    place_auxiliary, place_qubits, select_buses_random, select_buses_weighted, StageKind, StagePlan,
 };
 use qpd::explore::{
     BusSpec, CandidateSpec, ExploreConfig, ExploreSpace, Explorer, HardwareFamily, PlacementVariant,
@@ -124,7 +126,7 @@ proptest! {
         prop_assert_eq!(&cold, &reference, "cold facade diverged");
         let warm = flow.design(&profile).unwrap();
         prop_assert_eq!(&warm, &reference, "warm facade diverged");
-        let squeezed = flow.clone().with_memo_cap(Some(1));
+        let squeezed = flow.clone().with_plan(Arc::new(StagePlan::with_cap(Some(1))));
         prop_assert_eq!(&squeezed.design(&profile).unwrap(), &reference,
             "eviction changed an output");
         prop_assert_eq!(&squeezed.design(&profile).unwrap(), &reference);
