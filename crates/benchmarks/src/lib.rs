@@ -17,7 +17,6 @@
 
 pub mod arith;
 pub mod esop;
-pub mod extra;
 pub mod ising;
 pub mod pprm;
 pub mod qft;

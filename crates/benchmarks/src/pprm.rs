@@ -35,11 +35,6 @@ pub fn pprm_monomials(n: usize, truth: &[bool]) -> Vec<u32> {
     (0..a.len()).filter(|&s| a[s]).map(|s| s as u32).collect()
 }
 
-/// Evaluates a PPRM monomial list on input `x`.
-pub fn eval_pprm(monomials: &[u32], x: u32) -> bool {
-    monomials.iter().filter(|&&s| x & s == s).count() % 2 == 1
-}
-
 /// Synthesizes a multi-output function into an MCT network.
 ///
 /// Lines `0..num_inputs` hold the inputs; line `num_inputs + k` receives
@@ -81,6 +76,11 @@ pub fn synthesize(num_inputs: usize, outputs: &[Vec<bool>], extra_lines: usize) 
 mod tests {
     use super::*;
     use qpd_circuit::sim::apply_reversible;
+
+    /// Evaluates a PPRM monomial list on input `x`.
+    fn eval_pprm(monomials: &[u32], x: u32) -> bool {
+        monomials.iter().filter(|&&s| x & s == s).count() % 2 == 1
+    }
 
     #[test]
     fn xor_function_is_linear() {

@@ -95,9 +95,9 @@ impl GateDag {
 
 /// A mutable topological traversal over a [`GateDag`].
 ///
-/// Callers retire ready instructions with [`DagCursor::execute`]; newly
-/// released successors are returned so the caller can maintain its own
-/// front layer.
+/// Callers retire ready instructions with [`DagCursor::execute_into`];
+/// newly released successors are handed back so the caller can maintain
+/// its own front layer.
 #[derive(Debug, Clone)]
 pub struct DagCursor<'a> {
     dag: &'a GateDag,
@@ -128,27 +128,15 @@ impl<'a> DagCursor<'a> {
         self.executed_count == self.dag.len()
     }
 
-    /// Retires instruction `idx`, returning the successors that became
-    /// ready as a result.
+    /// Retires instruction `idx`, *appending* the successors that became
+    /// ready as a result to `released` (the buffer is not cleared), so a
+    /// traversal loop can retire every instruction of a front layer
+    /// without allocating per gate.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is not ready (unexecuted with zero remaining
     /// predecessors); executing out of order would corrupt the traversal.
-    pub fn execute(&mut self, idx: usize) -> Vec<usize> {
-        let mut released = Vec::new();
-        self.execute_into(idx, &mut released);
-        released
-    }
-
-    /// [`Self::execute`] into a caller-owned buffer: newly released
-    /// successors are *appended* to `released` (the buffer is not
-    /// cleared), so a traversal loop can retire every instruction of a
-    /// front layer without allocating per gate.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::execute`].
     pub fn execute_into(&mut self, idx: usize, released: &mut Vec<usize>) {
         assert!(self.is_ready(idx), "instruction {idx} executed out of order");
         self.executed[idx] = true;
@@ -198,12 +186,14 @@ mod tests {
         let mut cur = dag.cursor();
         assert!(cur.is_ready(0));
         assert!(!cur.is_ready(1));
-        let released = cur.execute(0);
+        let mut released = Vec::new();
+        cur.execute_into(0, &mut released);
         assert_eq!(released, vec![1]);
-        let released = cur.execute(1);
-        assert_eq!(released, vec![2]);
+        cur.execute_into(1, &mut released);
+        assert_eq!(released, vec![1, 2]);
         assert!(!cur.is_done());
-        cur.execute(2);
+        cur.execute_into(2, &mut released);
+        assert_eq!(released, vec![1, 2]);
         assert!(cur.is_done());
         assert_eq!(cur.executed_count(), 3);
     }
@@ -213,7 +203,7 @@ mod tests {
     fn cursor_rejects_out_of_order() {
         let dag = GateDag::new(&chain3());
         let mut cur = dag.cursor();
-        cur.execute(2);
+        cur.execute_into(2, &mut Vec::new());
     }
 
     #[test]

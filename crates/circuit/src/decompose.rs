@@ -16,8 +16,6 @@
 //! All decompositions are verified in tests against the reference
 //! simulators in [`crate::sim`].
 
-use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
-
 use crate::circuit::{Circuit, Instruction};
 use crate::error::CircuitError;
 use crate::gate::Gate;
@@ -228,20 +226,6 @@ fn emit_ccx(out: &mut Circuit, a: Qubit, b: Qubit, c: Qubit) {
         .t(a)
         .tdg(b)
         .cx(a, b);
-}
-
-/// Convenience: the u3 angles realizing an arbitrary-axis rotation used by
-/// tests and generators; exposed for reuse.
-///
-/// Returns `(theta, phi, lambda)` such that `U(theta, phi, lambda) = H`.
-pub fn h_as_u3() -> (f64, f64, f64) {
-    (FRAC_PI_2, 0.0, PI)
-}
-
-/// Returns `(theta, phi, lambda)` such that `U(theta, phi, lambda) = T`
-/// up to global phase.
-pub fn t_as_u3() -> (f64, f64, f64) {
-    (0.0, 0.0, FRAC_PI_4)
 }
 
 #[cfg(test)]

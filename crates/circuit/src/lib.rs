@@ -36,7 +36,6 @@ pub mod dag;
 pub mod decompose;
 pub mod error;
 pub mod gate;
-pub mod optimize;
 pub mod qasm;
 pub mod qubit;
 pub mod random;

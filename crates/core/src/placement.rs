@@ -125,22 +125,21 @@ pub fn place_auxiliary(coords: &[Coord], count: usize) -> Vec<Coord> {
     added
 }
 
-/// Total weighted wirelength of a placement: for every coupled logical
-/// pair, coupling strength times lattice distance. Lower is better; the
-/// quantity Algorithm 1 greedily minimizes, exposed for evaluation and
-/// tests.
-pub fn weighted_wirelength(profile: &CouplingProfile, coords: &[Coord]) -> u64 {
-    profile
-        .edges()
-        .iter()
-        .map(|e| e.weight as u64 * coords[e.a.index()].manhattan(coords[e.b.index()]) as u64)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qpd_profile::CouplingProfile;
+
+    /// Total weighted wirelength of a placement: for every coupled
+    /// logical pair, coupling strength times lattice distance. Lower is
+    /// better; the quantity Algorithm 1 greedily minimizes.
+    fn weighted_wirelength(profile: &CouplingProfile, coords: &[Coord]) -> u64 {
+        profile
+            .edges()
+            .iter()
+            .map(|e| e.weight as u64 * coords[e.a.index()].manhattan(coords[e.b.index()]) as u64)
+            .sum()
+    }
 
     fn coords_are_unique(coords: &[Coord]) -> bool {
         let set: BTreeSet<&Coord> = coords.iter().collect();

@@ -20,6 +20,12 @@
 //!    table of `docs/OPERATIONS.md`, and every `QPD_…` token the docs
 //!    mention is such a literal: a variable the code reads cannot go
 //!    undocumented, nor can the docs name one the code does not read.
+//! 5. **Dead modules** — every `pub mod` declared in a
+//!    `crates/*/src/lib.rs` is referenced from some other `.rs` file
+//!    under `crates`, `src`, `tests`, `examples` or `perfbench/src`: a
+//!    `module::` path, or a name its crate re-exports from it. Comment
+//!    lines and the `pub mod` / `pub use` statements themselves do not
+//!    count, so a module that only re-exports into nothing is dead.
 //!
 //! Exit code 1 on any finding, 2 on usage errors, 0 when clean.
 
@@ -101,28 +107,35 @@ fn quoted_env_vars(source: &str, into: &mut BTreeSet<String>) {
     }
 }
 
+/// Every `.rs` file under `dir` (recursively) with its text; a missing
+/// `dir` has none.
+fn rust_sources(dir: &Path, into: &mut Vec<(PathBuf, String)>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_sources(&path, into);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let source = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())));
+            into.push((path, source));
+        }
+    }
+}
+
 /// Every `QPD_…` variable the code reads: quoted literals in the `.rs`
 /// files under `crates/*/src` and `shims/*/src`.
 fn source_env_vars(root: &Path) -> BTreeSet<String> {
-    fn walk(dir: &Path, into: &mut BTreeSet<String>) {
-        let Ok(entries) = std::fs::read_dir(dir) else { return };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                walk(&path, into);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let source = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())));
-                quoted_env_vars(&source, into);
-            }
-        }
-    }
-    let mut vars = BTreeSet::new();
+    let mut sources = Vec::new();
     for top in ["crates", "shims"] {
         let Ok(members) = std::fs::read_dir(root.join(top)) else { continue };
         for member in members.flatten() {
-            walk(&member.path().join("src"), &mut vars);
+            rust_sources(&member.path().join("src"), &mut sources);
         }
+    }
+    let mut vars = BTreeSet::new();
+    for (_, source) in &sources {
+        quoted_env_vars(source, &mut vars);
     }
     vars
 }
@@ -209,6 +222,103 @@ fn doc_links(line: &str) -> Vec<String> {
     out
 }
 
+/// `source` without its comment lines and without its `pub mod NAME;` and
+/// `pub use …;` statements: the lines that can *use* a name.
+fn code_uses(source: &str) -> String {
+    let mut out = String::new();
+    let mut in_use = false;
+    for line in source.lines() {
+        let trimmed = line.trim_start();
+        in_use |= trimmed.starts_with("pub use ");
+        let declaration = trimmed.starts_with("pub mod ") && trimmed.ends_with(';');
+        if in_use || declaration || trimmed.starts_with("//") {
+            in_use &= !line.contains(';');
+            continue;
+        }
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+/// Whether `code` names `word` as a whole identifier; with `path`, only
+/// as the head of a `word::` path outside `std`, `core` and `alloc` (so
+/// `std::error::Error` does not reference a crate's `error` module).
+fn mentions(code: &str, word: &str, path: bool) -> bool {
+    let ident = |b: &u8| b.is_ascii_alphanumeric() || *b == b'_';
+    let bytes = code.as_bytes();
+    code.match_indices(word).any(|(at, _)| {
+        let (before, after) = (&code[..at], &code[at + word.len()..]);
+        let tail_ok = if path {
+            after.starts_with("::")
+                && !["std::", "core::", "alloc::"].iter().any(|p| before.ends_with(p))
+        } else {
+            !after.as_bytes().first().is_some_and(ident)
+        };
+        tail_ok && !at.checked_sub(1).is_some_and(|i| ident(&bytes[i]))
+    })
+}
+
+/// The names one `pub use module::TAIL;` statement re-exports, given its
+/// `TAIL`: the last segment of each imported path, or its `as` alias.
+fn reexported_names(tail: &str) -> impl Iterator<Item = &str> {
+    tail.split([',', '{', '}'])
+        .map(|part| match part.split_once(" as ") {
+            Some((_, alias)) => alias.trim(),
+            None => part.rsplit_once("::").map_or(part, |(_, name)| name).trim(),
+        })
+        .filter(|name| !name.is_empty())
+}
+
+/// Pushes a finding for every `pub mod` of a `crates/*/src/lib.rs` that
+/// no other Rust file references (rule 5 of the module docs).
+fn dead_module_findings(root: &Path, findings: &mut Vec<String>) {
+    let mut sources = Vec::new();
+    for top in ["crates", "src", "tests", "examples", "perfbench/src"] {
+        rust_sources(&root.join(top), &mut sources);
+    }
+    let uses: Vec<String> = sources.iter().map(|(_, source)| code_uses(source)).collect();
+    let mut members: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|member| member.path().join("src"))
+        .collect();
+    members.sort();
+    for src in members {
+        let lib = src.join("lib.rs");
+        let Some((_, source)) = sources.iter().find(|(path, _)| *path == lib) else { continue };
+        for line in source.lines() {
+            let Some(name) = line.trim().strip_prefix("pub mod ").and_then(|l| l.strip_suffix(';'))
+            else {
+                continue;
+            };
+            let export = format!("pub use {name}::");
+            let reexports: Vec<&str> = source
+                .match_indices(&export)
+                .flat_map(|(at, _)| {
+                    let tail = &source[at + export.len()..];
+                    reexported_names(&tail[..tail.find(';').unwrap_or(tail.len())])
+                })
+                .collect();
+            let own = |path: &Path| {
+                path == src.join(format!("{name}.rs")) || path.starts_with(src.join(name))
+            };
+            let used = sources.iter().zip(&uses).any(|((path, _), code)| {
+                !own(path)
+                    && (mentions(code, name, true)
+                        || reexports.iter().any(|r| mentions(code, r, false)))
+            });
+            if !used {
+                findings.push(format!(
+                    "{}: `pub mod {name}` has no reference outside its own file",
+                    lib.display()
+                ));
+            }
+        }
+    }
+}
+
 fn check_file(
     path: &Path,
     known: &BTreeSet<String>,
@@ -278,6 +388,7 @@ fn main() {
     let env = source_env_vars(&root);
     let mut findings = Vec::new();
     env_table_findings(&root, &env, &mut findings);
+    dead_module_findings(&root, &mut findings);
     for file in &files {
         check_file(file, &known, &env, &mut findings);
     }
@@ -346,6 +457,48 @@ mod tests {
             .ends_with("`QPD_BETA` is read by the code but has no row in the environment table"));
         assert!(
             findings[1].ends_with(":5: `QPD_GAMMA` is not an environment variable the code reads")
+        );
+    }
+
+    /// A fixture crate with a module used by path, one used through a
+    /// renamed re-export, one referenced only from its own file, its
+    /// re-export and a comment, and one whose name only occurs under
+    /// `std::`.
+    #[test]
+    fn dead_modules_are_named_and_used_ones_are_not() {
+        let root = std::env::temp_dir().join(format!("qpd_docs_check_mods_{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write(
+            "crates/a/src/lib.rs",
+            "pub mod live;\npub mod renamed;\npub mod dead;\npub mod error;\n\
+             pub use renamed::{\n    Other,\n    Thing as Alias,\n};\npub use dead::Ghost;\n",
+        );
+        write("crates/a/src/live.rs", "pub fn f() {}\n");
+        write("crates/a/src/renamed.rs", "pub struct Thing;\npub struct Other;\n");
+        write(
+            "crates/a/src/dead.rs",
+            "pub struct Ghost;\nfn own() -> crate::dead::Ghost { Ghost }\n",
+        );
+        write("crates/a/src/error.rs", "pub struct Error;\n");
+        write("examples/e.rs", "fn main() {\n    a::live::f();\n}\n");
+        write(
+            "tests/t.rs",
+            "// Mentions of dead::Ghost in comments do not count.\n\
+             use std::error::Error;\nfn t() -> a::Alias {\n    a::Alias\n}\n",
+        );
+        let mut findings = Vec::new();
+        dead_module_findings(&root, &mut findings);
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(
+            findings[0].ends_with("lib.rs: `pub mod dead` has no reference outside its own file")
+        );
+        assert!(
+            findings[1].ends_with("lib.rs: `pub mod error` has no reference outside its own file")
         );
     }
 }

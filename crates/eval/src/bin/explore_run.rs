@@ -310,12 +310,6 @@ fn require_benchmark(name: &str) {
     }
 }
 
-/// The sidecar/checkpoint label of one shard of a run:
-/// `<name>_shardIofN`, matching `Checkpoint::shard_file_name`.
-fn shard_label(name: &str, spec: ShardSpec) -> String {
-    format!("{name}_shard{}of{}", spec.index, spec.of)
-}
-
 /// Where `eff-full` landed: `Ok(true)` on the front, `Ok(false)` absent
 /// from the archive, `Err(name)` dominated by front point `name`. In a
 /// pinned-family run walk 0 starts at eff-full *on that family*, so the
@@ -560,7 +554,7 @@ fn run_one_shard(
 ) -> RunReport {
     std::fs::create_dir_all(out_dir).expect("create output directory");
     let start = Instant::now();
-    let label = shard_label(name, spec);
+    let label = spec.label(name);
     let explorer = build_explorer(name, &label, config, options);
     let mut shard = match resume_state {
         Some(state) => state,

@@ -203,7 +203,7 @@ fn main() {
                 // explore_run stays silently cold if the file is absent.
                 if fi > 0 {
                     let prev = args.out_dir.join(&args.families[fi - 1]);
-                    let label = format!("{name}_shard{index}of{shards}");
+                    let label = spec.label(name);
                     cmd.arg("--warm-start").arg(prev.join(sidecar::file_name(&label)));
                 }
                 cmd.arg(name);

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use qpd_core::{AssembleJob, AssembleStage, BusStrategy, DesignFlow, FrequencyStrategy, StagePlan};
 use qpd_profile::CouplingProfile;
-use qpd_topology::{ibm, pattern_frequency_plan, Architecture, BusMode, Coord, Square};
+use qpd_topology::{ibm, pattern_frequency_plan, Architecture, Coord, Square};
 
 use crate::runner::{EvalError, EvalSettings};
 
@@ -198,14 +198,6 @@ fn layout_only(
     let freqs = pattern_frequency_plan(&dense, menu);
     out.push(dense.with_frequencies_in_band(freqs, band).map_err(qpd_core::DesignError::from)?);
     Ok(out)
-}
-
-/// The IBM baseline bus modes, used by reports.
-pub fn baseline_mode_label(mode: BusMode) -> &'static str {
-    match mode {
-        BusMode::TwoQubitOnly => "2-qubit buses",
-        BusMode::MaxFourQubit => "max 4-qubit buses",
-    }
 }
 
 #[cfg(test)]

@@ -146,16 +146,7 @@ impl Checkpoint {
     /// distinct from the whole-run name, so a merge written next to its
     /// inputs never overwrites one.
     pub fn shard_file_name(run: &str, spec: ShardSpec) -> String {
-        format!("EXPLORE_{run}_shard{}of{}.json", spec.index, spec.of)
-    }
-
-    /// This document's conventional file name: the shard form when
-    /// shard-tagged, the whole-run form otherwise.
-    pub fn file_label(&self) -> String {
-        match &self.shard {
-            Some(meta) => Self::shard_file_name(&self.run, meta.spec),
-            None => Self::file_name(&self.run),
-        }
+        Self::file_name(&spec.label(run))
     }
 
     /// Packages one shard's state as a shard-tagged checkpoint.
@@ -263,14 +254,18 @@ impl Checkpoint {
     }
 
     /// Writes the document under `dir` at its conventional file name
-    /// ([`Self::file_label`]), returning the path. The write is
-    /// crash-consistent ([`write_atomic`]).
+    /// ([`Self::shard_file_name`] when shard-tagged, [`Self::file_name`]
+    /// otherwise), returning the path. The write is crash-consistent
+    /// ([`write_atomic`]).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn write(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        let path = dir.join(self.file_label());
+        let path = dir.join(match &self.shard {
+            Some(meta) => Self::shard_file_name(&self.run, meta.spec),
+            None => Self::file_name(&self.run),
+        });
         write_atomic(&path, self.render())?;
         Ok(path)
     }
@@ -850,10 +845,9 @@ mod tests {
     #[test]
     fn shard_file_names_are_distinct_per_shard_and_from_the_run() {
         let spec = ShardSpec { index: 1, of: 4 };
+        assert_eq!(spec.label("qft_16"), "qft_16_shard1of4");
         assert_eq!(Checkpoint::shard_file_name("qft_16", spec), "EXPLORE_qft_16_shard1of4.json");
-        let cp = sample_shard_checkpoint();
-        assert_eq!(cp.file_label(), "EXPLORE_sym6_145_shard0of2.json");
-        assert_eq!(sample_checkpoint().file_label(), "EXPLORE_sym6_145.json");
+        assert_ne!(Checkpoint::shard_file_name("qft_16", spec), Checkpoint::file_name("qft_16"));
     }
 
     #[test]
@@ -865,6 +859,10 @@ mod tests {
         assert!(path.ends_with("EXPLORE_sym6_145.json"));
         let back = Checkpoint::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back, cp);
+        std::fs::remove_file(path).ok();
+        let shard = sample_shard_checkpoint();
+        let path = shard.write(&dir).unwrap();
+        assert!(path.ends_with("EXPLORE_sym6_145_shard0of2.json"));
         std::fs::remove_file(path).ok();
     }
 

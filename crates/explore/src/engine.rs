@@ -353,6 +353,13 @@ impl ShardSpec {
         Ok(ShardSpec { index, of })
     }
 
+    /// The label of this shard of run `run`: `<run>_shard<i>of<N>`. Shard
+    /// checkpoints and cache sidecars are named after it, so a merge
+    /// finds each shard's sidecar by computing the same label.
+    pub fn label(self, run: &str) -> String {
+        format!("{run}_shard{}of{}", self.index, self.of)
+    }
+
     /// Parses the CLI form `i/N` (e.g. `0/4`).
     ///
     /// # Errors

@@ -34,8 +34,6 @@
 pub mod coupling;
 pub mod patterns;
 pub mod render;
-pub mod temporal;
 
 pub use coupling::{CouplingProfile, WeightedEdge};
 pub use patterns::{PatternReport, PatternShape};
-pub use temporal::TemporalProfile;

@@ -60,7 +60,9 @@
 //! "rounds_done", "archive_len", "front_len", "warmed_routes",
 //! "warmed_yields", "checkpoint"}`. Like `stats`/`shutdown` it runs
 //! inline, bypassing the work queue, so adopting finished shard work
-//! stays possible under full evaluation load.
+//! stays possible under full evaluation load. A path that is not a
+//! regular file (a directory, or a device such as `/dev/zero`) is a
+//! `bad_request` ("not a regular file") and is never read.
 //!
 //! ## Budgets
 //!

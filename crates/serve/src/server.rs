@@ -341,10 +341,14 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// to the inputs into the shared warm caches (content-keyed, so
 /// adoption can only turn future misses into hits, never change
 /// results). Runs on the reader thread like `stats`: it is file IO
-/// plus an archive re-insertion, never a design evaluation.
+/// plus an archive re-insertion, never a design evaluation. Only
+/// regular files are read: a device such as `/dev/zero` never ends.
 fn handle_merge(shared: &Shared, id: &str, files: &[String]) -> String {
     let mut inputs = Vec::with_capacity(files.len());
     for file in files {
+        if std::fs::metadata(file).is_ok_and(|meta| !meta.is_file()) {
+            return err_line(Some(id), "bad_request", &format!("{file}: not a regular file"));
+        }
         let text = match std::fs::read_to_string(file) {
             Ok(t) => t,
             Err(e) => {
@@ -367,12 +371,11 @@ fn handle_merge(shared: &Shared, id: &str, files: &[String]) -> String {
     let (mut routes, mut yields) = (0u64, 0u64);
     for (path, cp) in &inputs {
         let Some(meta) = &cp.shard else { continue };
-        let label = format!("{}_shard{}of{}", cp.run, meta.spec.index, meta.spec.of);
         let side = path
             .parent()
             .filter(|p| !p.as_os_str().is_empty())
             .unwrap_or_else(|| std::path::Path::new("."))
-            .join(sidecar::file_name(&label));
+            .join(sidecar::file_name(&meta.spec.label(&cp.run)));
         if let sidecar::SidecarLoad::Loaded { routes: r, yields: y } =
             sidecar::load(&side, &shared.caches)
         {

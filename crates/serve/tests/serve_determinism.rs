@@ -258,10 +258,11 @@ fn merge_op_adopts_shards_into_the_whole_run_checkpoint() {
     let mut shard_paths = Vec::new();
     for index in 0..2 {
         let engine = build();
-        let shard = engine.run_shard(ShardSpec { index, of: 2 }).unwrap();
+        let spec = ShardSpec { index, of: 2 };
+        let shard = engine.run_shard(spec).unwrap();
         let cp = Checkpoint::from_shard("cm152a_212", config, &shard, Vec::new());
         let path = cp.write(&dir).unwrap();
-        let label = format!("cm152a_212_shard{index}of2");
+        let label = spec.label("cm152a_212");
         std::fs::write(dir.join(sidecar::file_name(&label)), sidecar::render(engine.caches()))
             .unwrap();
         shard_paths.push(path);
@@ -304,6 +305,27 @@ fn merge_op_adopts_shards_into_the_whole_run_checkpoint() {
         doc.get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
         Some("bad_request")
     );
+    shut_down(addr, handle);
+}
+
+#[test]
+fn merge_refuses_non_regular_files() {
+    let dir = tmp_dir("det_merge_devices");
+    let (addr, handle) = start(&dir, None, Some(1), 8);
+    let mut client = Client::connect(addr).unwrap();
+    for file in ["/dev/null".to_string(), dir.display().to_string()] {
+        let line = format!(r#"{{"id":"m","op":"merge","checkpoints":["{file}"]}}"#);
+        let exchange = client.request_raw(&line).unwrap();
+        let doc = Json::parse(&exchange.response).unwrap();
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false), "{file}");
+        let error = doc.get("error").expect("error object");
+        assert_eq!(error.get("code").and_then(Json::as_str), Some("bad_request"), "{file}");
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert_eq!(message, format!("{file}: not a regular file"));
+    }
+    // The daemon is still up and answering control ops.
+    let stats = client.request_raw(r#"{"id":"s","op":"stats"}"#).unwrap();
+    assert_eq!(Json::parse(&stats.response).unwrap().get("ok"), Some(&Json::Bool(true)));
     shut_down(addr, handle);
 }
 

@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod analytic;
 pub mod batch;
 pub mod collision;
 pub mod hardware;
@@ -30,7 +29,6 @@ pub mod local;
 pub mod model;
 pub mod simulator;
 
-pub use analytic::{pair_collision_probability, pairwise_yield_estimate};
 pub use batch::BatchRequest;
 pub use collision::{CollisionChecker, CollisionEvent, CollisionParams};
 pub use hardware::{

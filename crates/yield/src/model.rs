@@ -104,20 +104,6 @@ impl FabricationModel {
             slot.write(self.sample(rng));
         }
     }
-
-    /// Fills `out` with `base + noise`, using the paired bulk sampler
-    /// ([`Self::sample_into`]): one call fabricates a whole chip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != base.len()`.
-    pub fn perturb_into<R: Rng + ?Sized>(&self, rng: &mut R, base: &[f64], out: &mut [f64]) {
-        assert_eq!(base.len(), out.len(), "buffer length mismatch");
-        self.sample_into(rng, out);
-        for (slot, &b) in out.iter_mut().zip(base) {
-            *slot += b;
-        }
-    }
 }
 
 /// Uniform words per polar batch.
@@ -421,19 +407,6 @@ mod tests {
         for tier in tiers {
             let fnv = sampler_fnv(|m, rng, buf| m.sample_into_on(tier, rng, as_uninit(buf)));
             assert_eq!(fnv, SAMPLER_PIN, "{tier:?}");
-        }
-    }
-
-    #[test]
-    fn perturb_is_base_plus_sample_into() {
-        let model = FabricationModel::default();
-        let base: Vec<f64> = (0..7).map(|i| 5.0 + 0.01 * i as f64).collect();
-        let mut noise = vec![0.0f64; 7];
-        model.sample_into(&mut ChaCha8Rng::seed_from_u64(11), &mut noise);
-        let mut out = vec![0.0f64; 7];
-        model.perturb_into(&mut ChaCha8Rng::seed_from_u64(11), &base, &mut out);
-        for i in 0..7 {
-            assert_eq!(out[i], base[i] + noise[i], "slot {i}");
         }
     }
 }

@@ -1,27 +1,23 @@
-//! Closed-form approximation of pairwise collision probabilities.
+//! Closed-form approximation of pairwise collision probabilities: the
+//! test oracle the Monte Carlo yield simulator is checked against.
 //!
 //! For two connected qubits with designed detuning `d` and independent
 //! Gaussian noise of width `sigma` on each, the post-fabrication detuning
 //! is `N(d, sigma * sqrt(2))`, so the probability of each window-shaped
 //! pair condition (1, 2, 3) and of the one-sided condition 4 has a
 //! closed form in the normal CDF. Multiplying the survival probabilities
-//! over all pair constraints gives a cheap lower-fidelity yield estimate
-//! that:
+//! over all pair constraints gives a yield estimate that:
 //!
 //! - upper-bounds the Monte Carlo yield (it ignores the three-qubit
 //!   conditions 5–7),
-//! - ranks architectures/plans at near-zero cost (useful for screening
-//!   before running the full simulator),
-//! - cross-checks the Monte Carlo implementation (tests assert agreement
-//!   on triple-free architectures).
+//! - ranks architectures/plans like the simulator,
+//! - agrees with the simulator on triple-free architectures.
 //!
 //! The three-qubit conditions couple constraints (shared qubits), so no
-//! comparably simple product form exists for them; use the Monte Carlo
-//! simulator when they matter.
+//! comparably simple product form exists for them.
 
-use qpd_topology::Architecture;
-
-use crate::collision::CollisionParams;
+use qpd::topology::Architecture;
+use qpd::yield_sim::CollisionParams;
 
 /// The standard normal CDF via `erf`-free Abramowitz–Stegun 7.1.26
 /// approximation (|error| < 7.5e-8, far below Monte Carlo noise).
@@ -107,8 +103,7 @@ pub fn pairwise_yield_estimate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::YieldSimulator;
-    use qpd_topology::Architecture;
+    use qpd::yield_sim::YieldSimulator;
 
     fn params() -> CollisionParams {
         CollisionParams::default()

@@ -2,6 +2,8 @@
 //! machine-consumable (CSV schema, SVG well-formedness, chip format
 //! round-trips through real designed chips).
 
+mod analytic;
+
 use qpd::eval::plot::svg_scatter;
 use qpd::eval::report::{run_csv, CSV_HEADER};
 use qpd::eval::runner::{run_benchmark, EvalSettings};
@@ -59,7 +61,7 @@ fn analytic_screen_upper_bounds_designed_chips() {
         .design(&profile)
         .unwrap();
     let plan = chip.frequencies().unwrap();
-    let analytic = qpd::yield_sim::pairwise_yield_estimate(
+    let analytic = analytic::pairwise_yield_estimate(
         &chip,
         plan.as_slice(),
         0.030,
