@@ -26,8 +26,8 @@
 //! ([`stage::StageCache`], bounded by [`memo_cap`], batches served by
 //! [`stage::StageCache::run_batch`]) owned by a [`stage::StagePlan`].
 //! [`DesignFlow`] is a thin facade over the plan — caching is
-//! bit-transparent, and a knob change recomputes only the stages it
-//! dirties ([`stage::StageKind::invalidates`]).
+//! bit-transparent, and a knob change recomputes only the stages whose
+//! content keys it changes.
 //!
 //! ```
 //! use qpd_circuit::Circuit;
@@ -69,5 +69,5 @@ pub use pipeline::{BusStrategy, DesignFlow, FrequencyStrategy};
 pub use placement::{place_auxiliary, place_qubits};
 pub use stage::{
     memo_cap, profile_key, AssembleJob, AssembleStage, BusOrderStage, PlacementStage, Stage,
-    StageCache, StageCacheStats, StageKind, StagePlan, StageSet, DEFAULT_MEMO_CAP, MEMO_CAP_ENV,
+    StageCache, StageCacheStats, StageKind, StagePlan, DEFAULT_MEMO_CAP, MEMO_CAP_ENV,
 };

@@ -17,11 +17,11 @@
 //!   cannot grow memory without bound. Every cached stage goes through
 //!   one batch rule, [`StageCache::run_batch`]; a singleton is a batch
 //!   of one;
-//! - [`StageKind`] / [`StageSet`] — the stage dependency graph and its
-//!   dirty-propagation rule: a knob change dirties one stage, and
-//!   [`StageKind::invalidates`] names everything downstream of it.
-//!   Crucially, **routing is not downstream of frequency allocation**
-//!   (the router never reads frequencies), which is what lets a
+//! - [`StageKind`] — the stages' names, pipeline order, for stats and
+//!   reports. What re-runs after a knob change is decided by content
+//!   keys alone: a stage re-runs exactly when its key changes.
+//!   Crucially, **routing does not key on frequency allocation** (the
+//!   router never reads frequencies), which is what lets a
 //!   frequency-only change skip placement, bus insertion, *and* routing;
 //! - [`StagePlan`] — the assembled plan for the in-crate half of the
 //!   cascade (placement → buses → frequency/assembly), owning one cache
@@ -122,88 +122,6 @@ impl StageKind {
             StageKind::Routing => "routing",
             StageKind::Yield => "yield",
         }
-    }
-
-    /// The set of stages invalidated when this stage's inputs change:
-    /// the stage itself plus everything downstream of it in the graph.
-    ///
-    /// The graph is the paper's cascade with one deliberate exception:
-    /// routing depends on placement and bus insertion but **not** on
-    /// frequency allocation, so a frequency-only change leaves routing
-    /// results valid. Yield depends on everything except routing.
-    pub fn invalidates(self) -> StageSet {
-        match self {
-            StageKind::Placement => StageSet::all(),
-            StageKind::Bus => StageSet::of(&[
-                StageKind::Bus,
-                StageKind::Frequency,
-                StageKind::Routing,
-                StageKind::Yield,
-            ]),
-            StageKind::Frequency => StageSet::of(&[StageKind::Frequency, StageKind::Yield]),
-            StageKind::Routing => StageSet::of(&[StageKind::Routing]),
-            StageKind::Yield => StageSet::of(&[StageKind::Yield]),
-        }
-    }
-
-    fn bit(self) -> u8 {
-        1 << (self as u8)
-    }
-}
-
-/// A small set of [`StageKind`]s — the currency of dirty tracking: a
-/// knob diff maps to the set of dirtied stages, and everything upstream
-/// of the first dirty stage is served from cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageSet(u8);
-
-impl StageSet {
-    /// The empty set (nothing dirty: a no-op diff).
-    pub fn empty() -> Self {
-        StageSet(0)
-    }
-
-    /// Every stage (a change upstream of everything).
-    pub fn all() -> Self {
-        StageSet::of(&StageKind::ALL)
-    }
-
-    /// The set holding exactly `kinds`.
-    pub fn of(kinds: &[StageKind]) -> Self {
-        StageSet(kinds.iter().fold(0, |acc, k| acc | k.bit()))
-    }
-
-    /// Whether `kind` is in the set.
-    pub fn contains(self, kind: StageKind) -> bool {
-        self.0 & kind.bit() != 0
-    }
-
-    /// Set union.
-    #[must_use]
-    pub fn union(self, other: StageSet) -> StageSet {
-        StageSet(self.0 | other.0)
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Number of stages in the set.
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
-
-    /// The stages in the set, pipeline order.
-    pub fn iter(self) -> impl Iterator<Item = StageKind> {
-        StageKind::ALL.into_iter().filter(move |k| self.contains(*k))
-    }
-}
-
-impl std::fmt::Display for StageSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<&str> = self.iter().map(StageKind::name).collect();
-        write!(f, "{{{}}}", names.join(", "))
     }
 }
 
@@ -1086,32 +1004,6 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.misses(), 1, "counters survive a clear");
         assert_eq!(cache.get(1), None);
-    }
-
-    #[test]
-    fn stage_set_algebra() {
-        assert!(StageSet::empty().is_empty());
-        assert_eq!(StageSet::all().len(), 5);
-        let s = StageSet::of(&[StageKind::Frequency, StageKind::Yield]);
-        assert!(s.contains(StageKind::Frequency));
-        assert!(!s.contains(StageKind::Routing));
-        assert_eq!(s.union(StageSet::of(&[StageKind::Bus])).len(), 3);
-        assert_eq!(s.to_string(), "{frequency, yield}");
-    }
-
-    #[test]
-    fn frequency_does_not_invalidate_routing() {
-        // The load-bearing edge of the graph: a frequency-only change
-        // leaves placement, bus insertion, and routing valid.
-        let dirty = StageKind::Frequency.invalidates();
-        assert!(dirty.contains(StageKind::Frequency));
-        assert!(dirty.contains(StageKind::Yield));
-        assert!(!dirty.contains(StageKind::Placement));
-        assert!(!dirty.contains(StageKind::Bus));
-        assert!(!dirty.contains(StageKind::Routing));
-        // Upstream changes invalidate everything downstream.
-        assert_eq!(StageKind::Placement.invalidates(), StageSet::all());
-        assert!(StageKind::Bus.invalidates().contains(StageKind::Routing));
     }
 
     #[test]

@@ -108,7 +108,7 @@ use qpd_eval::plot::{svg_front_overlay, OverlayPoint};
 use qpd_explore::sidecar::{self, SidecarLoad};
 use qpd_explore::{
     merge_checkpoints, write_atomic, AcceptanceMode, Checkpoint, ExploreConfig, ExploreSpace,
-    ExploreState, Explorer, HardwareSweep, ShardSpec, ShardState, StageHitRate,
+    ExploreState, Explorer, HardwareSweep, ShardMeta, ShardSpec, ShardState, StageHitRate,
 };
 
 /// Reports a usage error and exits with status 2. Called only before
@@ -487,116 +487,91 @@ fn report(
     }
 }
 
+/// How a run names itself in progress lines and the summary table:
+/// the benchmark, plus `[i/N]` for a shard.
+fn run_tag(name: &str, shard: Option<ShardSpec>) -> String {
+    match shard {
+        Some(spec) => format!("{name} [{spec}]"),
+        None => name.to_string(),
+    }
+}
+
+/// A whole run as the shard that owns every walk (spec `0/1`). Its
+/// checkpoint carries no shard block, so its provenance stays empty.
+fn whole_run(state: ExploreState) -> ShardState {
+    ShardState { spec: ShardSpec { index: 0, of: 1 }, state, prov: Vec::new() }
+}
+
+/// Runs `name` to its round budget, whole (`shard` = `None`) or as one
+/// shard, from `resume` or from fresh initial evaluations, writing the
+/// checkpoint and cache sidecar after every round.
 fn run_one(
     name: &str,
+    shard: Option<ShardSpec>,
     config: ExploreConfig,
     out_dir: &Path,
-    resume_state: Option<ExploreState>,
+    resume: Option<ShardState>,
     options: &RunOptions,
 ) -> RunReport {
     std::fs::create_dir_all(out_dir).expect("create output directory");
     let start = Instant::now();
-    let explorer = build_explorer(name, name, config, options);
-    let mut state = match resume_state {
-        Some(state) => state,
-        None => explorer.initial_state().expect("initial evaluations"),
-    };
-    let snapshot = |state: &ExploreState| Checkpoint {
+    let label = shard.map_or_else(|| name.to_string(), |spec| spec.label(name));
+    let explorer = build_explorer(name, &label, config, options);
+    let mut run = resume.unwrap_or_else(|| {
+        match shard {
+            Some(spec) => explorer.initial_shard_state(spec),
+            None => explorer.initial_state().map(whole_run),
+        }
+        .expect("initial evaluations")
+    });
+    let snapshot = |run: &ShardState| Checkpoint {
         run: name.to_string(),
         config,
-        state: state.clone(),
+        state: run.state.clone(),
         stage_hit_rates: if options.hit_rates {
             StageHitRate::from_stats(&explorer.stage_stats())
         } else {
             Vec::new()
         },
-        shard: None,
+        shard: shard.map(|spec| ShardMeta { spec, prov: run.prov.clone() }),
     };
-    while state.rounds_done < config.rounds {
+    let write_sidecar = || {
+        write_atomic(&out_dir.join(sidecar::file_name(&label)), sidecar::render(explorer.caches()))
+            .expect("write cache sidecar")
+    };
+    while run.state.rounds_done < config.rounds {
         if let Some(bound) = options.max_seconds {
-            if state.rounds_done > 0 && start.elapsed().as_secs_f64() > bound {
+            if run.state.rounds_done > 0 && start.elapsed().as_secs_f64() > bound {
                 eprintln!(
-                    "{name}: wall-clock bound hit after {} rounds; stopping early",
-                    state.rounds_done
+                    "{}: wall-clock bound hit after {} rounds; stopping early",
+                    run_tag(name, shard),
+                    run.state.rounds_done
                 );
                 break;
             }
         }
-        explorer.advance_round(&mut state).expect("round");
+        match shard {
+            Some(_) => explorer.advance_shard_round(&mut run),
+            None => explorer.advance_round(&mut run.state),
+        }
+        .expect("round");
         // Checkpoint after every round: a killed run resumes from here,
         // and the cache sidecar lets it resume *warm*.
-        snapshot(&state).write(out_dir).expect("write checkpoint");
-        write_atomic(&out_dir.join(sidecar::file_name(name)), sidecar::render(explorer.caches()))
-            .expect("write cache sidecar");
+        snapshot(&run).write(out_dir).expect("write checkpoint");
+        write_sidecar();
     }
     // Always (re)write the final state: never report a stale file that
     // happened to be sitting in the output directory.
-    let checkpoint_path = snapshot(&state).write(out_dir).expect("write checkpoint");
-    write_atomic(&out_dir.join(sidecar::file_name(name)), sidecar::render(explorer.caches()))
-        .expect("write cache sidecar");
-    let eff_full = Some(eff_full_status(explorer.space(), &state, config.hardware));
-    let overlay = options
-        .overlay
-        .then(|| (name.to_string(), out_dir.join(format!("EXPLORE_{name}_front.svg"))));
-    report(name.to_string(), &explorer, &state, eff_full, checkpoint_path, overlay)
-}
-
-/// The shard counterpart of [`run_one`]: advances only the walks the
-/// shard owns and writes the shard-tagged checkpoint + sidecar after
-/// every round.
-fn run_one_shard(
-    name: &str,
-    spec: ShardSpec,
-    config: ExploreConfig,
-    out_dir: &Path,
-    resume_state: Option<ShardState>,
-    options: &RunOptions,
-) -> RunReport {
-    std::fs::create_dir_all(out_dir).expect("create output directory");
-    let start = Instant::now();
-    let label = spec.label(name);
-    let explorer = build_explorer(name, &label, config, options);
-    let mut shard = match resume_state {
-        Some(state) => state,
-        None => explorer.initial_shard_state(spec).expect("initial evaluations"),
-    };
-    let snapshot = |shard: &ShardState| {
-        Checkpoint::from_shard(
-            name,
-            config,
-            shard,
-            if options.hit_rates {
-                StageHitRate::from_stats(&explorer.stage_stats())
-            } else {
-                Vec::new()
-            },
-        )
-    };
-    while shard.state.rounds_done < config.rounds {
-        if let Some(bound) = options.max_seconds {
-            if shard.state.rounds_done > 0 && start.elapsed().as_secs_f64() > bound {
-                eprintln!(
-                    "{name} [{spec}]: wall-clock bound hit after {} rounds; stopping early",
-                    shard.state.rounds_done
-                );
-                break;
-            }
-        }
-        explorer.advance_shard_round(&mut shard).expect("round");
-        snapshot(&shard).write(out_dir).expect("write checkpoint");
-        write_atomic(&out_dir.join(sidecar::file_name(&label)), sidecar::render(explorer.caches()))
-            .expect("write cache sidecar");
-    }
-    let checkpoint_path = snapshot(&shard).write(out_dir).expect("write checkpoint");
-    write_atomic(&out_dir.join(sidecar::file_name(&label)), sidecar::render(explorer.caches()))
-        .expect("write cache sidecar");
-    // eff-full is walk 0's starting point; only its shard can see it.
-    let eff_full =
-        (spec.index == 0).then(|| eff_full_status(explorer.space(), &shard.state, config.hardware));
+    let checkpoint_path = snapshot(&run).write(out_dir).expect("write checkpoint");
+    write_sidecar();
+    // eff-full is walk 0's starting point; only the run owning walk 0
+    // can see it.
+    let eff_full = (run.spec.index == 0)
+        .then(|| eff_full_status(explorer.space(), &run.state, config.hardware));
     let overlay = options
         .overlay
         .then(|| (label.clone(), out_dir.join(format!("EXPLORE_{label}_front.svg"))));
-    report(format!("{name} [{spec}]"), &explorer, &shard.state, eff_full, checkpoint_path, overlay)
+    report(run_tag(name, shard), &explorer, &run.state, eff_full, checkpoint_path, overlay)
 }
 
 /// `--merge`: validates, merges, optionally re-prunes, writes, reports.
@@ -740,23 +715,16 @@ fn run_resume(args: &Args, options: &mut RunOptions) {
     if !args.no_warm_start {
         options.warm_from = path.parent().map(|p| p.to_path_buf());
     }
-    let run = checkpoint.run.clone();
-    let report = match checkpoint.to_shard_state() {
-        Some(shard) => {
-            eprintln!(
-                "resuming {run} [{}] at round {}/{}",
-                shard.spec, shard.state.rounds_done, checkpoint.config.rounds
-            );
-            run_one_shard(&run, shard.spec, checkpoint.config, &args.out_dir, Some(shard), options)
-        }
-        None => {
-            eprintln!(
-                "resuming {run} at round {}/{}",
-                checkpoint.state.rounds_done, checkpoint.config.rounds
-            );
-            run_one(&run, checkpoint.config, &args.out_dir, Some(checkpoint.state), options)
-        }
-    };
+    let (run, config) = (checkpoint.run.clone(), checkpoint.config);
+    let shard = checkpoint.shard.as_ref().map(|meta| meta.spec);
+    eprintln!(
+        "resuming {} at round {}/{}",
+        run_tag(&run, shard),
+        checkpoint.state.rounds_done,
+        config.rounds
+    );
+    let resumed = checkpoint.to_shard_state().unwrap_or_else(|| whole_run(checkpoint.state));
+    let report = run_one(&run, shard, config, &args.out_dir, Some(resumed), options);
     print_table(std::slice::from_ref(&report));
     if args.check {
         check(std::slice::from_ref(&report));
@@ -812,22 +780,10 @@ fn main() {
 
     let mut reports = Vec::new();
     for name in &names {
-        match args.shard {
-            Some(spec) => {
-                eprint!("exploring {name} [{spec}] ... ");
-                let start = std::time::Instant::now();
-                let report = run_one_shard(name, spec, config, &args.out_dir, None, &options);
-                eprintln!("done ({:.1?})", start.elapsed());
-                reports.push(report);
-            }
-            None => {
-                eprint!("exploring {name} ... ");
-                let start = std::time::Instant::now();
-                let report = run_one(name, config, &args.out_dir, None, &options);
-                eprintln!("done ({:.1?})", start.elapsed());
-                reports.push(report);
-            }
-        }
+        eprint!("exploring {} ... ", run_tag(name, args.shard));
+        let start = std::time::Instant::now();
+        reports.push(run_one(name, args.shard, config, &args.out_dir, None, &options));
+        eprintln!("done ({:.1?})", start.elapsed());
     }
     print_table(&reports);
 

@@ -177,3 +177,35 @@ fn a_shard_checkpoint_resumes_as_that_shard() {
         "kill/resume of a shard diverged from the uninterrupted shard"
     );
 }
+
+#[test]
+fn a_whole_run_checkpoint_resumes_byte_for_byte() {
+    let dir = tmp_dir("cli_whole_resume");
+    let full = tmp_dir("cli_whole_resume_full");
+    // Cut after one round, then resumed to two: only --rounds may
+    // combine with --resume, the checkpoint carries the quick budgets.
+    let checkpoint = quick_checkpoint(&dir);
+    let out = explore_run()
+        .args(["--rounds", "2", "--resume"])
+        .arg(&checkpoint)
+        .arg("--out-dir")
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stderr(&out).contains("resuming sym6_145 at round 1/2"), "{}", stderr(&out));
+    let out = explore_run()
+        .args(["--quick", "--rounds", "2", "--out-dir"])
+        .arg(&full)
+        .arg("sym6_145")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    for file in ["EXPLORE_sym6_145.json", "EXPLORE_sym6_145_caches.json"] {
+        assert_eq!(
+            std::fs::read(dir.join(file)).unwrap(),
+            std::fs::read(full.join(file)).unwrap(),
+            "{file}: kill/resume of a whole run diverged from the uninterrupted run"
+        );
+    }
+}

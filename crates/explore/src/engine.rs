@@ -388,6 +388,10 @@ impl ShardSpec {
     }
 }
 
+/// A whole run is the shard that owns every walk: the whole-run entry
+/// points drive the shard bodies with this spec and drop the provenance.
+const WHOLE_RUN: ShardSpec = ShardSpec { index: 0, of: 1 };
+
 impl fmt::Display for ShardSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.index, self.of)
@@ -442,7 +446,8 @@ pub enum ExploreError {
     Checkpoint(String),
     /// A shard run or checkpoint merge was asked for something its
     /// independence guarantees cannot deliver (non-shardable config,
-    /// out-of-range shard spec, inconsistent merge inputs).
+    /// out-of-range shard spec, inconsistent merge inputs), or a run's
+    /// state does not hold the walks it owns.
     Shard(String),
 }
 
@@ -527,8 +532,15 @@ pub fn pareto_indices(archive: &[Evaluated]) -> Vec<usize> {
 /// yield through [`StageCaches`]. Each cached stage serves a whole batch
 /// of candidates through [`qpd_core::StageCache::run_batch`].
 /// Every stage is content-keyed, so a knob change recomputes only the
-/// stages it dirties ([`CandidateSpec::dirty_stages`]) — a freq-only
-/// move skips placement, bus insertion, and routing entirely.
+/// stages whose keys it changes — a freq-only move leaves the topology,
+/// and so placement, bus insertion, and routing, served from cache.
+///
+/// A whole run is the shard that owns every walk: [`Self::initial_state`]
+/// and [`Self::advance_round`] run the same initial-evaluation and round
+/// bodies as [`Self::initial_shard_state`] and
+/// [`Self::advance_shard_round`], over `0..walks` instead of
+/// [`ShardSpec::walk_ids`]. That is why N shards merged equal the
+/// single run.
 #[derive(Debug)]
 pub struct Explorer {
     space: ExploreSpace,
@@ -911,17 +923,33 @@ impl Explorer {
     ///
     /// Propagates the first evaluation failure, in walk order.
     pub fn initial_state(&self) -> Result<ExploreState, ExploreError> {
-        let specs: Vec<CandidateSpec> =
-            (0..self.config.walks).map(|w| self.initial_spec(w)).collect();
+        Ok(self.initial_walks(WHOLE_RUN)?.0)
+    }
+
+    /// Evaluates the starting specs of the walks `owner` owns, in
+    /// ascending global walk order, returning the state and the
+    /// [`Provenance`] of every entry it archived (all block 0).
+    fn initial_walks(
+        &self,
+        owner: ShardSpec,
+    ) -> Result<(ExploreState, Vec<Provenance>), ExploreError> {
+        let ids = owner.walk_ids(self.config.walks);
+        let specs: Vec<CandidateSpec> = ids.iter().map(|&w| self.initial_spec(w)).collect();
         let evals = self.evaluate_batch_at(&specs, self.config.yield_trials)?;
-        let mut archive = Vec::new();
+        let mut state = ExploreState {
+            rounds_done: 0,
+            walks: Vec::with_capacity(ids.len()),
+            archive: Vec::new(),
+        };
+        let mut prov = Vec::new();
         let mut seen = HashMap::new();
-        let mut walks = Vec::with_capacity(specs.len());
-        for (spec, eval) in specs.into_iter().zip(evals) {
-            walks.push(WalkState { spec, objectives: eval.objectives });
-            push_dedup(&mut archive, &mut seen, eval);
+        for ((&walk, spec), eval) in ids.iter().zip(specs).zip(evals) {
+            state.walks.push(WalkState { spec, objectives: eval.objectives });
+            if push_dedup(&mut state.archive, &mut seen, eval) {
+                prov.push(Provenance { block: 0, walk: walk as u64, step: 0 });
+            }
         }
-        Ok(ExploreState { rounds_done: 0, walks, archive })
+        Ok((state, prov))
     }
 
     /// The normalized vectors of the archive's current front — the
@@ -944,27 +972,45 @@ impl Explorer {
     ///
     /// # Errors
     ///
-    /// Propagates the first evaluation failure of the earliest failing
-    /// step, in walk order; `state` is left unmodified.
+    /// Rejects a state that does not hold exactly `config.walks` walks;
+    /// propagates the first evaluation failure of the earliest failing
+    /// step, in walk order. On a failure before the round's merge
+    /// `state` is left unmodified.
     pub fn advance_round(&self, state: &mut ExploreState) -> Result<(), ExploreError> {
+        self.round(state, WHOLE_RUN).map(drop)
+    }
+
+    /// The one round body of whole and shard runs, over the walks
+    /// `owner` owns (`state.walks[i]` is the `i`-th of them). Returns
+    /// the [`Provenance`] of every entry the walks' steps archive, each
+    /// recorded at the step that produced it. Recombination and
+    /// pruning, the cross-walk barrier work, follow the config; they
+    /// are never on in a shard ([`ExploreConfig::shardable`]), and a
+    /// whole run drops the provenance.
+    fn round(
+        &self,
+        state: &mut ExploreState,
+        owner: ShardSpec,
+    ) -> Result<Vec<Provenance>, ExploreError> {
+        let ids = owner.walk_ids(self.config.walks);
+        if ids.len() != state.walks.len() {
+            return Err(ExploreError::Shard(format!(
+                "shard {owner} of a {}-walk run must hold {} walk(s), found {}",
+                self.config.walks,
+                ids.len(),
+                state.walks.len()
+            )));
+        }
         let round = state.rounds_done;
-        let front = self.front_snapshot(state);
-        let walks = state.walks.len();
-        let mut rngs: Vec<ChaCha8Rng> = (0..walks).map(|w| self.walk_rng(w, round)).collect();
-        let weights: Vec<[f64; 4]> = (0..walks).map(|w| self.walk_weights(w)).collect();
+        let dominance = self.config.acceptance == AcceptanceMode::Dominance;
+        let front = if dominance { self.front_snapshot(state) } else { Vec::new() };
+        let mut rngs: Vec<ChaCha8Rng> = ids.iter().map(|&w| self.walk_rng(w, round)).collect();
+        let weights: Vec<[f64; 4]> = ids.iter().map(|&w| self.walk_weights(w)).collect();
         let mut currents: Vec<WalkState> = state.walks.clone();
-        let mut round_evals: Vec<Vec<Evaluated>> = vec![Vec::new(); walks];
+        let mut round_evals: Vec<Vec<(usize, Evaluated)>> = vec![Vec::new(); ids.len()];
         for step in 0..self.config.steps_per_round {
-            match self.config.acceptance {
-                AcceptanceMode::Scalarized => self.step_scalarized(
-                    round,
-                    step,
-                    &mut rngs,
-                    &weights,
-                    &mut currents,
-                    &mut round_evals,
-                )?,
-                AcceptanceMode::Dominance => self.step_dominance(
+            if dominance {
+                self.step_dominance(
                     round,
                     step,
                     &front,
@@ -972,15 +1018,31 @@ impl Explorer {
                     &weights,
                     &mut currents,
                     &mut round_evals,
-                )?,
+                )?;
+            } else {
+                self.step_scalarized(
+                    round,
+                    step,
+                    &mut rngs,
+                    &weights,
+                    &mut currents,
+                    &mut round_evals,
+                )?;
             }
         }
         let mut seen: HashMap<u64, usize> =
             state.archive.iter().enumerate().map(|(i, e)| (e.key, i)).collect();
-        for (walk, (end, evals)) in currents.into_iter().zip(round_evals).enumerate() {
-            state.walks[walk] = end;
-            for eval in evals {
-                push_dedup(&mut state.archive, &mut seen, eval);
+        let mut prov = Vec::new();
+        for (local, (end, evals)) in currents.into_iter().zip(round_evals).enumerate() {
+            state.walks[local] = end;
+            for (step, eval) in evals {
+                if push_dedup(&mut state.archive, &mut seen, eval) {
+                    prov.push(Provenance {
+                        block: round as u64 + 1,
+                        walk: ids[local] as u64,
+                        step: step as u64,
+                    });
+                }
             }
         }
         if self.config.recombine && state.walks.len() >= 2 {
@@ -988,7 +1050,7 @@ impl Explorer {
         }
         self.prune_archive(state);
         state.rounds_done = round + 1;
-        Ok(())
+        Ok(prov)
     }
 
     /// Bounds the archive to [`ExploreConfig::archive_cap`] at the round
@@ -1081,7 +1143,7 @@ impl Explorer {
         rngs: &mut [ChaCha8Rng],
         weights: &[[f64; 4]],
         currents: &mut [WalkState],
-        round_evals: &mut [Vec<Evaluated>],
+        round_evals: &mut [Vec<(usize, Evaluated)>],
     ) -> Result<(), ExploreError> {
         let proposals: Vec<CandidateSpec> = currents
             .iter()
@@ -1101,7 +1163,7 @@ impl Explorer {
             if accept {
                 currents[walk] = WalkState { spec: eval.spec.clone(), objectives: eval.objectives };
             }
-            round_evals[walk].push(eval);
+            round_evals[walk].push((step, eval));
         }
         Ok(())
     }
@@ -1137,7 +1199,7 @@ impl Explorer {
         rngs: &mut [ChaCha8Rng],
         weights: &[[f64; 4]],
         currents: &mut [WalkState],
-        round_evals: &mut [Vec<Evaluated>],
+        round_evals: &mut [Vec<(usize, Evaluated)>],
     ) -> Result<(), ExploreError> {
         let screening = self.config.screen_divisor > 1;
         let eps = self.config.epsilon;
@@ -1169,7 +1231,7 @@ impl Explorer {
                     // Clearly dominated: when screening, the full-trial
                     // simulation never runs and nothing is archived.
                     if !screening {
-                        round_evals[walk].push(candidate.clone());
+                        round_evals[walk].push((step, candidate.clone()));
                     }
                     continue;
                 }
@@ -1192,7 +1254,7 @@ impl Explorer {
             if annealed || still_good {
                 currents[walk] = WalkState { spec: full.spec.clone(), objectives: full.objectives };
             }
-            round_evals[walk].push(full);
+            round_evals[walk].push((step, full));
         }
         Ok(())
     }
@@ -1339,78 +1401,24 @@ impl Explorer {
     /// out-of-range shard specs; propagates evaluation failures.
     pub fn initial_shard_state(&self, spec: ShardSpec) -> Result<ShardState, ExploreError> {
         self.check_shard(spec)?;
-        let ids = spec.walk_ids(self.config.walks);
-        let specs: Vec<CandidateSpec> = ids.iter().map(|&w| self.initial_spec(w)).collect();
-        let evals = self.evaluate_batch_at(&specs, self.config.yield_trials)?;
-        let mut archive = Vec::new();
-        let mut prov = Vec::new();
-        let mut seen = HashMap::new();
-        let mut walks = Vec::with_capacity(specs.len());
-        for ((&walk, spec), eval) in ids.iter().zip(specs).zip(evals) {
-            walks.push(WalkState { spec, objectives: eval.objectives });
-            if push_dedup(&mut archive, &mut seen, eval) {
-                prov.push(Provenance { block: 0, walk: walk as u64, step: 0 });
-            }
-        }
-        Ok(ShardState { spec, state: ExploreState { rounds_done: 0, walks, archive }, prov })
+        let (state, prov) = self.initial_walks(spec)?;
+        Ok(ShardState { spec, state, prov })
     }
 
-    /// Runs one round of the shard's walks: the same synchronized
-    /// [`step_scalarized`](Self::advance_round) steps the full run
-    /// takes, over this shard's subset. Because scalarized walks never
-    /// read each other (which the shard-spec validation enforces), every
-    /// walk draws and observes exactly what it does in the
-    /// single-process run.
+    /// Runs one round of the shard's walks: the round body of
+    /// [`Self::advance_round`] over this shard's subset. Because
+    /// scalarized walks never read each other (which the shard-spec
+    /// validation enforces), every walk draws and observes exactly what
+    /// it does in the single-process run.
     ///
     /// # Errors
     ///
-    /// As [`Self::initial_shard_state`]; on evaluation failure `shard`
-    /// is left unmodified.
+    /// As [`Self::initial_shard_state`], plus a shard whose walk count
+    /// does not match its spec; on failure `shard` is left unmodified.
     pub fn advance_shard_round(&self, shard: &mut ShardState) -> Result<(), ExploreError> {
         self.check_shard(shard.spec)?;
-        let round = shard.state.rounds_done;
-        let ids = shard.spec.walk_ids(self.config.walks);
-        if ids.len() != shard.state.walks.len() {
-            return Err(ExploreError::Shard(format!(
-                "shard {} of a {}-walk run must hold {} walk(s), found {}",
-                shard.spec,
-                self.config.walks,
-                ids.len(),
-                shard.state.walks.len()
-            )));
-        }
-        let mut rngs: Vec<ChaCha8Rng> = ids.iter().map(|&w| self.walk_rng(w, round)).collect();
-        let weights: Vec<[f64; 4]> = ids.iter().map(|&w| self.walk_weights(w)).collect();
-        let mut currents: Vec<WalkState> = shard.state.walks.clone();
-        let mut round_evals: Vec<Vec<Evaluated>> = vec![Vec::new(); ids.len()];
-        for step in 0..self.config.steps_per_round {
-            self.step_scalarized(
-                round,
-                step,
-                &mut rngs,
-                &weights,
-                &mut currents,
-                &mut round_evals,
-            )?;
-        }
-        let mut seen: HashMap<u64, usize> =
-            shard.state.archive.iter().enumerate().map(|(i, e)| (e.key, i)).collect();
-        for (local, (end, evals)) in currents.into_iter().zip(round_evals).enumerate() {
-            shard.state.walks[local] = end;
-            // Scalarized steps archive exactly one evaluation per walk
-            // per step, so the position in the walk's round list *is*
-            // the step index.
-            for (step, eval) in evals.into_iter().enumerate() {
-                if push_dedup(&mut shard.state.archive, &mut seen, eval) {
-                    shard.prov.push(Provenance {
-                        block: round as u64 + 1,
-                        walk: ids[local] as u64,
-                        step: step as u64,
-                    });
-                }
-            }
-        }
-        shard.state.rounds_done = round + 1;
+        let prov = self.round(&mut shard.state, shard.spec)?;
+        shard.prov.extend(prov);
         Ok(())
     }
 
@@ -1721,27 +1729,34 @@ mod tests {
         // frequency plan, new yield simulation) but never re-routes —
         // routing reads topology only, which the flip leaves untouched.
         let explorer = quick_explorer(0);
+        let misses = || -> Vec<(qpd_core::StageKind, u64)> {
+            explorer.stage_stats().iter().map(|s| (s.kind, s.misses)).collect()
+        };
         let spec = CandidateSpec::eff_full(explorer.space().full_weighted_len());
         explorer.evaluate(&spec).unwrap();
-        let route_misses = explorer.caches().routes.misses();
-        let yield_misses = explorer.caches().yields.misses();
+        let before = misses();
         let flipped = CandidateSpec { frequency: FrequencyStrategy::FiveFrequency, ..spec.clone() };
-        assert_eq!(
-            flipped.dirty_stages(&spec).to_string(),
-            "{frequency, yield}",
-            "a frequency flip should dirty exactly the frequency and yield stages"
-        );
         explorer.evaluate(&flipped).unwrap();
-        assert_eq!(
-            explorer.caches().routes.misses(),
-            route_misses,
-            "a freq-only move re-ran routing"
-        );
+        for ((kind, was), (_, now)) in before.into_iter().zip(misses()) {
+            use qpd_core::StageKind::{Frequency, Yield};
+            let reruns = matches!(kind, Frequency | Yield);
+            assert_eq!(now > was, reruns, "{} after a freq-only move", kind.name());
+        }
         assert!(explorer.caches().routes.hits() > 0, "routing was not served from cache");
-        assert!(
-            explorer.caches().yields.misses() > yield_misses,
-            "the dirtied yield stage must re-run"
-        );
+    }
+
+    #[test]
+    fn a_whole_run_state_missing_a_walk_is_rejected_untouched() {
+        // A whole run owns every walk: a state short of one is an error
+        // before anything evaluates, and the state stays as it was.
+        let explorer = quick_explorer(4);
+        let mut state = explorer.initial_state().unwrap();
+        state.walks.pop();
+        let before = state.clone();
+        let err = explorer.advance_round(&mut state).unwrap_err();
+        assert!(matches!(err, ExploreError::Shard(_)), "{err}");
+        assert!(err.to_string().contains("must hold 3 walk(s), found 2"), "{err}");
+        assert_eq!(state, before);
     }
 
     #[test]

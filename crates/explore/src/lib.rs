@@ -26,9 +26,10 @@
 //! content-keyed and bounded by [`qpd_core::memo_cap`] (deterministic
 //! second-chance eviction), each serving a batch of candidates as one
 //! [`qpd_core::StageCache::run_batch`]. A knob change recomputes only
-//! the stages it dirties ([`CandidateSpec::dirty_stages`]): a
-//! frequency-only move skips placement, bus insertion, *and* routing
-//! entirely, and a revisited candidate costs hash lookups only.
+//! the stages whose content keys it changes: a frequency-only move
+//! leaves the topology alone, so placement, bus insertion, *and*
+//! routing are served from cache, and a revisited candidate costs hash
+//! lookups only.
 //!
 //! Since the v2 engine, acceptance is **archive-guided Pareto
 //! dominance** by default ([`AcceptanceMode::Dominance`]): a walk moves

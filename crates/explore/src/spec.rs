@@ -1,6 +1,6 @@
 //! The explorer's knob surface: one point in the design space.
 
-use qpd_core::{FrequencyStrategy, StageKind, StageSet};
+use qpd_core::FrequencyStrategy;
 use qpd_topology::Square;
 use qpd_yield::HardwareFamily;
 
@@ -76,33 +76,6 @@ impl CandidateSpec {
             placement: PlacementVariant::Identity,
             hardware: HardwareFamily::FixedFrequencyTransmon,
         }
-    }
-
-    /// The stages a move from `baseline` to this spec dirties — the
-    /// spec-diff half of the stage graph's dirty tracking. Each changed
-    /// knob dirties the first stage that consumes it plus everything
-    /// downstream ([`StageKind::invalidates`]); every stage upstream of
-    /// the first dirty stage is served from cache when the candidate is
-    /// evaluated. Notably a frequency-only change dirties `{frequency,
-    /// yield}` but **not** routing, which reads topology only.
-    pub fn dirty_stages(&self, baseline: &CandidateSpec) -> StageSet {
-        let mut dirty = StageSet::empty();
-        if self.placement != baseline.placement || self.aux_qubits != baseline.aux_qubits {
-            dirty = dirty.union(StageKind::Placement.invalidates());
-        }
-        if self.bus != baseline.bus {
-            dirty = dirty.union(StageKind::Bus.invalidates());
-        }
-        if self.frequency != baseline.frequency {
-            dirty = dirty.union(StageKind::Frequency.invalidates());
-        }
-        if self.hardware != baseline.hardware {
-            // A family change re-bands frequency allocation and re-runs
-            // yield under the family's constraints; topology (and hence
-            // routing) is untouched.
-            dirty = dirty.union(StageKind::Frequency.invalidates());
-        }
-        dirty
     }
 
     /// Serializes the spec for checkpoints.
@@ -330,39 +303,6 @@ mod tests {
             },
             CandidateSpec { hardware: HardwareFamily::HeavyHex, ..CandidateSpec::eff_full(0) },
         ]
-    }
-
-    #[test]
-    fn dirty_stages_maps_knob_diffs_onto_the_graph() {
-        let base = CandidateSpec::eff_full(3);
-        assert!(base.dirty_stages(&base).is_empty(), "identical specs dirty nothing");
-        let freq = CandidateSpec { frequency: FrequencyStrategy::FiveFrequency, ..base.clone() };
-        assert_eq!(
-            freq.dirty_stages(&base),
-            StageSet::of(&[StageKind::Frequency, StageKind::Yield]),
-            "a frequency flip must leave routing clean"
-        );
-        let bus = CandidateSpec { bus: BusSpec::Weighted { count: 1 }, ..base.clone() };
-        let bus_dirty = bus.dirty_stages(&base);
-        assert!(bus_dirty.contains(StageKind::Routing));
-        assert!(!bus_dirty.contains(StageKind::Placement));
-        let aux = CandidateSpec { aux_qubits: 1, ..base.clone() };
-        assert_eq!(aux.dirty_stages(&base), StageSet::all());
-        let layout = CandidateSpec { placement: PlacementVariant::Transposed, ..base.clone() };
-        assert_eq!(layout.dirty_stages(&base), StageSet::all());
-        // Diffs union: frequency + bus dirties everything but placement.
-        let both = CandidateSpec {
-            frequency: FrequencyStrategy::FiveFrequency,
-            bus: BusSpec::Weighted { count: 1 },
-            ..base.clone()
-        };
-        let dirty = both.dirty_stages(&base);
-        assert_eq!(dirty.len(), 4);
-        assert!(!dirty.contains(StageKind::Placement));
-        // The fifth knob: a hardware flip re-runs frequency allocation
-        // and yield but leaves the topology (and routing) clean.
-        let hw = CandidateSpec { hardware: HardwareFamily::TunableCoupler, ..base.clone() };
-        assert_eq!(hw.dirty_stages(&base), StageSet::of(&[StageKind::Frequency, StageKind::Yield]),);
     }
 
     #[test]

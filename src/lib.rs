@@ -32,11 +32,11 @@
 //! served through a bounded [`design::StageCache`] owned by a
 //! [`design::StagePlan`]. [`design::DesignFlow`] is a thin facade over
 //! the plan (outputs are bit-identical to running the subroutines in
-//! sequence with no caching), and the explorer rides the same graph: a knob change re-runs only the stages
-//! it dirties ([`explore::CandidateSpec::dirty_stages`] /
-//! [`design::StageKind::invalidates`]). Because routing reads the
-//! coupling topology but never the frequencies, a frequency-only move
-//! skips placement, bus insertion, *and* routing entirely.
+//! sequence with no caching), and the explorer rides the same graph: a
+//! knob change re-runs only the stages whose content keys it changes.
+//! Because routing reads the coupling topology but never the
+//! frequencies, a frequency-only move skips placement, bus insertion,
+//! *and* routing entirely.
 //!
 //! # Serving
 //!
