@@ -113,11 +113,6 @@ impl<'a> DagCursor<'a> {
         !self.executed[idx] && self.remaining_preds[idx] == 0
     }
 
-    /// Whether instruction `idx` has been executed.
-    pub fn is_executed(&self, idx: usize) -> bool {
-        self.executed[idx]
-    }
-
     /// Number of instructions executed so far.
     pub fn executed_count(&self) -> usize {
         self.executed_count

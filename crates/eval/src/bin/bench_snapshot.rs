@@ -74,10 +74,19 @@
 //!   iteration fills [`PLANE_CHUNKS`] stream chunks of 4,096 samples,
 //!   each from a freshly seeded generator, exactly as the allocator
 //!   draws its noise planes (trajectory point 18's kernel; the
-//!   snapshot's `noise` block reports it per sample).
+//!   snapshot's `noise` block reports it per sample);
+//! - `mapping/route` — SABRE routing statistics of all twelve paper
+//!   programs on a grid of [`ROUTE_GRID_CHIPS`] designed chips each
+//!   (auxiliary qubits 0..=2, weighted or random bus order, 0, 1, 2, 4
+//!   or every bus, five-frequency plans): each sample prepares every
+//!   program afresh, so its lookahead memo starts cold, then routes it
+//!   on its chips over the pool, as the explorer routes its misses
+//!   (trajectory point 24's kernel; the snapshot's `mapping` block
+//!   reports routes per second).
 //!
 //! From point 18 on, a snapshot also names the host's `simd` tier, the
-//! vector kernels the noise fill dispatches to.
+//! vector kernels the noise fill dispatches to; from point 24 on it
+//! must time `mapping/route`.
 //!
 //! Since PR 10 the `explore/eval_cold` / `explore/eval_warm` sweep runs
 //! through `Explorer::evaluate_all` — the batched round path (one
@@ -89,7 +98,7 @@
 //! default 3), `QPD_BENCH_QUICK=1` shrinks trial counts for CI smoke
 //! runs, `QPD_THREADS` sizes the worker pool.
 //!
-//! Usage: `bench_snapshot [--out PATH]` (default `BENCH_19.json`), or
+//! Usage: `bench_snapshot [--out PATH]` (default `BENCH_24.json`), or
 //! `bench_snapshot --check-schema FRESH.json COMMITTED.json...` to
 //! validate snapshot *schemas* without timing anything: every file must
 //! carry the snapshot fields and well-formed kernel entries, and the
@@ -99,15 +108,21 @@
 //! compared.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use criterion::Criterion;
-use qpd_core::{place_qubits, AllocJob, FrequencyAllocator, FrequencyStrategy};
+use qpd_circuit::Circuit;
+use qpd_core::{
+    place_qubits, AllocJob, BusStrategy, DesignFlow, FrequencyAllocator, FrequencyStrategy,
+    StagePlan,
+};
 use qpd_eval::runner::run_benchmark;
 use qpd_eval::EvalSettings;
 use qpd_explore::{
     merge_shard_states, write_atomic, BusSpec, CandidateSpec, ExploreConfig, ExploreSpace,
     Explorer, Json, PlacementVariant, ShardSpec,
 };
+use qpd_mapping::{RouteProgram, SabreRouter};
 use qpd_profile::CouplingProfile;
 use qpd_serve::{Client, Server, ServerConfig};
 use qpd_topology::{ibm, Architecture, BusMode, FrequencyPlan};
@@ -120,7 +135,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// The current perf-trajectory point; bump alongside the default
 /// `--out` path when a later PR appends a snapshot.
-const PR: u64 = 19;
+const PR: u64 = 24;
 
 /// Kernels deliberately removed from the snapshot, each with the
 /// trajectory point that retired it: a committed snapshot older than
@@ -133,6 +148,8 @@ const RETIRED_KERNELS: &[(&str, u64)] = &[("freq_alloc/reference", 17)];
 const PLANE_CHUNKS: usize = 64;
 /// Samples per stream chunk, as the allocator's noise planes draw them.
 const CHUNK_SAMPLES: usize = 4_096;
+/// Chips per program in the `mapping/route` grid.
+const ROUTE_GRID_CHIPS: usize = 30;
 
 /// The host's SIMD tier as the noise kernels dispatch on it: AVX-512
 /// runs both the keystream and the polar transform in 512-bit
@@ -162,6 +179,28 @@ fn designed_topology(name: &str) -> Architecture {
     let mut b = Architecture::builder(name);
     b.qubits(coords);
     b.build().expect("valid layout")
+}
+
+/// The `mapping/route` chip grid of one program: auxiliary qubits
+/// 0..=2 × weighted or random (seed 7) bus order × 0, 1, 2, 4 or every
+/// bus, with five-frequency plans (routing never reads frequencies).
+fn route_grid(circuit: &Circuit) -> Vec<Architecture> {
+    let profile = CouplingProfile::of(circuit);
+    let plan = Arc::new(StagePlan::new());
+    let mut chips = Vec::with_capacity(ROUTE_GRID_CHIPS);
+    for aux in 0..=2 {
+        for strategy in [BusStrategy::Weighted, BusStrategy::Random { seed: 7 }] {
+            for buses in [0, 1, 2, 4, usize::MAX] {
+                let flow = DesignFlow::new()
+                    .with_plan(Arc::clone(&plan))
+                    .with_frequency_strategy(FrequencyStrategy::FiveFrequency)
+                    .with_auxiliary_qubits(aux)
+                    .with_bus_strategy(strategy);
+                chips.push(flow.design_with_buses(&profile, buses).expect("designs"));
+            }
+        }
+    }
+    chips
 }
 
 fn quick() -> bool {
@@ -264,6 +303,9 @@ fn check_snapshot_schema(path: &str, failures: &mut Vec<String>) -> Option<(u64,
     }
     if pr >= 18 && !ids.iter().any(|id| id.ends_with("/noise/plane_fill")) {
         return fail(failures, "missing kernel `noise/plane_fill` (snapshot 18 on)");
+    }
+    if pr >= 24 && !ids.iter().any(|id| id.ends_with("/mapping/route")) {
+        return fail(failures, "missing kernel `mapping/route` (snapshot 24 on)");
     }
     Some((pr, ids))
 }
@@ -606,6 +648,34 @@ fn main() {
         b.iter(|| merge_shard_states("sym6_145", shard_config, &shard_states).expect("merges"))
     });
     let merged = merge_shard_states("sym6_145", shard_config, &shard_states).expect("merge");
+
+    // Routing kernel: every paper program on its chip grid, each sample
+    // preparing the programs afresh (cold lookahead memos), each
+    // program's chips routed over the pool against its one program.
+    let route_jobs: Vec<(Circuit, Vec<Architecture>)> = qpd_benchmarks::ALL
+        .iter()
+        .map(|spec| {
+            let circuit = qpd_benchmarks::build(spec.name).expect("benchmark");
+            let chips = route_grid(&circuit);
+            (circuit, chips)
+        })
+        .collect();
+    let routes: usize = route_jobs.iter().map(|(_, chips)| chips.len()).sum();
+    group.bench_function("mapping/route", |b| {
+        b.iter(|| {
+            route_jobs
+                .iter()
+                .map(|(circuit, chips)| {
+                    let program = RouteProgram::new(circuit);
+                    qpd_par::par_map(chips, |chip| {
+                        SabreRouter::new(chip).route_stats(&program).expect("routes").total_gates
+                    })
+                    .into_iter()
+                    .sum::<usize>()
+                })
+                .sum::<usize>()
+        })
+    });
     group.finish();
 
     let results = criterion.take_results();
@@ -729,6 +799,13 @@ fn main() {
             ]),
         ),
         (
+            "mapping",
+            Json::obj([
+                ("routes", Json::int(routes as u64)),
+                ("routes_per_s", Json::num(round3(routes as f64 / median_of("mapping/route")))),
+            ]),
+        ),
+        (
             "speedups",
             Json::obj([
                 ("yield_sim_pooled_over_serial", Json::num(round3(yield_speedup))),
@@ -801,6 +878,29 @@ mod tests {
         let with_kernel =
             with_simd.replacen("\"snapshot/alloc/decision\"", "\"snapshot/noise/plane_fill\"", 1);
         assert_eq!(check("c.json", &with_kernel), Vec::<String>::new());
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn snapshot_24_on_requires_the_route_kernel() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_19.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let dir = std::env::temp_dir().join(format!("qpd_bench_route_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let check = |name: &str, text: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            let mut failures = Vec::new();
+            check_snapshot_schema(path.to_str().unwrap(), &mut failures);
+            failures
+        };
+        assert_eq!(check("a.json", &text), Vec::<String>::new());
+        let as_24 = text.replacen("\"pr\": 19", "\"pr\": 24", 1);
+        assert_ne!(as_24, text);
+        assert!(check("b.json", &as_24)[0].contains("mapping/route"));
+        let with_route =
+            as_24.replacen("\"snapshot/alloc/batched\"", "\"snapshot/mapping/route\"", 1);
+        assert_eq!(check("c.json", &with_route), Vec::<String>::new());
         std::fs::remove_dir_all(dir).ok();
     }
 

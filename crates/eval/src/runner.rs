@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use qpd_circuit::Circuit;
 use qpd_core::{DesignError, StagePlan};
-use qpd_mapping::{MappingError, SabreRouter};
+use qpd_mapping::{MappingError, RouteProgram, SabreRouter};
 use qpd_profile::CouplingProfile;
 use qpd_topology::Architecture;
 use qpd_yield::{BatchRequest, HardwareFamily, YieldError, YieldSimulator};
@@ -183,7 +183,8 @@ pub fn run_benchmark(name: &str, settings: &EvalSettings) -> Result<BenchmarkRun
 ///
 /// Architecture generation submits every `eff-*` assemble of the
 /// program as one seed-major batch ([`generate`]); routing then fans out
-/// over the individual architectures on the shared `qpd-par` pool, and
+/// over the individual architectures on the shared `qpd-par` pool, all
+/// routing one [`RouteProgram`] prepared up front, and
 /// every point's yield comes from one
 /// [`YieldSimulator::evaluate_batch`]. Results are assembled in
 /// configuration order, so the output is identical for any thread
@@ -206,8 +207,11 @@ pub fn run_circuit(
 
     // Normalization denominator: IBM baseline (1) = 16Q 2x8, 2-qubit
     // buses (Figure 10 normalizes performance so baseline (1) sits at 1).
+    // The program is prepared for routing once; the baseline and every
+    // point route it.
+    let program = RouteProgram::new(circuit);
     let baseline1 = qpd_topology::ibm::ibm_16q_2x8(qpd_topology::BusMode::TwoQubitOnly);
-    let baseline_gates = route_gates(circuit, &baseline1)?;
+    let baseline_gates = SabreRouter::new(&baseline1).route_stats(&program)?.total_gates;
 
     // One stage plan for the whole benchmark: every configuration's
     // design flow attaches to it, so the placement the configurations
@@ -221,36 +225,26 @@ pub fn run_circuit(
         .flat_map(|(&kind, archs)| archs.into_iter().map(move |arch| (kind, arch)))
         .collect();
 
-    let routed = qpd_par::par_map(&flat, |(_, arch)| route_gates_swaps(circuit, arch));
+    let routed = qpd_par::par_map(&flat, |(_, arch)| SabreRouter::new(arch).route_stats(&program));
     let requests: Vec<BatchRequest<'_>> =
         flat.iter().map(|(_, arch)| BatchRequest { simulator: sim, arch }).collect();
     let yields = YieldSimulator::evaluate_batch(&requests);
     let mut points = Vec::with_capacity(flat.len());
     for (((kind, arch), route), estimate) in flat.iter().zip(routed).zip(yields) {
-        let (total_gates, swaps) = route?;
+        let route = route?;
         points.push(DataPoint {
             config: *kind,
             arch: arch.name().to_string(),
             qubits: arch.num_qubits(),
             four_qubit_buses: arch.four_qubit_buses().len(),
             coupling_edges: arch.coupling_edges().len(),
-            total_gates,
-            swaps,
+            total_gates: route.total_gates,
+            swaps: route.swaps,
             yield_rate: estimate?.rate(),
-            normalized_perf: baseline_gates as f64 / total_gates as f64,
+            normalized_perf: baseline_gates as f64 / route.total_gates as f64,
         });
     }
     Ok(BenchmarkRun { benchmark: name.to_string(), qubits: circuit.num_qubits(), points })
-}
-
-fn route_gates(circuit: &Circuit, arch: &Architecture) -> Result<usize, EvalError> {
-    Ok(route_gates_swaps(circuit, arch)?.0)
-}
-
-fn route_gates_swaps(circuit: &Circuit, arch: &Architecture) -> Result<(usize, usize), EvalError> {
-    let mapped = SabreRouter::new(arch).route(circuit)?;
-    let stats = mapped.stats();
-    Ok((stats.total_gates, stats.swaps))
 }
 
 #[cfg(test)]

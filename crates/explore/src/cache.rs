@@ -26,7 +26,7 @@ use std::fmt::Write;
 
 use qpd_circuit::Circuit;
 use qpd_core::{Stage, StageCache, StageCacheStats, StageKind};
-use qpd_mapping::{MappingError, SabreRouter};
+use qpd_mapping::{MappingError, RouteProgram, SabreRouter};
 use qpd_topology::Architecture;
 use qpd_yield::{HardwareFamily, YieldError, YieldSimulator};
 
@@ -76,31 +76,40 @@ pub fn circuit_key(circuit: &Circuit) -> u64 {
 }
 
 /// Stage 4 — SABRE routing of the profiled program onto a candidate
-/// topology, yielding `(total_gates, routed_depth)`.
+/// topology, yielding `(total_gates, routed_depth)`. The input's
+/// [`RouteProgram`] is the program prepared once per run; the key reads
+/// only the topology and [`Self::circuit_key`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteStage {
     /// [`circuit_key`] of the routed program (fixed per run).
     pub circuit_key: u64,
 }
 
+impl RouteStage {
+    /// The content key of routing this stage's program onto `arch`:
+    /// [`Stage::content_key`] without needing the prepared program.
+    pub fn key(&self, arch: &Architecture) -> u64 {
+        let mut h = Fnv64::new();
+        h.push(Self::KIND as u64);
+        h.push(topology_key(arch));
+        h.push(self.circuit_key);
+        h.finish()
+    }
+}
+
 impl Stage for RouteStage {
-    type Input<'a> = (&'a Architecture, &'a Circuit);
+    type Input<'a> = (&'a Architecture, &'a RouteProgram);
     type Output = (u64, u64);
     type Error = MappingError;
     const KIND: StageKind = StageKind::Routing;
 
     fn content_key(&self, input: &Self::Input<'_>) -> u64 {
-        let mut h = Fnv64::new();
-        h.push(Self::KIND as u64);
-        h.push(topology_key(input.0));
-        h.push(self.circuit_key);
-        h.finish()
+        self.key(input.0)
     }
 
     fn run(&self, input: &Self::Input<'_>) -> Result<(u64, u64), MappingError> {
-        let (arch, circuit) = input;
-        let mapped = SabreRouter::new(arch).route(circuit)?;
-        let stats = mapped.stats();
+        let (arch, program) = input;
+        let stats = SabreRouter::new(arch).route_stats(program)?;
         Ok((stats.total_gates as u64, stats.routed_depth as u64))
     }
 }

@@ -68,7 +68,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -78,7 +78,7 @@ use qpd_core::{
     crowding_distances, dominates_nd, epsilon_weakly_dominates_nd, AssembleJob, AssembleStage,
     DesignError, DesignFlow, FrequencyStrategy, Stage, StageCacheStats, StagePlan,
 };
-use qpd_mapping::MappingError;
+use qpd_mapping::{MappingError, RouteProgram};
 use qpd_topology::Architecture;
 use qpd_yield::{BatchRequest, HardwareFamily, YieldError, YieldSimulator};
 
@@ -559,6 +559,9 @@ pub struct Explorer {
     /// Content fingerprint of the routed program, folded into routing
     /// keys.
     circuit_key: u64,
+    /// The program prepared for routing, built on the first route miss:
+    /// an engine whose routes all hit shared caches never builds it.
+    program: OnceLock<RouteProgram>,
     /// Gate count of the zero-bus identity design — the normalization
     /// scale for the performance and depth axes (and the scalarization
     /// fallback).
@@ -612,6 +615,7 @@ impl Explorer {
             assemble,
             caches,
             circuit_key: program_key,
+            program: OnceLock::new(),
             baseline_gates: 1,
             baseline_depth: 1,
         };
@@ -693,13 +697,14 @@ impl Explorer {
 
     /// Routes every chip through the route cache: only the distinct
     /// missed topologies fan out on the worker pool, so an all-hit batch
-    /// never touches it, and two chips of one topology route once.
+    /// never touches it, and two chips of one topology route once. Every
+    /// miss routes the one prepared program.
     fn route(&self, archs: &[Architecture]) -> Result<Vec<(u64, u64)>, ExploreError> {
         let stage = RouteStage { circuit_key: self.circuit_key };
-        let circuit = self.space.circuit();
-        let keys: Vec<u64> = archs.iter().map(|arch| stage.content_key(&(arch, circuit))).collect();
+        let keys: Vec<u64> = archs.iter().map(|arch| stage.key(arch)).collect();
         Ok(self.caches.routes.run_batch(&keys, |missed| {
-            qpd_par::par_map(missed, |&i| stage.run(&(&archs[i], circuit))).into_iter().collect()
+            let program = self.program.get_or_init(|| RouteProgram::new(self.space.circuit()));
+            qpd_par::par_map(missed, |&i| stage.run(&(&archs[i], program))).into_iter().collect()
         })?)
     }
 
@@ -974,8 +979,7 @@ impl Explorer {
     ///
     /// Rejects a state that does not hold exactly `config.walks` walks;
     /// propagates the first evaluation failure of the earliest failing
-    /// step, in walk order. On a failure before the round's merge
-    /// `state` is left unmodified.
+    /// step, in walk order. On any failure `state` is left unmodified.
     pub fn advance_round(&self, state: &mut ExploreState) -> Result<(), ExploreError> {
         self.round(state, WHOLE_RUN).map(drop)
     }
@@ -1030,13 +1034,19 @@ impl Explorer {
                 )?;
             }
         }
+        // The merge, recombination and pruning build the next state on
+        // a local, so a failing recombination leaves `state` untouched.
+        let mut next = ExploreState {
+            rounds_done: round + 1,
+            walks: currents,
+            archive: state.archive.clone(),
+        };
         let mut seen: HashMap<u64, usize> =
-            state.archive.iter().enumerate().map(|(i, e)| (e.key, i)).collect();
+            next.archive.iter().enumerate().map(|(i, e)| (e.key, i)).collect();
         let mut prov = Vec::new();
-        for (local, (end, evals)) in currents.into_iter().zip(round_evals).enumerate() {
-            state.walks[local] = end;
+        for (local, evals) in round_evals.into_iter().enumerate() {
             for (step, eval) in evals {
-                if push_dedup(&mut state.archive, &mut seen, eval) {
+                if push_dedup(&mut next.archive, &mut seen, eval) {
                     prov.push(Provenance {
                         block: round as u64 + 1,
                         walk: ids[local] as u64,
@@ -1045,11 +1055,11 @@ impl Explorer {
                 }
             }
         }
-        if self.config.recombine && state.walks.len() >= 2 {
-            self.recombine_round(state, round, &mut seen)?;
+        if self.config.recombine && next.walks.len() >= 2 {
+            self.recombine_round(&mut next, round, &mut seen)?;
         }
-        self.prune_archive(state);
-        state.rounds_done = round + 1;
+        self.prune_archive(&mut next);
+        *state = next;
         Ok(prov)
     }
 

@@ -13,6 +13,9 @@
 //!
 //! Routed circuits carry explicit SWAP gates; the paper's gate-count
 //! metric expands each SWAP into 3 CNOTs ([`MappingStats::total_gates`]).
+//! A caller routing one program onto many chips prepares it once as a
+//! [`RouteProgram`] and asks [`SabreRouter::route_stats`] for the
+//! statistics alone, which builds no physical circuit.
 //!
 //! ```
 //! use qpd_circuit::Circuit;
@@ -46,5 +49,5 @@ pub mod verify;
 pub use error::MappingError;
 pub use initial::InitialMapping;
 pub use layout::Layout;
-pub use sabre::{MappedCircuit, SabreConfig, SabreRouter};
+pub use sabre::{MappedCircuit, RouteProgram, SabreConfig, SabreRouter, ROUTE_MEMO_CAP};
 pub use stats::MappingStats;

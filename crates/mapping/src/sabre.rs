@@ -1,8 +1,46 @@
 //! The SABRE routing algorithm (Li, Ding, Xie, ASPLOS 2019).
+//!
+//! # What is prepared once per program
+//!
+//! The explorer and the evaluation runner route one program onto many
+//! chips. Everything routing derives from the program alone lives in a
+//! [`RouteProgram`], built once and shared (it is `Sync`) by every
+//! route of that program:
+//!
+//! - the dependency DAG of the program and of its reverse (the
+//!   refinement rounds alternate the two directions);
+//! - per direction, a flat table of each instruction's two-qubit
+//!   operands, the only part of an instruction the swap search reads;
+//! - per direction, a memo from the ordered front layer to its
+//!   lookahead ("extended") set;
+//! - the first unitary on three or more qubits, so validation never
+//!   rescans the program.
+//!
+//! [`SabreRouter::route_stats`] routes a prepared program and returns
+//! only [`MappingStats`]: its final pass tracks one depth level per
+//! physical qubit instead of recording a physical circuit.
+//! [`SabreRouter::route`] prepares the program, runs the same passes,
+//! and records the circuit in the final one. Both run the one pass
+//! kernel, so their swaps and depths agree.
+//!
+//! # Why the lookahead memo is exact
+//!
+//! The extended set is a breadth-first walk over the DAG successors of
+//! the front layer, in front order, taking two-qubit gates until
+//! [`SabreConfig::extended_set_size`] are found. Execution is
+//! topological, so every successor of an unexecuted gate is unexecuted;
+//! the walk starts from front gates, which are unexecuted, and so never
+//! meets an executed gate. It reads nothing but the DAG, the operand
+//! table, the ordered front and the size cap, so it is a pure function
+//! of (direction, size cap, ordered front), which is the memo key. A
+//! memo hit returns what the walk would have computed, whatever chip,
+//! layout or thread asked first. Each direction holds at most
+//! [`ROUTE_MEMO_CAP`] entries; past the cap it stops inserting and
+//! computes the walk instead, so the bound changes speed, never a route.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::sync::RwLock;
 
-use qpd_circuit::dag::DagCursor;
 use qpd_circuit::{Circuit, Gate, GateDag, Instruction, Qubit};
 use qpd_topology::Architecture;
 
@@ -97,6 +135,156 @@ impl MappedCircuit {
     }
 }
 
+/// Entries each direction of a [`RouteProgram`]'s lookahead memo holds
+/// at most. An entry (a front of up to one gate per qubit, and up to
+/// [`SabreConfig::extended_set_size`] gate indices) measured about
+/// 0.2 KiB on the paper's programs, so a full memo is about 1.6 MiB per
+/// program. Routing one program on 30 chips fills 25 to 7,810 entries.
+pub const ROUTE_MEMO_CAP: usize = 4_096;
+
+/// Operand-table entry of an instruction that is not a two-qubit
+/// unitary (single-qubit gates, measures, barriers).
+const NOT_PAIR: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// Ordered front (prefixed with the extended-set size cap) → the
+/// extended set's gates, in walk order.
+type LookaheadMemo = HashMap<Box<[u32]>, Box<[u32]>>;
+
+/// One traversal direction of a [`RouteProgram`].
+#[derive(Debug)]
+struct Direction {
+    dag: GateDag,
+    /// Logical operands of each two-qubit unitary, [`NOT_PAIR`]
+    /// elsewhere, indexed like the DAG.
+    pairs: Vec<(u32, u32)>,
+    memo: RwLock<LookaheadMemo>,
+}
+
+impl Direction {
+    fn new(circuit: &Circuit) -> Self {
+        let pairs = circuit
+            .iter()
+            .map(|inst| match inst.qubit_pair() {
+                Some((a, b)) if inst.gate().is_unitary() => (a.raw(), b.raw()),
+                _ => NOT_PAIR,
+            })
+            .collect();
+        Direction { dag: GateDag::new(circuit), pairs, memo: RwLock::default() }
+    }
+}
+
+/// A program prepared for routing onto any number of chips: its DAGs,
+/// operand tables and lookahead memo, built once (see the module docs).
+/// Share one across threads and chips; the routes do not depend on
+/// what the memo already holds.
+#[derive(Debug)]
+pub struct RouteProgram {
+    circuit: Circuit,
+    /// The program, then its reverse.
+    directions: [Direction; 2],
+    /// The first unitary on three or more qubits, which routing rejects.
+    unsupported: Option<&'static str>,
+    memo_cap: usize,
+}
+
+impl RouteProgram {
+    /// Prepares `circuit` with a lookahead memo of [`ROUTE_MEMO_CAP`]
+    /// entries per direction.
+    pub fn new(circuit: &Circuit) -> Self {
+        Self::with_memo_cap(circuit, ROUTE_MEMO_CAP)
+    }
+
+    /// Prepares `circuit` with a lookahead memo of at most `cap` entries
+    /// per direction; `0` disables the memo. Routes are identical for
+    /// every cap, which the unit tests check.
+    fn with_memo_cap(circuit: &Circuit, cap: usize) -> Self {
+        let unsupported = circuit
+            .iter()
+            .find(|inst| inst.gate().is_unitary() && inst.qubits().len() > 2)
+            .map(|inst| inst.gate().name());
+        RouteProgram {
+            circuit: circuit.clone(),
+            directions: [Direction::new(circuit), Direction::new(&circuit.reversed())],
+            unsupported,
+            memo_cap: cap,
+        }
+    }
+
+    /// Entries the lookahead memo holds, both directions together.
+    #[cfg(test)]
+    fn memo_entries(&self) -> usize {
+        self.directions.iter().map(|d| d.memo.read().expect("memo lock").len()).sum()
+    }
+}
+
+/// What a routing pass does with each gate it executes and each SWAP
+/// it inserts. Refinement passes ignore both; the final pass records
+/// the physical circuit or only its depth.
+trait PassSink {
+    fn gate(&mut self, idx: usize, layout: &Layout);
+    fn swap(&mut self, p1: usize, p2: usize);
+}
+
+impl PassSink for () {
+    fn gate(&mut self, _: usize, _: &Layout) {}
+    fn swap(&mut self, _: usize, _: usize) {}
+}
+
+/// Records the routed circuit over physical qubits.
+struct CircuitSink<'c> {
+    instructions: &'c [Instruction],
+    physical: Circuit,
+    mapped: Vec<Qubit>,
+}
+
+impl PassSink for CircuitSink<'_> {
+    fn gate(&mut self, idx: usize, layout: &Layout) {
+        let inst = &self.instructions[idx];
+        self.mapped.clear();
+        self.mapped
+            .extend(inst.qubits().iter().map(|q| Qubit::from(layout.phys_of_log(q.index()))));
+        self.physical.push(inst.gate().clone(), &self.mapped).expect("mapped instruction is valid");
+    }
+
+    fn swap(&mut self, p1: usize, p2: usize) {
+        self.physical
+            .push(Gate::Swap, &[Qubit::from(p1), Qubit::from(p2)])
+            .expect("swap on valid physical qubits");
+    }
+}
+
+/// Tracks the routed circuit's depth exactly as [`Circuit::depth`]
+/// computes it on the recorded circuit: one level per physical qubit;
+/// barriers synchronize without adding a layer.
+struct DepthSink<'c> {
+    instructions: &'c [Instruction],
+    level: Vec<usize>,
+}
+
+impl DepthSink<'_> {
+    fn depth(&self) -> usize {
+        self.level.iter().copied().max().unwrap_or(0)
+    }
+}
+
+impl PassSink for DepthSink<'_> {
+    fn gate(&mut self, idx: usize, layout: &Layout) {
+        let inst = &self.instructions[idx];
+        let phys = |q: &Qubit| layout.phys_of_log(q.index());
+        let max = inst.qubits().iter().map(|q| self.level[phys(q)]).max().unwrap_or(0);
+        let next = if matches!(inst.gate(), Gate::Barrier) { max } else { max + 1 };
+        for q in inst.qubits() {
+            self.level[phys(q)] = next;
+        }
+    }
+
+    fn swap(&mut self, p1: usize, p2: usize) {
+        let next = self.level[p1].max(self.level[p2]) + 1;
+        self.level[p1] = next;
+        self.level[p2] = next;
+    }
+}
+
 /// SABRE router bound to one architecture.
 #[derive(Debug, Clone)]
 pub struct SabreRouter<'a> {
@@ -140,22 +328,26 @@ impl<'a> SabreRouter<'a> {
     /// disconnected, or the circuit contains unitaries on three or more
     /// qubits.
     pub fn route(&self, circuit: &Circuit) -> Result<MappedCircuit, MappingError> {
-        self.validate(circuit)?;
-        let mut layout = self.config.initial_mapping.build(circuit, self.arch);
-        let reversed = circuit.reversed();
-        // The dependency DAGs are layout-independent: build each once and
-        // share it across every refinement round. Refinement passes only
-        // feed the next pass's initial layout, so they skip building the
-        // physical circuit entirely — the swap decisions (layout, front,
-        // decay, distances) are unaffected and the final pass emits the
-        // exact circuit the unshared per-pass construction would.
-        let dag = GateDag::new(circuit);
-        let reversed_dag = GateDag::new(&reversed);
-        for _ in 0..self.config.reverse_traversal_rounds {
-            layout = self.route_pass(circuit, &dag, layout, None).0;
-            layout = self.route_pass(&reversed, &reversed_dag, layout, None).0;
-        }
-        Ok(self.route_once(circuit, &dag, layout))
+        let program = RouteProgram::new(circuit);
+        let layout = self.refine(&program)?;
+        Ok(self.record(&program, layout))
+    }
+
+    /// Routes a prepared program like [`Self::route`] and returns only
+    /// its statistics, equal to `route(circuit)?.stats()` for the
+    /// circuit it was prepared from; no physical circuit is built.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SabreRouter::route`].
+    pub fn route_stats(&self, program: &RouteProgram) -> Result<MappingStats, MappingError> {
+        let layout = self.refine(program)?;
+        let mut sink = DepthSink {
+            instructions: program.circuit.instructions(),
+            level: vec![0; self.arch.num_qubits()],
+        };
+        let (_, swaps) = self.route_pass(program, 0, layout, &mut sink);
+        Ok(MappingStats::new(program.circuit.gate_count(), swaps, sink.depth()))
     }
 
     /// Routes a circuit from an explicit initial layout, without
@@ -171,7 +363,8 @@ impl<'a> SabreRouter<'a> {
         circuit: &Circuit,
         initial: Layout,
     ) -> Result<MappedCircuit, MappingError> {
-        self.validate(circuit)?;
+        let program = RouteProgram::new(circuit);
+        self.validate(&program)?;
         if initial.len() != self.arch.num_qubits() {
             return Err(MappingError::InvalidLayout {
                 reason: format!(
@@ -181,55 +374,71 @@ impl<'a> SabreRouter<'a> {
                 ),
             });
         }
-        Ok(self.route_once(circuit, &GateDag::new(circuit), initial))
+        Ok(self.record(&program, initial))
     }
 
-    fn validate(&self, circuit: &Circuit) -> Result<(), MappingError> {
-        if circuit.num_qubits() > self.arch.num_qubits() {
+    fn validate(&self, program: &RouteProgram) -> Result<(), MappingError> {
+        if program.circuit.num_qubits() > self.arch.num_qubits() {
             return Err(MappingError::CircuitTooWide {
-                logical: circuit.num_qubits(),
+                logical: program.circuit.num_qubits(),
                 physical: self.arch.num_qubits(),
             });
         }
         if !self.arch.is_connected() {
             return Err(MappingError::DisconnectedArchitecture);
         }
-        for inst in circuit.iter() {
-            if inst.gate().is_unitary() && inst.qubits().len() > 2 {
-                return Err(MappingError::UnsupportedGate { gate: inst.gate().name() });
-            }
+        match program.unsupported {
+            Some(gate) => Err(MappingError::UnsupportedGate { gate }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// One full recorded routing pass (the core SABRE loop), emitting
-    /// the physical circuit.
-    fn route_once(&self, circuit: &Circuit, dag: &GateDag, initial: Layout) -> MappedCircuit {
-        let mut physical = Circuit::new(self.arch.num_qubits());
-        let (final_layout, swaps) =
-            self.route_pass(circuit, dag, initial.clone(), Some(&mut physical));
+    /// Validates, builds the initial mapping and runs the
+    /// reverse-traversal refinement, returning the final pass's initial
+    /// layout. Refinement passes only feed the next pass's layout, so
+    /// they record nothing.
+    fn refine(&self, program: &RouteProgram) -> Result<Layout, MappingError> {
+        self.validate(program)?;
+        let mut layout = self.config.initial_mapping.build(&program.circuit, self.arch);
+        for _ in 0..self.config.reverse_traversal_rounds {
+            layout = self.route_pass(program, 0, layout, &mut ()).0;
+            layout = self.route_pass(program, 1, layout, &mut ()).0;
+        }
+        Ok(layout)
+    }
+
+    /// The final forward pass from `initial`, recording the physical
+    /// circuit.
+    fn record(&self, program: &RouteProgram, initial: Layout) -> MappedCircuit {
+        let mut sink = CircuitSink {
+            instructions: program.circuit.instructions(),
+            physical: Circuit::new(self.arch.num_qubits()),
+            mapped: Vec::with_capacity(4),
+        };
+        let (final_layout, swaps) = self.route_pass(program, 0, initial.clone(), &mut sink);
         MappedCircuit {
-            physical,
+            physical: sink.physical,
             initial_layout: initial,
             final_layout,
-            original_gates: circuit.gate_count(),
+            original_gates: program.circuit.gate_count(),
             swaps,
         }
     }
 
-    /// The SABRE loop over a prebuilt dependency DAG. With
-    /// `record: None` (the refinement rounds) no physical circuit is
-    /// built — only the final layout and swap count are produced; the
-    /// swap decisions are identical either way because they read only
-    /// the layout, the front layer, the decay table, and the distance
-    /// matrix.
-    fn route_pass(
+    /// The SABRE loop over direction `dir` of `program` (0 forward, 1
+    /// reversed), reporting executed gates and inserted SWAPs to `sink`.
+    /// The swap decisions read only the layout, the front layer, the
+    /// decay table and the distance matrix, so every sink sees the same
+    /// route.
+    fn route_pass<S: PassSink>(
         &self,
-        circuit: &Circuit,
-        dag: &GateDag,
+        program: &RouteProgram,
+        dir: usize,
         initial: Layout,
-        mut record: Option<&mut Circuit>,
+        sink: &mut S,
     ) -> (Layout, usize) {
+        let direction = &program.directions[dir];
+        let (dag, pairs) = (&direction.dag, &direction.pairs[..]);
         let n_phys = self.arch.num_qubits();
         let mut cursor = dag.cursor();
         let mut layout = initial;
@@ -238,20 +447,21 @@ impl<'a> SabreRouter<'a> {
         let mut swaps = 0usize;
         let mut decay = vec![1.0f64; n_phys];
         let mut swaps_since_reset = 0usize;
+        // A candidate whose front term alone, times its decay, cannot
+        // beat the best score is skipped before the extended sum. Exact
+        // only when neither term can lower the score: the extended term
+        // must be non-negative and every decay at least 0.
+        let prune = self.config.extended_set_weight >= 0.0 && self.config.decay_delta >= 0.0;
 
-        // Reused per-blocked-step buffers: the mapped-operand scratch,
-        // the front pair list, the front-occupancy flags, and the
-        // extended-set BFS state (epoch-marked visited array instead of
-        // a rehashed set per step).
-        let mut mapped_buf: Vec<Qubit> = Vec::with_capacity(4);
-        let mut front_pairs: Vec<(usize, usize)> = Vec::new();
+        // Reused per-blocked-step buffers: the memo key, the front and
+        // extended pairs on physical qubits, the front-occupancy flags,
+        // and the extended-set walk state.
+        let mut key: Vec<u32> = Vec::new();
+        let mut front_phys_pairs: Vec<(usize, usize)> = Vec::new();
+        let mut ext_phys_pairs: Vec<(usize, usize)> = Vec::new();
         let mut front_phys = vec![false; n_phys];
-        let mut extended: Vec<(usize, usize)> = Vec::with_capacity(self.config.extended_set_size);
-        let mut ext_queue: VecDeque<usize> = VecDeque::new();
-        let mut ext_seen: Vec<u32> = vec![0; dag.len()];
-        let mut ext_epoch: u32 = 0;
-
-        let instructions = circuit.instructions();
+        let mut extended: Vec<u32> = Vec::with_capacity(self.config.extended_set_size);
+        let mut walk = ExtendedWalk::default();
 
         while !cursor.is_done() {
             // Phase 1: drain every executable gate from the front layer.
@@ -260,19 +470,13 @@ impl<'a> SabreRouter<'a> {
                 progressed = false;
                 next_front.clear();
                 for &idx in &front {
-                    if self.is_executable(&instructions[idx], &layout) {
-                        if let Some(physical) = record.as_deref_mut() {
-                            let inst = &instructions[idx];
-                            mapped_buf.clear();
-                            mapped_buf.extend(
-                                inst.qubits()
-                                    .iter()
-                                    .map(|q| Qubit::from(layout.phys_of_log(q.index()))),
-                            );
-                            physical
-                                .push(inst.gate().clone(), &mapped_buf)
-                                .expect("mapped instruction is valid");
-                        }
+                    let (a, b) = pairs[idx];
+                    let executable = (a, b) == NOT_PAIR
+                        || self
+                            .dist(layout.phys_of_log(a as usize), layout.phys_of_log(b as usize))
+                            == 1;
+                    if executable {
+                        sink.gate(idx, &layout);
                         cursor.execute_into(idx, &mut next_front);
                         progressed = true;
                         // A gate was executed: reset decay, per SABRE.
@@ -290,29 +494,23 @@ impl<'a> SabreRouter<'a> {
             }
 
             // Phase 2: pick the best SWAP for the blocked front layer.
-            front_pairs.clear();
-            front_pairs.extend(
-                front
-                    .iter()
-                    .filter_map(|&idx| instructions[idx].qubit_pair())
-                    .map(|(a, b)| (a.index(), b.index())),
-            );
-            ext_epoch += 1;
-            self.extended_set(
-                instructions,
-                dag,
-                &cursor,
-                &front,
-                &mut extended,
-                &mut ext_queue,
-                &mut ext_seen,
-                ext_epoch,
-            );
+            let phys = |(a, b): (u32, u32)| {
+                (layout.phys_of_log(a as usize), layout.phys_of_log(b as usize))
+            };
+            front_phys_pairs.clear();
+            front_phys_pairs
+                .extend(front.iter().map(|&idx| pairs[idx]).filter(|&p| p != NOT_PAIR).map(phys));
+            key.clear();
+            key.push(u32::try_from(self.config.extended_set_size).unwrap_or(u32::MAX));
+            key.extend(front.iter().map(|&idx| idx as u32));
+            self.extended_set(direction, program.memo_cap, &key, &mut extended, &mut walk);
+            ext_phys_pairs.clear();
+            ext_phys_pairs.extend(extended.iter().map(|&idx| phys(pairs[idx as usize])));
 
             front_phys.fill(false);
-            for &(a, b) in &front_pairs {
-                front_phys[layout.phys_of_log(a)] = true;
-                front_phys[layout.phys_of_log(b)] = true;
+            for &(a, b) in &front_phys_pairs {
+                front_phys[a] = true;
+                front_phys[b] = true;
             }
 
             let mut best: Option<((usize, usize), f64)> = None;
@@ -320,21 +518,32 @@ impl<'a> SabreRouter<'a> {
                 if !front_phys[p1] && !front_phys[p2] {
                     continue;
                 }
-                layout.swap_physical(p1, p2);
-                let mut h = 0.0f64;
-                for &(a, b) in &front_pairs {
-                    h += self.dist(layout.phys_of_log(a), layout.phys_of_log(b)) as f64;
-                }
-                h /= front_pairs.len() as f64;
-                if !extended.is_empty() {
-                    let mut e = 0.0f64;
-                    for &(a, b) in &extended {
-                        e += self.dist(layout.phys_of_log(a), layout.phys_of_log(b)) as f64;
+                // Distances are small integers, so their sums are exact
+                // in any order: summing as integers gives the same f64.
+                let swapped = |p: usize| {
+                    if p == p1 {
+                        p2
+                    } else if p == p2 {
+                        p1
+                    } else {
+                        p
                     }
-                    h += self.config.extended_set_weight * e / extended.len() as f64;
+                };
+                let sum = |list: &[(usize, usize)]| -> u64 {
+                    list.iter().map(|&(a, b)| u64::from(self.dist(swapped(a), swapped(b)))).sum()
+                };
+                let d = decay[p1].max(decay[p2]);
+                let mut h = sum(&front_phys_pairs) as f64 / front_phys_pairs.len() as f64;
+                if let Some((_, s)) = best {
+                    if prune && d * h >= s - 1e-12 {
+                        continue;
+                    }
                 }
-                layout.swap_physical(p1, p2);
-                let score = decay[p1].max(decay[p2]) * h;
+                if !ext_phys_pairs.is_empty() {
+                    let e = sum(&ext_phys_pairs) as f64;
+                    h += self.config.extended_set_weight * e / ext_phys_pairs.len() as f64;
+                }
+                let score = d * h;
                 let better = match best {
                     None => true,
                     Some((_, s)) => score < s - 1e-12,
@@ -345,11 +554,7 @@ impl<'a> SabreRouter<'a> {
             }
             let ((p1, p2), _) = best.expect("connected architecture always offers a swap");
 
-            if let Some(physical) = record.as_deref_mut() {
-                physical
-                    .push(Gate::Swap, &[Qubit::from(p1), Qubit::from(p2)])
-                    .expect("swap on valid physical qubits");
-            }
+            sink.swap(p1, p2);
             layout.swap_physical(p1, p2);
             swaps += 1;
             decay[p1] += self.config.decay_delta;
@@ -364,62 +569,81 @@ impl<'a> SabreRouter<'a> {
         (layout, swaps)
     }
 
-    fn is_executable(&self, inst: &Instruction, layout: &Layout) -> bool {
-        if !(inst.gate().is_unitary() && inst.qubits().len() == 2) {
-            return true;
-        }
-        let (a, b) = inst.qubit_pair().expect("two-qubit gate");
-        self.dist(layout.phys_of_log(a.index()), layout.phys_of_log(b.index())) == 1
-    }
-
-    /// The lookahead extended set: the nearest unexecuted two-qubit
-    /// successors of the front layer in BFS order, capped at
-    /// `extended_set_size` gates.
-    ///
-    /// Writes into caller-owned buffers: `pairs` receives the result;
-    /// `queue` and `seen`/`epoch` replace a per-call hash set with an
-    /// epoch-marked visited array (a node is "seen" iff its slot holds
-    /// the current epoch), so nothing is reallocated per blocked step.
-    #[allow(clippy::too_many_arguments)]
+    /// The lookahead extended set of the front `key[1..]` (with
+    /// `key[0]` the size cap) into `out`: served from the direction's
+    /// memo, or walked and then memoized while the memo holds fewer than
+    /// `cap` entries.
     fn extended_set(
         &self,
-        instructions: &[Instruction],
-        dag: &GateDag,
-        cursor: &DagCursor<'_>,
-        front: &[usize],
-        pairs: &mut Vec<(usize, usize)>,
-        queue: &mut VecDeque<usize>,
-        seen: &mut [u32],
-        epoch: u32,
+        direction: &Direction,
+        cap: usize,
+        key: &[u32],
+        out: &mut Vec<u32>,
+        walk: &mut ExtendedWalk,
     ) {
-        pairs.clear();
-        queue.clear();
-        for &f in front {
-            seen[f] = epoch;
-        }
-        for &f in front {
-            for &succ in dag.successors(f) {
-                if !cursor.is_executed(succ) && seen[succ] != epoch {
-                    seen[succ] = epoch;
-                    queue.push_back(succ);
-                }
+        out.clear();
+        if cap > 0 {
+            if let Some(hit) = direction.memo.read().expect("memo lock").get(key) {
+                out.extend_from_slice(hit);
+                return;
             }
         }
-        while let Some(idx) = queue.pop_front() {
-            let inst = &instructions[idx];
-            if inst.gate().is_unitary() && inst.qubits().len() == 2 {
-                let (a, b) = inst.qubit_pair().expect("two-qubit gate");
-                pairs.push((a.index(), b.index()));
-                if pairs.len() >= self.config.extended_set_size {
+        walk.run(direction, &key[1..], self.config.extended_set_size, out);
+        if cap > 0 {
+            let mut memo = direction.memo.write().expect("memo lock");
+            if memo.len() < cap {
+                memo.entry(key.into()).or_insert_with(|| out.as_slice().into());
+            }
+        }
+    }
+}
+
+/// Reusable state of the extended-set walk: the queue and an
+/// epoch-marked visited array (a node is "seen" iff its slot holds the
+/// current epoch), so nothing is reallocated per walk.
+#[derive(Debug, Default)]
+struct ExtendedWalk {
+    queue: VecDeque<u32>,
+    seen: Vec<u32>,
+    epoch: u32,
+}
+
+impl ExtendedWalk {
+    /// The nearest two-qubit successors of `front` in breadth-first
+    /// order, at most `size` of them, appended to `out`. Every node the
+    /// walk reaches is unexecuted (see the module docs), so it needs no
+    /// execution state.
+    fn run(&mut self, direction: &Direction, front: &[u32], size: usize, out: &mut Vec<u32>) {
+        let dag = &direction.dag;
+        if self.seen.len() != dag.len() {
+            self.seen = vec![0; dag.len()];
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.queue.clear();
+        for &f in front {
+            self.seen[f as usize] = epoch;
+        }
+        let visit = |idx: usize, seen: &mut [u32], queue: &mut VecDeque<u32>| {
+            for &succ in dag.successors(idx) {
+                if seen[succ] != epoch {
+                    seen[succ] = epoch;
+                    queue.push_back(succ as u32);
+                }
+            }
+        };
+        for &f in front {
+            visit(f as usize, &mut self.seen, &mut self.queue);
+        }
+        while let Some(idx) = self.queue.pop_front() {
+            if direction.pairs[idx as usize] != NOT_PAIR {
+                out.push(idx);
+                if out.len() >= size {
                     break;
                 }
             }
-            for &succ in dag.successors(idx) {
-                if !cursor.is_executed(succ) && seen[succ] != epoch {
-                    seen[succ] = epoch;
-                    queue.push_back(succ);
-                }
-            }
+            visit(idx as usize, &mut self.seen, &mut self.queue);
         }
     }
 }
@@ -639,6 +863,36 @@ mod tests {
         for inst in executable.iter() {
             if let Some((a, b)) = inst.qubit_pair() {
                 assert!(arch.neighbors(a.index()).contains(&b.index()));
+            }
+        }
+    }
+
+    #[test]
+    fn memo_bound_changes_no_route() {
+        let chips = [
+            ibm::ibm_16q_2x8(BusMode::TwoQubitOnly),
+            ibm::ibm_16q_2x8(BusMode::MaxFourQubit),
+            ibm::ibm_20q_4x5(BusMode::MaxFourQubit),
+        ];
+        for seed in 0..3 {
+            let c = random_circuit(&RandomCircuitSpec {
+                num_qubits: 16,
+                num_gates: 200,
+                two_qubit_fraction: 0.5,
+                seed,
+            });
+            let full = RouteProgram::new(&c);
+            let expected: Vec<MappingStats> = chips
+                .iter()
+                .map(|chip| SabreRouter::new(chip).route_stats(&full).unwrap())
+                .collect();
+            assert!(full.memo_entries() > 0, "blocked steps fill the memo");
+            for cap in [0, 3] {
+                let bounded = RouteProgram::with_memo_cap(&c, cap);
+                for (chip, stats) in chips.iter().zip(&expected) {
+                    assert_eq!(&SabreRouter::new(chip).route_stats(&bounded).unwrap(), stats);
+                }
+                assert!(bounded.memo_entries() <= 2 * cap, "the cap bounds each direction");
             }
         }
     }
