@@ -21,13 +21,13 @@
 //! varying the number of 4-qubit buses (the paper's `eff-full` curve).
 //!
 //! Internally the pipeline is an explicit **stage graph** ([`stage`]):
-//! each subroutine is a [`stage::Stage`] with a content key derived from
-//! its true inputs, served through a bounded per-stage cache
-//! ([`stage::StageCache`], bounded by [`memo_cap`], batches served by
-//! [`stage::StageCache::run_batch`]) owned by a [`stage::StagePlan`].
-//! [`DesignFlow`] is a thin facade over the plan — caching is
-//! bit-transparent, and a knob change recomputes only the stages whose
-//! content keys it changes.
+//! each subroutine is a plain stage struct holding its knobs, whose
+//! `key` method derives a content key from its true inputs, served
+//! through a bounded per-stage cache ([`stage::StageCache`], bounded by
+//! [`memo_cap`], batches served by [`stage::StageCache::run_batch`])
+//! owned by a [`stage::StagePlan`]. [`DesignFlow`] is a thin facade
+//! over the plan — caching is bit-transparent, and a knob change
+//! recomputes only the stages whose content keys it changes.
 //!
 //! ```
 //! use qpd_circuit::Circuit;
@@ -68,6 +68,6 @@ pub use pareto::{
 pub use pipeline::{BusStrategy, DesignFlow, FrequencyStrategy};
 pub use placement::{place_auxiliary, place_qubits};
 pub use stage::{
-    memo_cap, profile_key, AssembleJob, AssembleStage, BusOrderStage, PlacementStage, Stage,
-    StageCache, StageCacheStats, StageKind, StagePlan, DEFAULT_MEMO_CAP, MEMO_CAP_ENV,
+    memo_cap, profile_key, AssembleJob, AssembleStage, BusOrderStage, PlacementStage, StageCache,
+    StageCacheStats, StageKind, StagePlan, DEFAULT_MEMO_CAP, MEMO_CAP_ENV,
 };

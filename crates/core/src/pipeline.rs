@@ -1,9 +1,9 @@
 //! The end-to-end design flow (paper Figure 1).
 //!
-//! Since the stage-graph refactor, [`DesignFlow`] is a thin facade over
-//! a [`StagePlan`]: each subroutine (placement, bus selection,
-//! frequency allocation + assembly) is a [`crate::stage::Stage`] served
-//! through a per-stage content-keyed cache, so repeated calls — and
+//! [`DesignFlow`] is a thin facade over a [`StagePlan`]: it holds one
+//! stage struct per subroutine ([`PlacementStage`], [`BusOrderStage`],
+//! [`AssembleStage`]) carrying that subroutine's knobs, and serves each
+//! through the plan's content-keyed cache, so repeated calls — and
 //! calls differing only in downstream knobs — skip the upstream work.
 //! Assembly is batch-first: a single design is a batch of one
 //! [`StagePlan::assemble_batch`], a series is one batch.
@@ -53,16 +53,9 @@ pub enum BusStrategy {
 /// keys embed the full stage configuration.
 #[derive(Debug, Clone)]
 pub struct DesignFlow {
-    bus_strategy: BusStrategy,
-    frequency: FrequencyStrategy,
-    max_buses: Option<usize>,
-    auxiliary_qubits: usize,
-    allocation_trials: usize,
-    allocation_sweeps: usize,
-    allocation_seed: u64,
-    sigma_ghz: f64,
-    name_prefix: String,
-    hardware: HardwareFamily,
+    placement: PlacementStage,
+    bus: BusOrderStage,
+    assemble: AssembleStage,
     plan: Arc<StagePlan>,
 }
 
@@ -77,16 +70,17 @@ impl DesignFlow {
     /// frequency allocation, with no cap on the number of 4-qubit buses.
     pub fn new() -> Self {
         DesignFlow {
-            bus_strategy: BusStrategy::Weighted,
-            frequency: FrequencyStrategy::Optimized,
-            max_buses: None,
-            auxiliary_qubits: 0,
-            allocation_trials: 4_000,
-            allocation_sweeps: 8,
-            allocation_seed: 0,
-            sigma_ghz: qpd_yield::FabricationModel::PAPER_SIGMA_GHZ,
-            name_prefix: "eff".into(),
-            hardware: HardwareFamily::FixedFrequencyTransmon,
+            placement: PlacementStage { auxiliary_qubits: 0 },
+            bus: BusOrderStage { strategy: BusStrategy::Weighted, max_buses: None },
+            assemble: AssembleStage {
+                frequency: FrequencyStrategy::Optimized,
+                allocation_trials: 4_000,
+                allocation_sweeps: 8,
+                allocation_seed: 0,
+                sigma_ghz: qpd_yield::FabricationModel::PAPER_SIGMA_GHZ,
+                name_prefix: "eff".into(),
+                hardware: HardwareFamily::FixedFrequencyTransmon,
+            },
             plan: Arc::new(StagePlan::new()),
         }
     }
@@ -114,25 +108,25 @@ impl DesignFlow {
     /// hardware-independent). The default family reproduces the
     /// pre-hardware-layer flow bit for bit.
     pub fn with_hardware(mut self, hardware: HardwareFamily) -> Self {
-        self.hardware = hardware;
+        self.assemble.hardware = hardware;
         self
     }
 
     /// Sets the bus selection strategy.
     pub fn with_bus_strategy(mut self, strategy: BusStrategy) -> Self {
-        self.bus_strategy = strategy;
+        self.bus.strategy = strategy;
         self
     }
 
     /// Sets the frequency strategy.
     pub fn with_frequency_strategy(mut self, strategy: FrequencyStrategy) -> Self {
-        self.frequency = strategy;
+        self.assemble.frequency = strategy;
         self
     }
 
     /// Caps the number of 4-qubit buses (`None` = as many as beneficial).
     pub fn with_max_buses(mut self, max: Option<usize>) -> Self {
-        self.max_buses = max;
+        self.bus.max_buses = max;
         self
     }
 
@@ -140,7 +134,7 @@ impl DesignFlow {
     /// §6, "Exploring More Design Space"): they host no logical qubit
     /// but give the router extra freedom, trading yield for performance.
     pub fn with_auxiliary_qubits(mut self, count: usize) -> Self {
-        self.auxiliary_qubits = count;
+        self.placement.auxiliary_qubits = count;
         self
     }
 
@@ -151,78 +145,78 @@ impl DesignFlow {
     /// Panics if `trials` is zero.
     pub fn with_allocation_trials(mut self, trials: usize) -> Self {
         assert!(trials > 0, "need at least one trial");
-        self.allocation_trials = trials;
+        self.assemble.allocation_trials = trials;
         self
     }
 
     /// Sets the refinement sweep budget of frequency allocation
     /// (0 = the paper's single-pass Algorithm 3).
     pub fn with_allocation_sweeps(mut self, sweeps: usize) -> Self {
-        self.allocation_sweeps = sweeps;
+        self.assemble.allocation_sweeps = sweeps;
         self
     }
 
     /// Sets the seed for frequency allocation's local simulations.
     pub fn with_allocation_seed(mut self, seed: u64) -> Self {
-        self.allocation_seed = seed;
+        self.assemble.allocation_seed = seed;
         self
     }
 
     /// Sets the fabrication precision assumed during frequency allocation.
     pub fn with_sigma_ghz(mut self, sigma_ghz: f64) -> Self {
-        self.sigma_ghz = sigma_ghz;
+        self.assemble.sigma_ghz = sigma_ghz;
         self
     }
 
     /// Sets the prefix for generated architecture names.
     pub fn with_name_prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.name_prefix = prefix.into();
+        self.assemble.name_prefix = prefix.into();
         self
     }
 
     /// The configured bus-selection strategy.
     pub fn bus_strategy(&self) -> BusStrategy {
-        self.bus_strategy
+        self.bus.strategy
     }
 
     /// The configured frequency strategy.
     pub fn frequency_strategy(&self) -> FrequencyStrategy {
-        self.frequency
+        self.assemble.frequency
     }
 
     /// The configured 4-qubit-bus cap (`None` = uncapped).
     pub fn max_buses(&self) -> Option<usize> {
-        self.max_buses
+        self.bus.max_buses
     }
 
     /// The configured auxiliary-qubit count.
     pub fn auxiliary_qubits(&self) -> usize {
-        self.auxiliary_qubits
+        self.placement.auxiliary_qubits
     }
 
     /// The configured Monte Carlo trial count of frequency allocation.
     pub fn allocation_trials(&self) -> usize {
-        self.allocation_trials
+        self.assemble.allocation_trials
     }
 
     /// The configured refinement sweep budget of frequency allocation.
     pub fn allocation_sweeps(&self) -> usize {
-        self.allocation_sweeps
+        self.assemble.allocation_sweeps
     }
 
     /// The configured frequency-allocation seed.
     pub fn allocation_seed(&self) -> u64 {
-        self.allocation_seed
+        self.assemble.allocation_seed
     }
 
     /// The configured fabrication precision in GHz.
     pub fn sigma_ghz(&self) -> f64 {
-        self.sigma_ghz
+        self.assemble.sigma_ghz
     }
 
     /// The configured hardware family.
     pub fn hardware(&self) -> HardwareFamily {
-        self.hardware
+        self.assemble.hardware
     }
 
     /// Runs the full flow with the maximum beneficial number of 4-qubit
@@ -249,9 +243,8 @@ impl DesignFlow {
     ) -> Result<Architecture, DesignError> {
         let coords = self.place(profile)?;
         let order = self.bus_order(profile)?;
-        let stage = self.assemble_stage();
         let squares = &order[..num_buses.min(order.len())];
-        let job = AssembleJob { stage: &stage, coords: &coords, squares };
+        let job = AssembleJob { stage: &self.assemble, coords: &coords, squares };
         Ok(self.plan.assemble_batch(&[job])?.remove(0))
     }
 
@@ -270,9 +263,8 @@ impl DesignFlow {
     ) -> Result<Vec<Architecture>, DesignError> {
         let coords = self.place(profile)?;
         let order = self.bus_order(profile)?;
-        let stage = self.assemble_stage();
         let jobs: Vec<AssembleJob<'_>> = (0..=order.len())
-            .map(|k| AssembleJob { stage: &stage, coords: &coords, squares: &order[..k] })
+            .map(|k| AssembleJob { stage: &self.assemble, coords: &coords, squares: &order[..k] })
             .collect();
         self.plan.assemble_batch(&jobs)
     }
@@ -287,7 +279,12 @@ impl DesignFlow {
         &self,
         profile: &CouplingProfile,
     ) -> Result<Vec<qpd_topology::Coord>, DesignError> {
-        self.plan.placement_cache().run_stage(&self.placement_stage(), &profile)
+        let key = self.placement.key(profile);
+        let coords = self
+            .plan
+            .placement_cache()
+            .run_batch(&[key], |_| self.placement.run(profile).map(|coords| vec![coords]));
+        coords.map(|mut one| one.remove(0))
     }
 
     /// The bus selection order for this flow's strategy: prefixes of the
@@ -298,33 +295,20 @@ impl DesignFlow {
     /// Returns [`DesignError::EmptyProgram`] for a 0-qubit profile.
     pub fn bus_order(&self, profile: &CouplingProfile) -> Result<Vec<Square>, DesignError> {
         let coords = self.place(profile)?;
-        self.plan.bus_cache().run_stage(&self.bus_stage(), &(&coords[..], profile))
-    }
-
-    /// The placement stage this flow's knobs configure.
-    fn placement_stage(&self) -> PlacementStage {
-        PlacementStage { auxiliary_qubits: self.auxiliary_qubits }
-    }
-
-    /// The bus-selection stage this flow's knobs configure.
-    fn bus_stage(&self) -> BusOrderStage {
-        BusOrderStage { strategy: self.bus_strategy, max_buses: self.max_buses }
+        let key = self.bus.key(&coords, profile);
+        let order = self
+            .plan
+            .bus_cache()
+            .run_batch(&[key], |_| Ok::<_, DesignError>(vec![self.bus.run(&coords, profile)]));
+        order.map(|mut one| one.remove(0))
     }
 
     /// The frequency/assembly stage this flow's knobs configure — what
     /// callers assembling explicit layouts, or batching several flows'
     /// assembles into one [`StagePlan::assemble_batch`], put in their
     /// [`AssembleJob`]s.
-    pub fn assemble_stage(&self) -> AssembleStage {
-        AssembleStage {
-            frequency: self.frequency,
-            allocation_trials: self.allocation_trials,
-            allocation_sweeps: self.allocation_sweeps,
-            allocation_seed: self.allocation_seed,
-            sigma_ghz: self.sigma_ghz,
-            name_prefix: self.name_prefix.clone(),
-            hardware: self.hardware,
-        }
+    pub fn assemble_stage(&self) -> &AssembleStage {
+        &self.assemble
     }
 }
 
@@ -459,8 +443,7 @@ mod tests {
         let flow = fast_flow();
         let coords = flow.place(&profile).unwrap();
         let order = flow.bus_order(&profile).unwrap();
-        let stage = flow.assemble_stage();
-        let job = AssembleJob { stage: &stage, coords: &coords, squares: &order };
+        let job = AssembleJob { stage: flow.assemble_stage(), coords: &coords, squares: &order };
         let via_layout = StagePlan::new().assemble_batch(&[job]).unwrap();
         let via_flow = flow.design(&profile).unwrap();
         assert_eq!(via_layout, [via_flow]);
@@ -494,17 +477,17 @@ mod tests {
         use crate::bus::{select_buses_random, select_buses_weighted};
         use crate::placement::{place_auxiliary, place_qubits};
         let mut coords = place_qubits(profile);
-        coords.extend(place_auxiliary(&coords, flow.auxiliary_qubits));
-        let cap = flow.max_buses.unwrap_or(usize::MAX);
-        let squares = match flow.bus_strategy {
+        coords.extend(place_auxiliary(&coords, flow.auxiliary_qubits()));
+        let cap = flow.max_buses().unwrap_or(usize::MAX);
+        let squares = match flow.bus_strategy() {
             BusStrategy::Weighted => select_buses_weighted(&coords, profile, cap),
             BusStrategy::Random { seed } => select_buses_random(&coords, cap, seed),
         };
-        let five = flow.frequency == FrequencyStrategy::FiveFrequency;
+        let five = flow.frequency_strategy() == FrequencyStrategy::FiveFrequency;
         let name = format!(
             "{}{}-{}q-b{}{}",
-            flow.name_prefix,
-            flow.hardware.name_suffix(),
+            flow.assemble_stage().name_prefix,
+            flow.hardware().name_suffix(),
             coords.len(),
             squares.len(),
             if five { "-5freq" } else { "" }
@@ -515,16 +498,16 @@ mod tests {
             builder.four_qubit_bus_at(s);
         }
         let arch = builder.build().unwrap();
-        let model = flow.hardware.model();
+        let model = flow.hardware().model();
         let plan = if five {
             qpd_topology::pattern_frequency_plan(&arch, model.pattern_frequencies_ghz())
         } else {
             crate::freq::FrequencyAllocator::new()
-                .with_hardware(flow.hardware)
-                .with_trials(flow.allocation_trials)
-                .with_refinement_sweeps(flow.allocation_sweeps)
-                .with_sigma_ghz(flow.sigma_ghz)
-                .with_seed(flow.allocation_seed)
+                .with_hardware(flow.hardware())
+                .with_trials(flow.allocation_trials())
+                .with_refinement_sweeps(flow.allocation_sweeps())
+                .with_sigma_ghz(flow.sigma_ghz())
+                .with_seed(flow.allocation_seed())
                 .allocate(&arch)
         };
         arch.with_frequencies_in_band(plan, model.allowed_band_ghz()).unwrap()

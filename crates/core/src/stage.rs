@@ -1,14 +1,17 @@
 //! The design flow as an explicit stage graph.
 //!
 //! The paper's flow is a cascade — placement, bus insertion, frequency
-//! allocation, then (downstream, in other crates) yield simulation and
-//! mapping — but [`crate::DesignFlow`] grew up as a monolithic builder:
-//! every call recomputed every subroutine, even when only one knob
-//! changed. This module makes the cascade explicit:
+//! allocation, then (downstream, in other crates) routing and yield
+//! simulation. This module makes the cascade explicit:
 //!
-//! - [`Stage`] — one pipeline step with a typed input, a typed output,
-//!   and a **content key** derived from nothing but its true inputs, so
-//!   equal keys mean equal outputs (every stage is a pure function);
+//! - one plain struct per stage ([`PlacementStage`], [`BusOrderStage`],
+//!   [`AssembleStage`]; `qpd-explore` adds the routing and yield
+//!   stages) holding the stage's knobs, with a `key` method deriving a
+//!   **content key** from every input and knob that influences the
+//!   output and from nothing else (no timestamps, no thread identity,
+//!   no global state). Every stage computes deterministically, so equal
+//!   keys mean equal outputs and a cached value is the value a fresh
+//!   run would produce. Every key starts with the stage's [`StageKind`];
 //! - [`StageCache`] — a bounded, content-keyed memo table shared across
 //!   threads: whichever caller computes a key first, the value is the one
 //!   every other caller would have produced, so cross-thread sharing can
@@ -23,11 +26,10 @@
 //!   Crucially, **routing does not key on frequency allocation** (the
 //!   router never reads frequencies), which is what lets a
 //!   frequency-only change skip placement, bus insertion, *and* routing;
-//! - [`StagePlan`] — the assembled plan for the in-crate half of the
-//!   cascade (placement → buses → frequency/assembly), owning one cache
-//!   per stage. [`crate::DesignFlow`] is a thin facade over a plan, and
-//!   the design-space explorer (`qpd-explore`) extends the same graph
-//!   with its yield and routing stages.
+//! - [`StagePlan`] — one cache per in-crate stage (placement → buses →
+//!   frequency/assembly). [`crate::DesignFlow`] is a thin facade over a
+//!   plan, and the design-space explorer (`qpd-explore`) owns a plan
+//!   next to its routing and yield tables.
 //!
 //! Serving a stage from cache is bit-identical to re-running it, so the
 //! stage graph changes *when* work happens, never *what* is computed —
@@ -49,44 +51,9 @@ use crate::freq::{AllocJob, FrequencyAllocator};
 use crate::pipeline::{BusStrategy, FrequencyStrategy};
 use crate::placement::{place_auxiliary, place_qubits};
 
-/// One step of the design cascade: a pure function from a typed input to
-/// a typed output, addressable by a content key.
-///
-/// The contract every implementation must uphold:
-///
-/// - [`Stage::content_key`] depends on **all** inputs that influence the
-///   output (including the stage's own configuration) and on nothing
-///   else — no timestamps, no thread identity, no global state;
-/// - [`Stage::run`] is deterministic: equal inputs produce bit-identical
-///   outputs.
-///
-/// Together these make [`StageCache`] transparent: a cached value is the
-/// value a fresh run would produce.
-pub trait Stage {
-    /// The stage's input (borrowed; stages never own their upstream).
-    type Input<'a>;
-    /// The stage's product.
-    type Output: Clone;
-    /// The stage's failure mode.
-    type Error;
-
-    /// Where this stage sits in the dependency graph.
-    const KIND: StageKind;
-
-    /// The content key of `input` under this stage's configuration.
-    fn content_key(&self, input: &Self::Input<'_>) -> u64;
-
-    /// Computes the stage's output.
-    ///
-    /// # Errors
-    ///
-    /// Stage-specific; see the implementing type.
-    fn run(&self, input: &Self::Input<'_>) -> Result<Self::Output, Self::Error>;
-}
-
 /// The stages of the full cascade, in pipeline order. The first three
-/// run inside this crate ([`StagePlan`]); `Routing` and `Yield` are the
-/// downstream stages the explorer and evaluation harness attach.
+/// are cached in a [`StagePlan`]; `Routing` and `Yield` are the
+/// downstream stages `qpd-explore` caches next to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StageKind {
     /// Algorithm 1: qubit placement (plus auxiliary qubits).
@@ -320,21 +287,6 @@ impl<V: Clone> StageCache<V> {
         Ok(out.collect())
     }
 
-    /// Runs `stage` on `input` through this cache: a batch of one
-    /// ([`StageCache::run_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the stage's error; failures are never cached.
-    pub fn run_stage<S: Stage<Output = V>>(
-        &self,
-        stage: &S,
-        input: &S::Input<'_>,
-    ) -> Result<V, S::Error> {
-        let key = stage.content_key(input);
-        Ok(self.run_batch(&[key], |_| stage.run(input).map(|v| vec![v]))?.remove(0))
-    }
-
     /// Number of lookups served from the table.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -489,25 +441,26 @@ pub struct PlacementStage {
     pub auxiliary_qubits: usize,
 }
 
-impl Stage for PlacementStage {
-    type Input<'a> = &'a CouplingProfile;
-    type Output = Vec<Coord>;
-    type Error = DesignError;
-    const KIND: StageKind = StageKind::Placement;
-
-    fn content_key(&self, input: &Self::Input<'_>) -> u64 {
+impl PlacementStage {
+    /// The content key of placing `profile` under this stage's knobs.
+    pub fn key(&self, profile: &CouplingProfile) -> u64 {
         let mut h = Fnv64::new();
-        h.push(Self::KIND as u64);
-        h.push(profile_key(input));
+        h.push(StageKind::Placement as u64);
+        h.push(profile_key(profile));
         h.push(self.auxiliary_qubits as u64);
         h.finish()
     }
 
-    fn run(&self, input: &Self::Input<'_>) -> Result<Vec<Coord>, DesignError> {
-        if input.num_qubits() == 0 {
+    /// Places `profile`'s qubits, then the auxiliary ones.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DesignError::EmptyProgram`] for a 0-qubit profile.
+    pub fn run(&self, profile: &CouplingProfile) -> Result<Vec<Coord>, DesignError> {
+        if profile.num_qubits() == 0 {
             return Err(DesignError::EmptyProgram);
         }
-        let mut coords = place_qubits(input);
+        let mut coords = place_qubits(profile);
         if self.auxiliary_qubits > 0 {
             coords.extend(place_auxiliary(&coords, self.auxiliary_qubits));
         }
@@ -526,16 +479,12 @@ pub struct BusOrderStage {
     pub max_buses: Option<usize>,
 }
 
-impl Stage for BusOrderStage {
-    type Input<'a> = (&'a [Coord], &'a CouplingProfile);
-    type Output = Vec<Square>;
-    type Error = DesignError;
-    const KIND: StageKind = StageKind::Bus;
-
-    fn content_key(&self, input: &Self::Input<'_>) -> u64 {
-        let (coords, profile) = input;
+impl BusOrderStage {
+    /// The content key of selecting buses on `coords` for `profile`
+    /// under this stage's knobs.
+    pub fn key(&self, coords: &[Coord], profile: &CouplingProfile) -> u64 {
         let mut h = Fnv64::new();
-        h.push(Self::KIND as u64);
+        h.push(StageKind::Bus as u64);
         push_coords(&mut h, coords);
         h.push(profile_key(profile));
         match self.strategy {
@@ -549,19 +498,21 @@ impl Stage for BusOrderStage {
         h.finish()
     }
 
-    fn run(&self, input: &Self::Input<'_>) -> Result<Vec<Square>, DesignError> {
-        let (coords, profile) = input;
+    /// The bus order on `coords` for `profile`: its prefixes are the
+    /// selections for smaller budgets.
+    pub fn run(&self, coords: &[Coord], profile: &CouplingProfile) -> Vec<Square> {
         let cap = self.max_buses.unwrap_or(usize::MAX);
-        Ok(match self.strategy {
+        match self.strategy {
             BusStrategy::Weighted => select_buses_weighted(coords, profile, cap),
             BusStrategy::Random { seed } => select_buses_random(coords, cap, seed),
-        })
+        }
     }
 }
 
 /// Stage 3 — frequency allocation and architecture assembly: builds the
 /// chip from an explicit layout and attaches a frequency plan (Algorithm
-/// 3's center-out search or the IBM 5-frequency pattern).
+/// 3's center-out search or the IBM 5-frequency pattern). Its only
+/// compute path is [`StagePlan::assemble_batch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssembleStage {
     /// Frequency strategy.
@@ -582,16 +533,12 @@ pub struct AssembleStage {
     pub hardware: HardwareFamily,
 }
 
-impl Stage for AssembleStage {
-    type Input<'a> = (&'a [Coord], &'a [Square]);
-    type Output = Architecture;
-    type Error = DesignError;
-    const KIND: StageKind = StageKind::Frequency;
-
-    fn content_key(&self, input: &Self::Input<'_>) -> u64 {
-        let (coords, squares) = input;
+impl AssembleStage {
+    /// The content key of assembling the layout `coords` + `squares`
+    /// under this stage's knobs.
+    pub fn key(&self, coords: &[Coord], squares: &[Square]) -> u64 {
         let mut h = Fnv64::new();
-        h.push(Self::KIND as u64);
+        h.push(StageKind::Frequency as u64);
         push_coords(&mut h, coords);
         push_squares(&mut h, squares);
         h.push(match self.frequency {
@@ -609,18 +556,6 @@ impl Stage for AssembleStage {
         h.finish()
     }
 
-    fn run(&self, input: &Self::Input<'_>) -> Result<Architecture, DesignError> {
-        let (coords, squares) = input;
-        let arch = self.build_architecture(coords, squares)?;
-        let plan = match self.frequency {
-            FrequencyStrategy::FiveFrequency => self.pattern_plan(&arch),
-            FrequencyStrategy::Optimized => self.allocator().allocate(&arch),
-        };
-        self.attach(arch, plan)
-    }
-}
-
-impl AssembleStage {
     /// Builds the bare (frequency-less) architecture this stage
     /// assembles from the layout.
     fn build_architecture(
@@ -684,14 +619,14 @@ pub struct AssembleJob<'a> {
     pub squares: &'a [Square],
 }
 
-/// The assembled in-crate stage graph: one content-keyed cache per
-/// stage of the placement → bus → frequency cascade.
+/// One content-keyed cache per stage of the placement → bus →
+/// frequency cascade.
 ///
-/// A plan is shared (it lives behind an `Arc` inside every
-/// [`crate::DesignFlow`] and its clones): the caches use interior
-/// mutability and are safe to consult from the worker pool. Because
-/// stage keys embed the stage configuration, one plan can serve flows
-/// with different knobs without cross-talk.
+/// A plan is shared (behind an `Arc` inside every [`crate::DesignFlow`]
+/// and its clones, and inside the explorer's stage caches): the caches
+/// use interior mutability and are safe to consult from the worker
+/// pool. Because stage keys embed the stage configuration, one plan can
+/// serve flows with different knobs without cross-talk.
 #[derive(Debug, Default)]
 pub struct StagePlan {
     placement: StageCache<Vec<Coord>>,
@@ -738,8 +673,7 @@ impl StagePlan {
         &self,
         jobs: &[AssembleJob<'_>],
     ) -> Result<Vec<Architecture>, DesignError> {
-        let keys: Vec<u64> =
-            jobs.iter().map(|j| j.stage.content_key(&(j.coords, j.squares))).collect();
+        let keys: Vec<u64> = jobs.iter().map(|j| j.stage.key(j.coords, j.squares)).collect();
         self.assemble.run_batch(&keys, |missed| {
             let missed: Vec<&AssembleJob<'_>> = missed.iter().map(|&i| &jobs[i]).collect();
             let built: Vec<Result<Architecture, DesignError>> =
@@ -1011,40 +945,46 @@ mod tests {
         let p = profile();
         let s0 = PlacementStage { auxiliary_qubits: 0 };
         let s2 = PlacementStage { auxiliary_qubits: 2 };
-        assert_eq!(s0.content_key(&&p), s0.content_key(&&p), "key unstable");
-        assert_ne!(s0.content_key(&&p), s2.content_key(&&p), "aux not in key");
+        assert_eq!(s0.key(&p), s0.key(&p), "key unstable");
+        assert_ne!(s0.key(&p), s2.key(&p), "aux not in key");
         let other = CouplingProfile::from_edges(6, &[(0, 1, 1)]);
-        assert_ne!(s0.content_key(&&p), s0.content_key(&&other), "profile not in key");
-        let coords = s0.run(&&p).unwrap();
+        assert_ne!(s0.key(&p), s0.key(&other), "profile not in key");
+        let coords = s0.run(&p).unwrap();
         assert_eq!(coords.len(), 6);
-        assert_eq!(s2.run(&&p).unwrap().len(), 8);
+        assert_eq!(s2.run(&p).unwrap().len(), 8);
     }
 
     #[test]
     fn empty_profile_fails_placement() {
         let empty = CouplingProfile::from_edges(0, &[]);
         let stage = PlacementStage { auxiliary_qubits: 0 };
-        assert_eq!(stage.run(&&empty).unwrap_err(), DesignError::EmptyProgram);
+        assert_eq!(stage.run(&empty).unwrap_err(), DesignError::EmptyProgram);
     }
 
     #[test]
     fn bus_stage_key_distinguishes_strategy_and_cap() {
         let p = profile();
-        let coords = PlacementStage { auxiliary_qubits: 0 }.run(&&p).unwrap();
-        let input = (coords.as_slice(), &p);
+        let coords = PlacementStage { auxiliary_qubits: 0 }.run(&p).unwrap();
         let weighted = BusOrderStage { strategy: BusStrategy::Weighted, max_buses: None };
         let random = BusOrderStage { strategy: BusStrategy::Random { seed: 1 }, max_buses: None };
         let capped = BusOrderStage { strategy: BusStrategy::Weighted, max_buses: Some(1) };
-        assert_ne!(weighted.content_key(&input), random.content_key(&input));
-        assert_ne!(weighted.content_key(&input), capped.content_key(&input));
-        let order = weighted.run(&input).unwrap();
-        assert!(capped.run(&input).unwrap().len() <= 1.min(order.len()));
+        assert_ne!(weighted.key(&coords, &p), random.key(&coords, &p));
+        assert_ne!(weighted.key(&coords, &p), capped.key(&coords, &p));
+        let order = weighted.run(&coords, &p);
+        assert!(capped.run(&coords, &p).len() <= 1.min(order.len()));
+    }
+
+    /// Assembles the bus-less layout `coords` as a batch of one on a
+    /// fresh plan.
+    fn assemble(stage: &AssembleStage, coords: &[Coord]) -> Architecture {
+        let job = AssembleJob { stage, coords, squares: &[] };
+        StagePlan::new().assemble_batch(&[job]).unwrap().remove(0)
     }
 
     #[test]
     fn assemble_stage_reproduces_the_flow_naming() {
         let p = profile();
-        let coords = PlacementStage { auxiliary_qubits: 0 }.run(&&p).unwrap();
+        let coords = PlacementStage { auxiliary_qubits: 0 }.run(&p).unwrap();
         let stage = AssembleStage {
             frequency: FrequencyStrategy::FiveFrequency,
             allocation_trials: 100,
@@ -1054,22 +994,20 @@ mod tests {
             name_prefix: "demo".into(),
             hardware: HardwareFamily::FixedFrequencyTransmon,
         };
-        let arch = stage.run(&(coords.as_slice(), &[][..])).unwrap();
+        let arch = assemble(&stage, &coords);
         assert_eq!(arch.name(), "demo-6q-b0-5freq");
         assert!(arch.frequencies().is_some());
         // The key separates frequency strategies and knobs.
-        let input = (coords.as_slice(), &[][..]);
         let optimized = AssembleStage { frequency: FrequencyStrategy::Optimized, ..stage.clone() };
-        assert_ne!(stage.content_key(&input), optimized.content_key(&input));
+        assert_ne!(stage.key(&coords, &[]), optimized.key(&coords, &[]));
         let reseeded = AssembleStage { allocation_seed: 9, ..stage.clone() };
-        assert_ne!(stage.content_key(&input), reseeded.content_key(&input));
+        assert_ne!(stage.key(&coords, &[]), reseeded.key(&coords, &[]));
     }
 
     #[test]
     fn assemble_stage_threads_the_hardware_family() {
         let p = profile();
-        let coords = PlacementStage { auxiliary_qubits: 0 }.run(&&p).unwrap();
-        let input = (coords.as_slice(), &[][..]);
+        let coords = PlacementStage { auxiliary_qubits: 0 }.run(&p).unwrap();
         let base = AssembleStage {
             frequency: FrequencyStrategy::FiveFrequency,
             allocation_trials: 100,
@@ -1082,15 +1020,15 @@ mod tests {
         let tc = AssembleStage { hardware: HardwareFamily::TunableCoupler, ..base.clone() };
         let hh = AssembleStage { hardware: HardwareFamily::HeavyHex, ..base.clone() };
         // Families key apart so one shared cache never mixes them.
-        assert_ne!(base.content_key(&input), tc.content_key(&input));
-        assert_ne!(base.content_key(&input), hh.content_key(&input));
-        assert_ne!(tc.content_key(&input), hh.content_key(&input));
+        assert_ne!(base.key(&coords, &[]), tc.key(&coords, &[]));
+        assert_ne!(base.key(&coords, &[]), hh.key(&coords, &[]));
+        assert_ne!(tc.key(&coords, &[]), hh.key(&coords, &[]));
         // Names carry the family suffix; plans land in the family band.
-        let arch = tc.run(&input).unwrap();
+        let arch = assemble(&tc, &coords);
         assert_eq!(arch.name(), "demo-tc-6q-b0-5freq");
         let plan = arch.frequencies().unwrap();
         assert!(plan.check_band_within(qpd_topology::TUNABLE_COUPLER_BAND_GHZ).is_ok());
-        let arch = hh.run(&input).unwrap();
+        let arch = assemble(&hh, &coords);
         assert_eq!(arch.name(), "demo-hh-6q-b0-5freq");
         let plan = arch.frequencies().unwrap();
         assert!(plan.check_band_within(qpd_topology::HEAVY_HEX_BAND_GHZ).is_ok());
@@ -1110,11 +1048,9 @@ mod tests {
     #[test]
     fn plan_serves_repeated_stages_from_cache() {
         let p = profile();
-        let plan = StagePlan::new();
-        let place = PlacementStage { auxiliary_qubits: 0 };
-        let a = plan.placement_cache().run_stage(&place, &&p).unwrap();
-        let b = plan.placement_cache().run_stage(&place, &&p).unwrap();
-        assert_eq!(a, b);
+        let flow = crate::DesignFlow::new();
+        assert_eq!(flow.place(&p).unwrap(), flow.place(&p).unwrap());
+        let plan = flow.plan();
         let stats = plan.stats();
         assert_eq!(stats[0].kind, StageKind::Placement);
         assert_eq!(stats[0].hits, 1);

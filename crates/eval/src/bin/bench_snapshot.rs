@@ -472,7 +472,7 @@ fn main() {
     // lookups). Since PR 10 the sweep goes through `evaluate_all` — the
     // batched round path (one assemble batch over the shared allocation
     // scratch, grouped yield simulation) — which is what the engine's
-    // rounds actually run; `clear_stage_caches` drops memoized results
+    // rounds actually run; clearing the stage caches drops memoized results
     // but not the derived scratch, exactly like a long-running sweep.
     // The engine and space are built once outside the timed region, so
     // both numbers measure candidate evaluation alone.
@@ -486,7 +486,7 @@ fn main() {
     let explorer = Explorer::new(space, explore_config).expect("baseline");
     group.bench_function("explore/eval_cold", |b| {
         b.iter(|| {
-            explorer.clear_stage_caches();
+            explorer.caches().clear();
             explorer.evaluate_all(&candidates).expect("candidates evaluate")
         })
     });

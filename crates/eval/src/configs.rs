@@ -151,7 +151,7 @@ pub fn generate(
                         .with_max_buses(Some(budget))
                         .with_name_prefix(format!("effrd{s}"));
                     let squares = flow.bus_order(profile)?;
-                    let stage = flow.assemble_stage();
+                    let stage = flow.assemble_stage().clone();
                     jobs.push(EffJob { kind: i, stage, coords: coords.clone(), squares });
                 }
             }

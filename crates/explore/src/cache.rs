@@ -1,19 +1,20 @@
 //! The downstream stages of the design cascade — routing and yield —
-//! and the per-stage caches one exploration run shares across walks.
+//! and [`StageCaches`], the one owner of all five stage tables an
+//! exploration run (or the serve daemon) shares across walks.
 //!
-//! Since the stage-graph refactor this module no longer owns a memo
-//! implementation: the tables are [`qpd_core::StageCache`]s (bounded by
-//! [`qpd_core::memo_cap`], deterministic second-chance eviction), and
-//! the evaluation pipeline is expressed as [`qpd_core::Stage`]s, each
+//! The tables are [`qpd_core::StageCache`]s (bounded by
+//! [`qpd_core::memo_cap`], deterministic second-chance eviction), each
 //! batch served through [`qpd_core::StageCache::run_batch`]:
 //!
 //! - placement and bus insertion (square perturbations included) are
 //!   served by [`crate::space::ExploreSpace`]'s precomputed layouts — a
-//!   perfect, always-warm cache over the small `(variant, aux)` grid;
-//! - frequency allocation + assembly run through the explorer's shared
-//!   [`qpd_core::StagePlan`];
-//! - [`RouteStage`] and [`YieldStage`] (this module) run through
-//!   [`StageCaches`]. **Screening is the same yield stage at a reduced
+//!   perfect, always-warm cache over the small `(variant, aux)` grid —
+//!   so the explorer's placement and bus tables stay empty;
+//! - frequency allocation + assembly run through
+//!   [`StageCaches::plan`], a [`qpd_core::StagePlan`];
+//! - routing and yield run through [`StageCaches::routes`] and
+//!   [`StageCaches::yields`], keyed by [`RouteStage`] and
+//!   [`YieldStage`]. **Screening is the same yield stage at a reduced
 //!   trial budget** — the trial count is part of the content key, so
 //!   screened and full-fidelity results never collide.
 //!
@@ -25,10 +26,10 @@
 use std::fmt::Write;
 
 use qpd_circuit::Circuit;
-use qpd_core::{Stage, StageCache, StageCacheStats, StageKind};
+use qpd_core::{StageCache, StageCacheStats, StageKind, StagePlan};
 use qpd_mapping::{MappingError, RouteProgram, SabreRouter};
 use qpd_topology::Architecture;
-use qpd_yield::{HardwareFamily, YieldError, YieldSimulator};
+use qpd_yield::{BatchRequest, HardwareFamily, YieldError, YieldSimulator};
 
 // The routing and yield keys use the same FNV-1a hasher the upstream
 // stage keys are built from.
@@ -76,9 +77,9 @@ pub fn circuit_key(circuit: &Circuit) -> u64 {
 }
 
 /// Stage 4 — SABRE routing of the profiled program onto a candidate
-/// topology, yielding `(total_gates, routed_depth)`. The input's
-/// [`RouteProgram`] is the program prepared once per run; the key reads
-/// only the topology and [`Self::circuit_key`].
+/// topology, yielding `(total_gates, routed_depth)`. [`Self::run`]
+/// routes the [`RouteProgram`] prepared once per run; [`Self::key`]
+/// reads only the topology and [`Self::circuit_key`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteStage {
     /// [`circuit_key`] of the routed program (fixed per run).
@@ -86,29 +87,26 @@ pub struct RouteStage {
 }
 
 impl RouteStage {
-    /// The content key of routing this stage's program onto `arch`:
-    /// [`Stage::content_key`] without needing the prepared program.
+    /// The content key of routing this stage's program onto `arch`.
     pub fn key(&self, arch: &Architecture) -> u64 {
         let mut h = Fnv64::new();
-        h.push(Self::KIND as u64);
+        h.push(StageKind::Routing as u64);
         h.push(topology_key(arch));
         h.push(self.circuit_key);
         h.finish()
     }
-}
 
-impl Stage for RouteStage {
-    type Input<'a> = (&'a Architecture, &'a RouteProgram);
-    type Output = (u64, u64);
-    type Error = MappingError;
-    const KIND: StageKind = StageKind::Routing;
-
-    fn content_key(&self, input: &Self::Input<'_>) -> u64 {
-        self.key(input.0)
-    }
-
-    fn run(&self, input: &Self::Input<'_>) -> Result<(u64, u64), MappingError> {
-        let (arch, program) = input;
+    /// Routes `program` (whose [`circuit_key`] this stage holds) onto
+    /// `arch`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the router's [`MappingError`].
+    pub fn run(
+        &self,
+        arch: &Architecture,
+        program: &RouteProgram,
+    ) -> Result<(u64, u64), MappingError> {
         let stats = SabreRouter::new(arch).route_stats(program)?;
         Ok((stats.total_gates as u64, stats.routed_depth as u64))
     }
@@ -117,6 +115,8 @@ impl Stage for RouteStage {
 /// Stage 5 — Monte Carlo yield estimation, yielding
 /// `(successes, trials)`. The trial budget is a stage knob: the adaptive
 /// screening path is this same stage at `yield_trials / screen_divisor`.
+/// Its only compute path is [`YieldSimulator::evaluate_batch`], through
+/// the yield table's batch rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YieldStage {
     /// Monte Carlo trials.
@@ -140,42 +140,33 @@ impl YieldStage {
             .with_sigma_ghz(self.sigma_ghz)
             .with_hardware(self.hardware)
     }
-}
-
-impl Stage for YieldStage {
-    type Input<'a> = &'a Architecture;
-    type Output = (u64, u64);
-    type Error = YieldError;
-    const KIND: StageKind = StageKind::Yield;
 
     /// The simulator's content key (structure + designed frequencies +
     /// simulator settings) — unchanged from the pre-stage-graph memo, so
     /// archived [`crate::Evaluated::key`]s stay stable.
     ///
     /// An architecture without a frequency plan (which the assembly
-    /// stage never produces) keys on its topology alone; [`Self::run`]
+    /// stage never produces) keys on its topology alone; simulating it
     /// then reports [`YieldError::MissingFrequencyPlan`], and errors are
     /// never cached, so the sentinel key can't serve a stale value.
-    fn content_key(&self, input: &Self::Input<'_>) -> u64 {
-        self.simulator().content_key(input).unwrap_or_else(|_| {
+    pub fn key(&self, arch: &Architecture) -> u64 {
+        self.simulator().content_key(arch).unwrap_or_else(|_| {
             let mut h = Fnv64::new();
-            h.push(Self::KIND as u64);
-            h.push(topology_key(input));
+            h.push(StageKind::Yield as u64);
+            h.push(topology_key(arch));
             h.finish()
         })
     }
-
-    fn run(&self, input: &Self::Input<'_>) -> Result<(u64, u64), YieldError> {
-        let estimate = self.simulator().estimate(input)?;
-        Ok((estimate.successes(), estimate.trials()))
-    }
 }
 
-/// The downstream stage caches one exploration run shares across its
-/// walks (the upstream placement/bus/frequency caches live in the
-/// explorer's [`qpd_core::StagePlan`]).
+/// Every stage table one exploration run shares across its walks — and
+/// the serve daemon across its requests — in pipeline order: the
+/// placement, bus and frequency/assembly tables of [`Self::plan`], then
+/// routing and yield.
 #[derive(Debug, Default)]
 pub struct StageCaches {
+    /// The placement, bus and frequency/assembly tables.
+    pub plan: StagePlan,
     /// Routing results by topology + circuit content key.
     pub routes: StageCache<(u64, u64)>,
     /// Yield estimates by the simulator's full content key (screened
@@ -192,23 +183,57 @@ impl StageCaches {
     /// Empty caches with an explicit per-table entry bound
     /// (`None` = unbounded).
     pub fn with_cap(cap: Option<usize>) -> Self {
-        StageCaches { routes: StageCache::with_cap(cap), yields: StageCache::with_cap(cap) }
+        StageCaches {
+            plan: StagePlan::with_cap(cap),
+            routes: StageCache::with_cap(cap),
+            yields: StageCache::with_cap(cap),
+        }
     }
 
-    /// Drops every stored value (hit/miss counters keep accumulating).
-    /// `bench_snapshot`'s cold-cache kernel uses this to re-measure
-    /// uncached evaluation without rebuilding the engine.
+    /// Drops every stored value of all five tables (hit/miss counters
+    /// keep accumulating). `bench_snapshot`'s cold-cache kernel uses
+    /// this to re-measure uncached evaluation without rebuilding the
+    /// engine.
     pub fn clear(&self) {
+        self.plan.clear();
         self.routes.clear();
         self.yields.clear();
     }
 
-    /// Hit/miss counters of the two downstream stages, pipeline order.
+    /// Hit/miss counters of all five stages, pipeline order.
     pub fn stats(&self) -> Vec<StageCacheStats> {
-        vec![
-            StageCacheStats::of(StageKind::Routing, &self.routes),
-            StageCacheStats::of(StageKind::Yield, &self.yields),
-        ]
+        let mut stats = self.plan.stats();
+        stats.push(StageCacheStats::of(StageKind::Routing, &self.routes));
+        stats.push(StageCacheStats::of(StageKind::Yield, &self.yields));
+        stats
+    }
+
+    /// Serves one yield estimate per `(stages[i], archs[i])` under its
+    /// content key `keys[i]` through the yield table: the distinct
+    /// misses run as one [`YieldSimulator::evaluate_batch`], which
+    /// groups jobs by shared trial stream and runs the collision kernels
+    /// SoA across the batch.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failing miss's [`YieldError`]; nothing is
+    /// cached then.
+    pub(crate) fn yield_batch(
+        &self,
+        keys: &[u64],
+        stages: &[YieldStage],
+        archs: &[Architecture],
+    ) -> Result<Vec<(u64, u64)>, YieldError> {
+        self.yields.run_batch(keys, |missed| {
+            let requests: Vec<BatchRequest<'_>> = missed
+                .iter()
+                .map(|&i| BatchRequest { simulator: stages[i].simulator(), arch: &archs[i] })
+                .collect();
+            YieldSimulator::evaluate_batch(&requests)
+                .into_iter()
+                .map(|outcome| outcome.map(|e| (e.successes(), e.trials())))
+                .collect()
+        })
     }
 }
 
@@ -267,19 +292,19 @@ mod tests {
             hardware: HardwareFamily::FixedFrequencyTransmon,
         };
         let screened = YieldStage { trials: 500, ..full };
-        assert_ne!(full.content_key(&&chip), screened.content_key(&&chip));
-        assert_eq!(full.content_key(&&chip), full.content_key(&&chip));
+        assert_ne!(full.key(&chip), screened.key(&chip));
+        assert_eq!(full.key(&chip), full.key(&chip));
         // The hardware family is part of the key: one shared yield table
         // can never serve a fixed-frequency estimate to a tunable walk.
         let tc = YieldStage { hardware: HardwareFamily::TunableCoupler, ..full };
-        assert_ne!(full.content_key(&&chip), tc.content_key(&&chip));
+        assert_ne!(full.key(&chip), tc.key(&chip));
     }
 
     #[test]
     fn plan_less_architecture_errors_instead_of_panicking() {
         // Running the yield stage on a bare topology (no frequency
-        // plan) must surface MissingFrequencyPlan through run_stage —
-        // never a panic, and never a cached value.
+        // plan) through the yield table's batch rule must surface
+        // MissingFrequencyPlan — never a panic, and never a cached value.
         let mut b = Architecture::builder("bare");
         b.qubit(0, 0).qubit(0, 1);
         let bare = b.build().unwrap();
@@ -289,24 +314,30 @@ mod tests {
             sigma_ghz: 0.03,
             hardware: HardwareFamily::FixedFrequencyTransmon,
         };
-        let cache: StageCache<(u64, u64)> = StageCache::with_cap(None);
-        let err = cache.run_stage(&stage, &&bare).unwrap_err();
+        let caches = StageCaches::with_cap(None);
+        let err = caches.yield_batch(&[stage.key(&bare)], &[stage], &[bare]).unwrap_err();
         assert_eq!(err, YieldError::MissingFrequencyPlan);
-        assert!(cache.is_empty(), "an error was cached");
+        assert!(caches.yields.is_empty(), "an error was cached");
     }
 
     #[test]
     fn stage_caches_report_both_stages() {
         let caches = StageCaches::new();
+        caches.plan.placement_cache().insert(1, Vec::new());
+        caches.plan.bus_cache().insert(1, Vec::new());
+        let chip = qpd_topology::ibm::ibm_16q_2x8(qpd_topology::BusMode::TwoQubitOnly);
+        caches.plan.assemble_cache().insert(1, chip);
         caches.routes.insert(1, (10, 5));
+        caches.yields.insert(1, (9, 10));
         assert_eq!(caches.routes.get(1), Some((10, 5)));
         let stats = caches.stats();
-        assert_eq!(stats[0].kind, StageKind::Routing);
-        assert_eq!(stats[1].kind, StageKind::Yield);
-        assert_eq!(stats[0].hits, 1);
-        assert_eq!(stats[0].misses, 1);
+        let kinds: Vec<StageKind> = stats.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, StageKind::ALL, "five stages, pipeline order");
+        assert!(stats.iter().all(|s| (s.misses, s.len) == (1, 1)));
+        assert_eq!(stats[3].hits, 1);
         caches.clear();
-        assert!(caches.routes.is_empty());
-        assert_eq!(caches.routes.misses(), 1, "counters survive a clear");
+        assert!(caches.stats().iter().all(|s| s.len == 0), "a table survived the clear");
+        assert!(caches.stats().iter().all(|s| s.misses == 1), "counters survive a clear");
+        assert_eq!(caches.stats()[3].hits, 1);
     }
 }

@@ -76,11 +76,11 @@ use rand_chacha::ChaCha8Rng;
 
 use qpd_core::{
     crowding_distances, dominates_nd, epsilon_weakly_dominates_nd, AssembleJob, AssembleStage,
-    DesignError, DesignFlow, FrequencyStrategy, Stage, StageCacheStats, StagePlan,
+    DesignError, DesignFlow, FrequencyStrategy, StageCacheStats,
 };
 use qpd_mapping::{MappingError, RouteProgram};
 use qpd_topology::Architecture;
-use qpd_yield::{BatchRequest, HardwareFamily, YieldError, YieldSimulator};
+use qpd_yield::{HardwareFamily, YieldError};
 
 use crate::cache::{circuit_key, RouteStage, StageCaches, YieldStage};
 use crate::space::ExploreSpace;
@@ -527,9 +527,9 @@ pub fn pareto_indices(archive: &[Evaluated]) -> Vec<usize> {
 /// The engine: a space, a budget, and the shared per-stage caches.
 ///
 /// Evaluation runs the explicit stage cascade: placement and bus
-/// resolution from the space's precomputed layouts, frequency
-/// allocation + assembly through the shared [`StagePlan`], routing and
-/// yield through [`StageCaches`]. Each cached stage serves a whole batch
+/// resolution from the space's precomputed layouts, then frequency
+/// allocation + assembly, routing and yield through the tables of one
+/// shared [`StageCaches`]. Each cached stage serves a whole batch
 /// of candidates through [`qpd_core::StageCache::run_batch`].
 /// Every stage is content-keyed, so a knob change recomputes only the
 /// stages whose keys it changes — a freq-only move leaves the topology,
@@ -545,13 +545,11 @@ pub fn pareto_indices(archive: &[Evaluated]) -> Vec<usize> {
 pub struct Explorer {
     space: ExploreSpace,
     config: ExploreConfig,
-    /// The upstream (placement, bus, frequency/assembly) caches.
-    plan: Arc<StagePlan>,
     /// The assembly stage under the config's allocation knobs; each
     /// candidate sets its frequency and hardware family on a clone.
     assemble: AssembleStage,
-    /// The downstream routing/yield tables. `Arc`-shared so a resident
-    /// server can hand every request's engine the same warm caches;
+    /// Every stage table. `Arc`-shared so a resident server can hand
+    /// every request's engine the same warm caches;
     /// sharing is observation-free — stages are pure functions of their
     /// content keys, so shared tables change *when* work happens, never
     /// what any engine computes.
@@ -578,20 +576,20 @@ impl Explorer {
     ///
     /// Fails only if the baseline design cannot be built or routed.
     pub fn new(space: ExploreSpace, config: ExploreConfig) -> Result<Self, ExploreError> {
-        Self::with_shared(space, config, Arc::new(StagePlan::new()), Arc::new(StageCaches::new()))
+        Self::with_shared(space, config, Arc::new(StageCaches::new()))
     }
 
-    /// Like [`Explorer::new`], but evaluating through a caller-supplied
-    /// stage plan and downstream caches — the resident-server path,
-    /// where every request's engine shares one warm set of tables.
+    /// Like [`Explorer::new`], but evaluating through caller-supplied
+    /// stage caches — the resident-server path, where every request's
+    /// engine shares one warm set of tables.
     ///
     /// Correctness does not depend on what the shared tables already
     /// hold: every stage is a pure function of its content key (the
     /// allocation trials, seed, sigma, and hardware family are all part
     /// of the keys), so a warm entry is exactly the value this engine
     /// would have computed. Callers should still share only across
-    /// engines with equal allocation settings if they want the *plan*
-    /// caches to actually hit.
+    /// engines with equal allocation settings if they want the
+    /// frequency/assembly table to actually hit.
     ///
     /// # Errors
     ///
@@ -599,19 +597,18 @@ impl Explorer {
     pub fn with_shared(
         space: ExploreSpace,
         config: ExploreConfig,
-        plan: Arc<StagePlan>,
         caches: Arc<StageCaches>,
     ) -> Result<Self, ExploreError> {
         let assemble = DesignFlow::new()
             .with_allocation_trials(config.alloc_trials)
             .with_allocation_seed(config.seed)
             .with_sigma_ghz(config.sigma_ghz)
-            .assemble_stage();
+            .assemble_stage()
+            .clone();
         let program_key = circuit_key(space.circuit());
         let mut explorer = Explorer {
             space,
             config,
-            plan,
             assemble,
             caches,
             circuit_key: program_key,
@@ -647,34 +644,23 @@ impl Explorer {
         &self.space
     }
 
-    /// The shared downstream (routing, yield) stage caches, with their
-    /// hit/miss counters for reporting.
+    /// The shared stage caches, with their hit/miss counters for
+    /// reporting.
     pub fn caches(&self) -> &StageCaches {
         &self.caches
     }
 
     /// Hit/miss counters of every cached stage of the cascade, pipeline
-    /// order: placement, bus, and frequency from the shared
-    /// [`StagePlan`], then routing and yield.
+    /// order ([`StageCaches::stats`]).
     pub fn stage_stats(&self) -> Vec<StageCacheStats> {
-        let mut stats = self.plan.stats();
-        stats.extend(self.caches.stats());
-        stats
-    }
-
-    /// Drops every cached stage value — the upstream plan caches and the
-    /// downstream routing/yield tables (counters keep accumulating).
-    /// `bench_snapshot`'s cold-cache kernel uses this to re-measure
-    /// uncached evaluation without rebuilding the engine.
-    pub fn clear_stage_caches(&self) {
-        self.plan.clear();
-        self.caches.clear();
+        self.caches.stats()
     }
 
     /// Resolves every spec's layout (fanned out on the worker pool) and
-    /// assembles the chips as one [`StagePlan::assemble_batch`]: the
-    /// assemble-stage misses run as one seed-major allocation batch over
-    /// one set of fabrication-noise planes. Every frequency strategy and
+    /// assembles the chips as one
+    /// [`qpd_core::StagePlan::assemble_batch`]: the assemble-stage misses
+    /// run as one seed-major allocation batch over one set of
+    /// fabrication-noise planes. Every frequency strategy and
     /// hardware family draws from the one stage plan; both are part of
     /// the assembly content key, so they never collide in it.
     fn assemble(&self, specs: &[CandidateSpec]) -> Result<Vec<Architecture>, ExploreError> {
@@ -692,7 +678,7 @@ impl Explorer {
             .zip(&layouts)
             .map(|(stage, (coords, squares))| AssembleJob { stage, coords, squares })
             .collect();
-        Ok(self.plan.assemble_batch(&jobs)?)
+        Ok(self.caches.plan.assemble_batch(&jobs)?)
     }
 
     /// Routes every chip through the route cache: only the distinct
@@ -704,7 +690,7 @@ impl Explorer {
         let keys: Vec<u64> = archs.iter().map(|arch| stage.key(arch)).collect();
         Ok(self.caches.routes.run_batch(&keys, |missed| {
             let program = self.program.get_or_init(|| RouteProgram::new(self.space.circuit()));
-            qpd_par::par_map(missed, |&i| stage.run(&(&archs[i], program))).into_iter().collect()
+            qpd_par::par_map(missed, |&i| stage.run(&archs[i], program)).into_iter().collect()
         })?)
     }
 
@@ -754,8 +740,9 @@ impl Explorer {
     /// ([`qpd_core::StageCache::run_batch`]), one hit or miss per
     /// candidate: chips from [`Self::assemble`], routes from
     /// [`Self::route`], and the distinct yield misses in one
-    /// [`YieldSimulator::evaluate_batch`], which groups jobs by shared
-    /// trial stream and runs the collision kernels SoA across the batch.
+    /// [`qpd_yield::YieldSimulator::evaluate_batch`], which groups jobs by
+    /// shared trial stream and runs the collision kernels SoA across the
+    /// batch.
     ///
     /// # Errors
     ///
@@ -774,17 +761,8 @@ impl Explorer {
             .map(|spec| YieldStage { trials, seed, sigma_ghz, hardware: spec.hardware })
             .collect();
         let keys: Vec<u64> =
-            stages.iter().zip(&archs).map(|(stage, arch)| stage.content_key(&arch)).collect();
-        let yields = self.caches.yields.run_batch(&keys, |missed| {
-            let requests: Vec<BatchRequest<'_>> = missed
-                .iter()
-                .map(|&i| BatchRequest { simulator: stages[i].simulator(), arch: &archs[i] })
-                .collect();
-            YieldSimulator::evaluate_batch(&requests)
-                .into_iter()
-                .map(|outcome| outcome.map(|e| (e.successes(), e.trials())))
-                .collect()
-        })?;
+            stages.iter().zip(&archs).map(|(stage, arch)| stage.key(arch)).collect();
+        let yields = self.caches.yield_batch(&keys, &stages, &archs)?;
         let out = specs.iter().zip(&archs).enumerate().map(|(i, (spec, arch))| {
             let aux_built = spec.aux_qubits.min(self.space.max_aux()) as u64;
             let ((total_gates, routed_depth), (yield_successes, yield_trials)) =
@@ -1557,22 +1535,18 @@ mod tests {
 
     #[test]
     fn shared_caches_and_plan_reproduce_the_owned_run() {
-        // The resident-server path: two engines sharing one plan and
-        // one downstream cache set must produce the same state as a
-        // fresh owning engine — warm tables change *when* work happens,
-        // never the result.
+        // The resident-server path: two engines sharing one set of stage
+        // tables (plan included) must produce the same state as a fresh
+        // owning engine — warm tables change *when* work happens, never
+        // the result.
         let config = ExploreConfig { seed: 11, ..ExploreConfig::quick() };
         let owned = explorer_with(config).run().unwrap();
-        let plan = Arc::new(StagePlan::with_cap(Some(DEFAULT_MEMO_CAP)));
         let caches = Arc::new(StageCaches::with_cap(Some(DEFAULT_MEMO_CAP)));
         let space = || ExploreSpace::new(demo_circuit(), config.max_aux);
-        let first = Explorer::with_shared(space(), config, plan.clone(), caches.clone())
-            .unwrap()
-            .run()
-            .unwrap();
+        let first = Explorer::with_shared(space(), config, caches.clone()).unwrap().run().unwrap();
         assert_eq!(first, owned);
         // Second engine starts fully warm and still matches.
-        let warm = Explorer::with_shared(space(), config, plan, caches.clone()).unwrap();
+        let warm = Explorer::with_shared(space(), config, caches.clone()).unwrap();
         let second = warm.run().unwrap();
         assert_eq!(second, owned);
         assert!(caches.yields.hits() > 0, "the shared tables were not consulted");
@@ -1698,7 +1672,7 @@ mod tests {
             assert_eq!(explorer.caches().yields.cap(), Some(DEFAULT_MEMO_CAP));
             assert_eq!(explorer.caches().routes.cap(), Some(DEFAULT_MEMO_CAP));
             // One policy: a bare plan is bounded at the same default.
-            let p = StagePlan::new();
+            let p = qpd_core::StagePlan::new();
             let caps = [p.placement_cache().cap(), p.bus_cache().cap(), p.assemble_cache().cap()];
             assert_eq!(caps, [Some(DEFAULT_MEMO_CAP); 3]);
         }
@@ -1721,7 +1695,7 @@ mod tests {
                     [CandidateSpec { frequency: five, ..spec.clone() }, spec]
                 })
                 .collect();
-            explorer.clear_stage_caches();
+            explorer.caches().clear();
             let routes = &explorer.caches().routes;
             let read = || [routes.hits(), routes.misses(), routes.unique_misses()];
             let before = read();

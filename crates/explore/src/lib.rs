@@ -17,15 +17,14 @@
 //! [`Explorer`] runs seeded walks fanned out on the [`qpd_par`] pool
 //! and maintains a Pareto archive over four objectives (Monte Carlo
 //! yield, post-mapping gate count, routed depth, and hardware cost =
-//! buses plus auxiliary qubits). Since the stage-graph refactor,
-//! candidate evaluation is the explicit five-stage cascade of
-//! [`qpd_core::stage`]: placement and bus insertion resolve from
-//! [`ExploreSpace`]'s precomputed layouts, frequency allocation +
-//! assembly run through the shared [`qpd_core::StagePlan`], and routing
-//! and yield run through the [`cache::StageCaches`] — every stage
-//! content-keyed and bounded by [`qpd_core::memo_cap`] (deterministic
-//! second-chance eviction), each serving a batch of candidates as one
-//! [`qpd_core::StageCache::run_batch`]. A knob change recomputes only
+//! buses plus auxiliary qubits). Candidate evaluation is the explicit
+//! five-stage cascade of [`qpd_core::stage`]: placement and bus
+//! insertion resolve from [`ExploreSpace`]'s precomputed layouts, and
+//! frequency allocation + assembly, routing and yield run through the
+//! tables of one [`cache::StageCaches`], which owns all five — every
+//! stage content-keyed and bounded by [`qpd_core::memo_cap`]
+//! (deterministic second-chance eviction), each serving a batch of
+//! candidates as one [`qpd_core::StageCache::run_batch`]. A knob change recomputes only
 //! the stages whose content keys it changes: a frequency-only move
 //! leaves the topology alone, so placement, bus insertion, *and*
 //! routing are served from cache, and a revisited candidate costs hash

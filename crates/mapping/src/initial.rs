@@ -50,10 +50,9 @@ impl InitialMapping {
 
                 // Physical preference: high degree first, then closeness to
                 // the center qubit, then index.
-                let dist = arch.distance_matrix();
-                let center = arch.center_qubit();
+                let from_center = arch.distances_from(arch.center_qubit());
                 let mut physical: Vec<usize> = (0..n).collect();
-                physical.sort_by_key(|&p| (std::cmp::Reverse(arch.degree(p)), dist[center][p], p));
+                physical.sort_by_key(|&p| (std::cmp::Reverse(arch.degree(p)), from_center[p], p));
 
                 let mut log_to_phys = vec![0u32; n];
                 for (l, p) in logical.into_iter().zip(physical) {

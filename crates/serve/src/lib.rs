@@ -1,12 +1,11 @@
 //! `qpd-serve`: the resident design-service daemon.
 //!
 //! The paper's flow is a batch pipeline, but the stage graph underneath
-//! it (`qpd-core`'s [`qpd_core::StagePlan`] plus `qpd-explore`'s
-//! downstream [`qpd_explore::StageCaches`]) is content-keyed and
-//! `Arc`-shared — exactly the shape of a long-running server. This
-//! crate wraps it in one: a std-only TCP daemon that multiplexes every
-//! request onto **one** shared stage plan and the `qpd-par` worker
-//! pool, so the second request for any placement, bus order, frequency
+//! it ([`qpd_explore::StageCaches`], the one owner of all five stage
+//! tables) is content-keyed and `Arc`-shared — exactly the shape of a
+//! long-running server. This crate wraps it in one: a std-only TCP
+//! daemon that multiplexes every request onto **one** shared set of
+//! stage tables and the `qpd-par` worker pool, so the second request for any placement, bus order, frequency
 //! plan, routing, or yield estimate is a cache hit no matter which
 //! client — or which circuit — paid for it first (BENCH_5 measured
 //! that cold→warm gap at 128 ms → 8.7 µs per evaluation).

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use qpd_core::{StageCache, StagePlan};
+use qpd_core::StageCache;
 use qpd_explore::cache::Fnv64;
 use qpd_explore::{
     merge_checkpoints, sidecar, write_atomic, CandidateSpec, Checkpoint, ExploreConfig,
@@ -92,10 +92,8 @@ struct Job {
 struct Shared {
     config: ServerConfig,
     addr: SocketAddr,
-    /// The upstream placement/bus/frequency/assembly caches every
-    /// request's `DesignFlow` evaluates through.
-    plan: Arc<StagePlan>,
-    /// The downstream routing/yield caches.
+    /// Every stage table (placement, bus, frequency/assembly, routing,
+    /// yield) every request's engine evaluates through.
     caches: Arc<StageCaches>,
     /// Engines reused across `design` requests, keyed by request
     /// content (source text + engine settings) and bounded by
@@ -131,7 +129,6 @@ impl Server {
         let shared = Arc::new(Shared {
             config,
             addr,
-            plan: Arc::new(StagePlan::with_cap(memo_cap)),
             caches: Arc::new(StageCaches::with_cap(memo_cap)),
             engines: StageCache::with_cap(Some(ENGINE_CAP)),
             queue: Mutex::new(Vec::new()),
@@ -408,13 +405,13 @@ fn handle_merge(shared: &Shared, id: &str, files: &[String]) -> String {
 }
 
 fn stats_result(shared: &Shared) -> Json {
-    let mut stats = shared.plan.stats();
-    stats.extend(shared.caches.stats());
     Json::obj([
         (
             "stages",
             Json::Arr(
-                stats
+                shared
+                    .caches
+                    .stats()
                     .iter()
                     .map(|s| {
                         Json::obj([
@@ -500,9 +497,8 @@ fn design_engine(
     let circuit = build_circuit(id, source)?;
     let config = settings.to_config();
     let space = ExploreSpace::new(circuit, config.max_aux);
-    let engine =
-        Explorer::with_shared(space, config, Arc::clone(&shared.plan), Arc::clone(&shared.caches))
-            .map_err(|e| err_line(Some(id), "internal", &e.to_string()))?;
+    let engine = Explorer::with_shared(space, config, Arc::clone(&shared.caches))
+        .map_err(|e| err_line(Some(id), "internal", &e.to_string()))?;
     let memo = Arc::new(MemoEngine { source: source.clone(), settings, engine });
     shared.engines.insert(key, Arc::clone(&memo));
     Ok(memo)
@@ -555,12 +551,7 @@ fn handle_explore(
     }
     let space = ExploreSpace::new(circuit, config.max_aux);
     let run = || -> Result<(ExploreState, Option<&'static str>), qpd_explore::ExploreError> {
-        let explorer = Explorer::with_shared(
-            space,
-            config,
-            Arc::clone(&shared.plan),
-            Arc::clone(&shared.caches),
-        )?;
+        let explorer = Explorer::with_shared(space, config, Arc::clone(&shared.caches))?;
         let mut state = explorer.initial_state()?;
         let mut reason = None;
         while state.rounds_done < config.rounds {

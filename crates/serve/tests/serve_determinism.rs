@@ -335,6 +335,26 @@ fn stats_engines(client: &mut Client) -> u64 {
     doc.get("result").and_then(|r| r.get("engines")).and_then(Json::as_u64).expect("engines")
 }
 
+#[test]
+fn stats_lists_all_five_stages_in_pipeline_order() {
+    let dir = tmp_dir("stats_stages");
+    let (addr, handle) = start(&dir, None, None, 8);
+    let mut client = Client::connect(addr).unwrap();
+    let design = client.request_raw(&reseeded(1)).unwrap();
+    assert_eq!(Json::parse(&design.response).unwrap().get("ok"), Some(&Json::Bool(true)));
+    let stats = client.request_raw(r#"{"id":"s","op":"stats"}"#).unwrap();
+    let doc = Json::parse(&stats.response).unwrap();
+    let stages = doc.get("result").and_then(|r| r.get("stages")).and_then(Json::as_arr).unwrap();
+    let names: Vec<&str> =
+        stages.iter().map(|s| s.get("stage").and_then(Json::as_str).unwrap()).collect();
+    assert_eq!(names, ["placement", "bus", "frequency", "routing", "yield"]);
+    // The design computed a chip, its routes and its yield.
+    for stage in &stages[2..] {
+        assert!(stage.get("misses").and_then(Json::as_u64).unwrap() > 0, "{stage:?}");
+    }
+    shut_down(addr, handle);
+}
+
 /// A design line for a small inline QASM program at small settings
 /// and the given seed.
 fn reseeded(seed: usize) -> String {

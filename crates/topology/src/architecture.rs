@@ -198,25 +198,32 @@ impl Architecture {
         count == n
     }
 
-    /// All-pairs shortest-path distances over the coupling graph (BFS).
-    /// Unreachable pairs get `u32::MAX`.
+    /// All-pairs shortest-path distances over the coupling graph: row
+    /// `s` is [`Self::distances_from`]`(s)`. Unreachable pairs get
+    /// `u32::MAX`.
     pub fn distance_matrix(&self) -> Vec<Vec<u32>> {
-        let n = self.num_qubits();
-        let mut dist = vec![vec![u32::MAX; n]; n];
-        for start in 0..n {
-            let row = &mut dist[start];
-            row[start] = 0;
-            let mut queue = VecDeque::from([start]);
-            while let Some(q) = queue.pop_front() {
-                for &j in self.neighbors(q) {
-                    if row[j] == u32::MAX {
-                        row[j] = row[q] + 1;
-                        queue.push_back(j);
-                    }
+        (0..self.num_qubits()).map(|start| self.distances_from(start)).collect()
+    }
+
+    /// Shortest-path distances from `start` to every qubit over the
+    /// coupling graph (one BFS). Unreachable qubits get `u32::MAX`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is out of range.
+    pub fn distances_from(&self, start: usize) -> Vec<u32> {
+        let mut row = vec![u32::MAX; self.num_qubits()];
+        row[start] = 0;
+        let mut queue = VecDeque::from([start]);
+        while let Some(q) = queue.pop_front() {
+            for &j in self.neighbors(q) {
+                if row[j] == u32::MAX {
+                    row[j] = row[q] + 1;
+                    queue.push_back(j);
                 }
             }
         }
-        dist
+        row
     }
 
     /// The designed frequency plan, if one has been attached.
@@ -543,6 +550,7 @@ mod tests {
         assert_eq!(d[0][3], 3);
         assert_eq!(d[3][0], 3);
         assert_eq!(d[2][2], 0);
+        assert_eq!(arch.distances_from(1), [1, 0, 1, 2]);
     }
 
     #[test]

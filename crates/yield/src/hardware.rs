@@ -32,7 +32,7 @@
 //!
 //! Everything a [`HardwareModel`] reports feeds **stage content keys**
 //! (the memoization layer of the stage graph) and therefore must obey
-//! the same purity rules as `qpd_core::Stage::content_key`:
+//! the same purity rules as the stage keys (`qpd_core::AssembleStage::key`):
 //!
 //! - every method is a **pure function of the family**: same family,
 //!   same answer — no global state, no environment, no randomness, no

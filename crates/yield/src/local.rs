@@ -1542,7 +1542,7 @@ impl LocalYieldEvaluator {
     /// Compiles `q`'s region on the fly; callers evaluating many
     /// decisions against one architecture (the frequency allocator)
     /// should build a [`CompiledRegions`] once and use
-    /// [`Self::evaluate_candidates_compiled`].
+    /// [`Self::evaluate_candidates_compiled_with`].
     ///
     /// # Panics
     ///
@@ -1556,36 +1556,27 @@ impl LocalYieldEvaluator {
         q: usize,
         candidates: &[f64],
     ) -> Vec<u64> {
-        self.evaluate_candidates_compiled(&CompiledRegions::new(arch), assigned, q, candidates)
+        let regions = CompiledRegions::new(arch);
+        self.evaluate_candidates_compiled_with(
+            &regions,
+            assigned,
+            q,
+            candidates,
+            &mut AllocScratch::new(),
+        )
     }
 
     /// [`Self::evaluate_candidates`] against a prebuilt
-    /// [`CompiledRegions`] table — the allocator's hot path.
+    /// [`CompiledRegions`] table and a caller-held [`AllocScratch`] —
+    /// the allocator's hot path: the decision's noise plane is prepared
+    /// in (or sliced from) the scratch's cache instead of re-derived.
+    /// The counts are bit-identical to a fresh scratch's for any
+    /// sequence of calls, scratch sharing, and thread count.
     ///
     /// # Panics
     ///
     /// As [`Self::evaluate_candidates`]; `regions` must have been
     /// compiled from the same architecture `assigned` refers to.
-    pub fn evaluate_candidates_compiled(
-        &self,
-        regions: &CompiledRegions,
-        assigned: &[Option<f64>],
-        q: usize,
-        candidates: &[f64],
-    ) -> Vec<u64> {
-        let mut scratch = AllocScratch::new();
-        self.evaluate_candidates_compiled_with(regions, assigned, q, candidates, &mut scratch)
-    }
-
-    /// [`Self::evaluate_candidates_compiled`] with a caller-held
-    /// [`AllocScratch`]: the decision's noise plane is prepared in (or
-    /// sliced from) the scratch's cache instead of re-derived. The
-    /// counts are bit-identical to the scratch-free entry point for any
-    /// sequence of calls, scratch sharing, and thread count.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::evaluate_candidates_compiled`].
     pub fn evaluate_candidates_compiled_with(
         &self,
         regions: &CompiledRegions,
@@ -1650,7 +1641,7 @@ impl LocalYieldEvaluator {
         model.sample_into_uninit(&mut rng, chunk);
     }
 
-    /// The allocator's batch hot path: [`Self::evaluate_candidates_compiled`]
+    /// The allocator's batch hot path: [`Self::evaluate_candidates_compiled_with`]
     /// reading its noise from planes an earlier [`AllocScratch::prepare`]
     /// drew, with caller-owned (per-worker) decision buffers. `planes` is
     /// only read, so one scratch serves every worker of a batch at once;
@@ -1666,7 +1657,7 @@ impl LocalYieldEvaluator {
     ///
     /// # Panics
     ///
-    /// As [`Self::evaluate_candidates_compiled`].
+    /// As [`Self::evaluate_candidates_compiled_with`].
     pub fn evaluate_prepared(
         &self,
         regions: &CompiledRegions,
@@ -1988,7 +1979,13 @@ mod tests {
         }
         let e = evaluator(800);
         for q in 11..arch.num_qubits() {
-            let fast = e.evaluate_candidates_compiled(&compiled, &assigned, q, &candidates);
+            let fast = e.evaluate_candidates_compiled_with(
+                &compiled,
+                &assigned,
+                q,
+                &candidates,
+                &mut AllocScratch::new(),
+            );
             let reference = naive_counts(&e, &arch, &assigned, q, &candidates);
             assert_eq!(fast, reference, "qubit {q}");
         }
@@ -2377,8 +2374,13 @@ mod tests {
                         &candidates,
                         &mut scratch,
                     );
-                    let fresh =
-                        e.evaluate_candidates_compiled(&compiled, &assigned, q, &candidates);
+                    let fresh = e.evaluate_candidates_compiled_with(
+                        &compiled,
+                        &assigned,
+                        q,
+                        &candidates,
+                        &mut AllocScratch::new(),
+                    );
                     assert_eq!(shared, fresh, "trials {trials} seed {seed} qubit {q}");
                 }
             }
@@ -2413,7 +2415,13 @@ mod tests {
                     &candidates,
                     &mut scratch,
                 );
-                let direct = e.evaluate_candidates_compiled(&compiled, &assigned, q, &candidates);
+                let direct = e.evaluate_candidates_compiled_with(
+                    &compiled,
+                    &assigned,
+                    q,
+                    &candidates,
+                    &mut AllocScratch::new(),
+                );
                 assert_eq!(grown, direct, "trials {trials} qubit {q}");
             }
         }
@@ -2436,7 +2444,13 @@ mod tests {
             &[5.08, 5.12],
             &mut scratch,
         );
-        let without = e.evaluate_candidates_compiled(&compiled, &assigned, 1, &[5.08, 5.12]);
+        let without = e.evaluate_candidates_compiled_with(
+            &compiled,
+            &assigned,
+            1,
+            &[5.08, 5.12],
+            &mut AllocScratch::new(),
+        );
         assert_eq!(with, without);
         assert_eq!(scratch.cached_planes(), 0, "odd blocks must not populate planes");
     }
@@ -2467,7 +2481,13 @@ mod tests {
                 &[5.08, 5.12],
                 &mut scratch,
             );
-            let fresh = e.evaluate_candidates_compiled(&compiled, &assigned, 1, &[5.08, 5.12]);
+            let fresh = e.evaluate_candidates_compiled_with(
+                &compiled,
+                &assigned,
+                1,
+                &[5.08, 5.12],
+                &mut AllocScratch::new(),
+            );
             assert_eq!(shared, fresh, "sigma {sigma}");
             drawn.push(scratch.samples_drawn());
         }
@@ -2510,7 +2530,16 @@ mod tests {
         let candidates = [5.08, 5.12, 5.30];
         let counts =
             b.evaluate_candidates_compiled_with(&compiled, &assigned, 3, &candidates, &mut scratch);
-        assert_eq!(counts, b.evaluate_candidates_compiled(&compiled, &assigned, 3, &candidates));
+        assert_eq!(
+            counts,
+            b.evaluate_candidates_compiled_with(
+                &compiled,
+                &assigned,
+                3,
+                &candidates,
+                &mut AllocScratch::new()
+            )
+        );
         // One demand larger than the whole cap is still served in full.
         let mut tiny = AllocScratch::with_cap(10);
         tiny.prepare(demand(&a));

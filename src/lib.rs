@@ -27,13 +27,15 @@
 //!
 //! The design cascade is an explicit stage graph ([`design::stage`]):
 //! placement → bus insertion → frequency allocation/assembly →
-//! { routing, yield }. Each step is a [`design::Stage`] — typed input,
-//! typed output, and a content key derived only from its true inputs —
-//! served through a bounded [`design::StageCache`] owned by a
-//! [`design::StagePlan`]. [`design::DesignFlow`] is a thin facade over
-//! the plan (outputs are bit-identical to running the subroutines in
-//! sequence with no caching), and the explorer rides the same graph: a
-//! knob change re-runs only the stages whose content keys it changes.
+//! { routing, yield }. Each step is a plain struct holding its knobs,
+//! with a `key` method deriving a content key only from its true
+//! inputs, served through a bounded [`design::StageCache`].
+//! [`design::StagePlan`] owns the first three tables and
+//! [`design::DesignFlow`] is a thin facade over it (outputs are
+//! bit-identical to running the subroutines in sequence with no
+//! caching); [`explore::StageCaches`] owns a plan plus the routing and
+//! yield tables, and the explorer rides that graph: a knob change
+//! re-runs only the stages whose content keys it changes.
 //! Because routing reads the coupling topology but never the
 //! frequencies, a frequency-only move skips placement, bus insertion,
 //! *and* routing entirely.
@@ -44,7 +46,7 @@
 //! resident: [`serve`] wraps it in a TCP daemon (`qpd_serve` binary,
 //! `serve_load` load generator) speaking newline-delimited JSON, with
 //! every request multiplexed onto one shared warm
-//! [`design::StagePlan`] + [`explore::StageCaches`]. The wire grammar,
+//! [`explore::StageCaches`]. The wire grammar,
 //! budget fields, admission-control semantics, and shutdown/warm-start
 //! story are documented on [`serve`]; responses are byte-reproducible
 //! functions of request content.

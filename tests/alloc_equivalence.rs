@@ -195,7 +195,7 @@ fn layout_batch_matches_singleton_flows_and_survives_clear() {
     };
     let stages: Vec<AssembleStage> = HardwareFamily::ALL
         .iter()
-        .map(|&hardware| base.clone().with_hardware(hardware).assemble_stage())
+        .map(|&hardware| base.clone().with_hardware(hardware).assemble_stage().clone())
         .collect();
     let jobs: Vec<AssembleJob<'_>> = stages
         .iter()

@@ -119,14 +119,13 @@ fn batched_explorer(seed: u64) -> Explorer {
 fn design_of(explorer: &Explorer, spec: &CandidateSpec) -> Architecture {
     let config = explorer.config();
     let (coords, squares) = explorer.space().resolve(spec);
-    let stage = DesignFlow::new()
+    let flow = DesignFlow::new()
         .with_allocation_trials(config.alloc_trials)
         .with_allocation_seed(config.seed)
         .with_sigma_ghz(config.sigma_ghz)
         .with_frequency_strategy(spec.frequency)
-        .with_hardware(spec.hardware)
-        .assemble_stage();
-    let job = AssembleJob { stage: &stage, coords: &coords, squares: &squares };
+        .with_hardware(spec.hardware);
+    let job = AssembleJob { stage: flow.assemble_stage(), coords: &coords, squares: &squares };
     StagePlan::new().assemble_batch(&[job]).unwrap().remove(0)
 }
 
