@@ -1,12 +1,16 @@
 //! Frequency allocation (paper Algorithm 3).
+//!
+//! The allocator takes its band, its 10 MHz candidate grid over that
+//! band and its collision parameters from its [`HardwareFamily`];
+//! nothing else sets them.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use qpd_topology::{Architecture, FrequencyPlan, ALLOWED_BAND_GHZ};
+use qpd_topology::{Architecture, FrequencyPlan};
 use qpd_yield::{
-    AllocScratch, CollisionParams, CompiledRegions, DecisionBuffers, FabricationModel,
-    HardwareFamily, LocalYieldEvaluator,
+    AllocScratch, CompiledRegions, DecisionBuffers, FabricationModel, HardwareFamily,
+    LocalYieldEvaluator,
 };
 
 /// Center-out breadth-first frequency allocator.
@@ -18,16 +22,15 @@ use qpd_yield::{
 /// frequency by Monte Carlo yield *within the qubit's local region*
 /// (distance <= 2, already-assigned qubits only), assigning the argmax.
 ///
-/// Candidates default to the paper's grid: 5.00, 5.01, ..., 5.34 GHz
-/// (10 MHz accuracy). Ties prefer the candidate nearest the band
-/// midpoint, then the lower frequency, making allocation deterministic.
+/// The candidates are the 10 MHz grid over the hardware family's band:
+/// for the default family the paper's 5.00, 5.01, ..., 5.34 GHz. Ties
+/// prefer the candidate nearest the band midpoint, then the lower
+/// frequency, making allocation deterministic.
 #[derive(Debug, Clone)]
 pub struct FrequencyAllocator {
     candidates: Vec<f64>,
-    band: (f64, f64),
     trials: usize,
     model: FabricationModel,
-    params: CollisionParams,
     seed: u64,
     refinement_sweeps: usize,
     hardware: HardwareFamily,
@@ -47,11 +50,9 @@ impl FrequencyAllocator {
     /// all eight.
     pub fn new() -> Self {
         FrequencyAllocator {
-            candidates: Self::grid(ALLOWED_BAND_GHZ),
-            band: ALLOWED_BAND_GHZ,
+            candidates: Self::grid(HardwareFamily::FixedFrequencyTransmon.allowed_band_ghz()),
             trials: 4_000,
             model: FabricationModel::default(),
-            params: CollisionParams::default(),
             seed: 0,
             refinement_sweeps: 8,
             hardware: HardwareFamily::FixedFrequencyTransmon,
@@ -65,18 +66,13 @@ impl FrequencyAllocator {
         (0..=steps).map(|i| lo + 0.01 * i as f64).collect()
     }
 
-    /// Retargets the allocator at a hardware family: adopts its allowed
-    /// band (and rebuilds the 10 MHz candidate grid over it), its
-    /// collision parameters, and — at evaluation time — its effective
-    /// fabrication noise. Call this *before* fine-grained overrides like
-    /// [`Self::with_candidates`] or [`Self::with_params`]; the default
+    /// Retargets the allocator at a hardware family: its allowed band
+    /// (the 10 MHz candidate grid is rebuilt over it), its collision
+    /// parameters and its effective fabrication noise. The default
     /// family leaves the allocator exactly as [`Self::new`] built it.
     pub fn with_hardware(mut self, hardware: HardwareFamily) -> Self {
-        let model = hardware.model();
         self.hardware = hardware;
-        self.band = model.allowed_band_ghz();
-        self.candidates = Self::grid(self.band);
-        self.params = model.collision_params();
+        self.candidates = Self::grid(hardware.allowed_band_ghz());
         self
     }
 
@@ -90,17 +86,6 @@ impl FrequencyAllocator {
     /// sweeps reproduce the paper's single-pass algorithm.
     pub fn with_refinement_sweeps(mut self, sweeps: usize) -> Self {
         self.refinement_sweeps = sweeps;
-        self
-    }
-
-    /// Overrides the candidate frequency list (GHz).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidates` is empty.
-    pub fn with_candidates(mut self, candidates: Vec<f64>) -> Self {
-        assert!(!candidates.is_empty(), "need at least one candidate frequency");
-        self.candidates = candidates;
         self
     }
 
@@ -118,12 +103,6 @@ impl FrequencyAllocator {
     /// Sets the assumed fabrication precision in GHz.
     pub fn with_sigma_ghz(mut self, sigma_ghz: f64) -> Self {
         self.model = FabricationModel::new(sigma_ghz);
-        self
-    }
-
-    /// Sets the collision parameters.
-    pub fn with_params(mut self, params: CollisionParams) -> Self {
-        self.params = params;
         self
     }
 
@@ -158,10 +137,9 @@ impl FrequencyAllocator {
     /// step it prepares that step's noise planes in `scratch` once, one
     /// per (seed, qubit, effective sigma) at the longest prefix any job
     /// of the step reads, all drawn at once; the step's decisions then
-    /// read them shared and read-only. Jobs may differ in
-    /// any knob — hardware family, trials, seed, sweep budget,
-    /// candidates — and jobs that agree on a seed and sigma share its
-    /// planes.
+    /// read them shared and read-only. Jobs may differ in any knob —
+    /// hardware family, trials, seed, sigma, sweep budget — and jobs
+    /// that agree on a seed and sigma share its planes.
     ///
     /// A step with at least as many live jobs as pool threads fans the
     /// jobs out over the pool, each running its decisions inline with
@@ -226,10 +204,9 @@ impl FrequencyAllocator {
             0 => self.seed,
             _ => self.seed ^ 0xa076_1d64_78bd_642fu64.wrapping_mul(step as u64),
         };
-        let model = FabricationModel::new(
-            self.hardware.model().effective_sigma_ghz(self.model.sigma_ghz()),
-        );
-        LocalYieldEvaluator::new(self.trials, model, self.params, seed)
+        let model =
+            FabricationModel::new(self.hardware.effective_sigma_ghz(self.model.sigma_ghz()));
+        LocalYieldEvaluator::new(self.trials, model, self.hardware.collision_params(), seed)
     }
 
     fn argmax(&self, counts: &[u64]) -> usize {
@@ -246,7 +223,7 @@ impl FrequencyAllocator {
     /// deterministic tie-break (higher count, then nearer the band
     /// midpoint, then lower frequency).
     fn candidate_beats(&self, counts: &[u64], i: usize, best: usize) -> bool {
-        let (lo, hi) = self.band;
+        let (lo, hi) = self.hardware.allowed_band_ghz();
         let mid = (lo + hi) / 2.0;
         if counts[i] != counts[best] {
             return counts[i] > counts[best];
@@ -300,7 +277,7 @@ impl<'a> JobState<'a> {
     fn new(job: &AllocJob<'a>) -> Self {
         let (arch, allocator) = (job.arch, job.allocator);
         let n = arch.num_qubits();
-        let (lo, hi) = allocator.band;
+        let (lo, hi) = allocator.hardware.allowed_band_ghz();
         // Seed the BFS at the central qubit with the band midpoint, per
         // Algorithm 3 line 1.
         let center = arch.center_qubit();
@@ -469,20 +446,6 @@ mod tests {
         let y_opt = sim.estimate_with_frequencies(&arch, optimized.as_slice()).rate();
         let y_flat = sim.estimate_with_frequencies(&arch, &[5.17; 5]).rate();
         assert!(y_opt > y_flat, "optimized {y_opt} should beat flat {y_flat}");
-    }
-
-    #[test]
-    fn custom_candidates_are_respected() {
-        let arch = line(3);
-        let allocator = fast_allocator().with_candidates(vec![5.05, 5.15, 5.25]).with_trials(200);
-        let plan = allocator.allocate(&arch);
-        for q in 0..3 {
-            let f = plan.ghz(q);
-            assert!(
-                [5.05, 5.15, 5.25].iter().any(|&c| (c - f).abs() < 1e-12),
-                "frequency {f} not from the candidate grid"
-            );
-        }
     }
 
     #[test]

@@ -226,8 +226,7 @@ impl DesignFlow {
     ///
     /// Returns [`DesignError::EmptyProgram`] for a 0-qubit profile.
     pub fn design(&self, profile: &CouplingProfile) -> Result<Architecture, DesignError> {
-        let order = self.bus_order(profile)?;
-        self.design_with_buses(profile, order.len())
+        self.design_with_buses(profile, usize::MAX)
     }
 
     /// Runs the flow with exactly `num_buses` 4-qubit buses (clamped to
@@ -241,8 +240,7 @@ impl DesignFlow {
         profile: &CouplingProfile,
         num_buses: usize,
     ) -> Result<Architecture, DesignError> {
-        let coords = self.place(profile)?;
-        let order = self.bus_order(profile)?;
+        let (coords, order) = self.layout(profile)?;
         let squares = &order[..num_buses.min(order.len())];
         let job = AssembleJob { stage: &self.assemble, coords: &coords, squares };
         Ok(self.plan.assemble_batch(&[job])?.remove(0))
@@ -261,8 +259,7 @@ impl DesignFlow {
         &self,
         profile: &CouplingProfile,
     ) -> Result<Vec<Architecture>, DesignError> {
-        let coords = self.place(profile)?;
-        let order = self.bus_order(profile)?;
+        let (coords, order) = self.layout(profile)?;
         let jobs: Vec<AssembleJob<'_>> = (0..=order.len())
             .map(|k| AssembleJob { stage: &self.assemble, coords: &coords, squares: &order[..k] })
             .collect();
@@ -294,13 +291,26 @@ impl DesignFlow {
     ///
     /// Returns [`DesignError::EmptyProgram`] for a 0-qubit profile.
     pub fn bus_order(&self, profile: &CouplingProfile) -> Result<Vec<Square>, DesignError> {
+        self.layout(profile).map(|(_, order)| order)
+    }
+
+    /// The placement and the bus selection order on it, from one probe
+    /// of the placement table: what every design needs before assembly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DesignError::EmptyProgram`] for a 0-qubit profile.
+    pub fn layout(
+        &self,
+        profile: &CouplingProfile,
+    ) -> Result<(Vec<qpd_topology::Coord>, Vec<Square>), DesignError> {
         let coords = self.place(profile)?;
         let key = self.bus.key(&coords, profile);
         let order = self
             .plan
             .bus_cache()
-            .run_batch(&[key], |_| Ok::<_, DesignError>(vec![self.bus.run(&coords, profile)]));
-        order.map(|mut one| one.remove(0))
+            .run_batch(&[key], |_| Ok::<_, DesignError>(vec![self.bus.run(&coords, profile)]))?;
+        Ok((coords, order.into_iter().next().expect("one key in, one order out")))
     }
 
     /// The frequency/assembly stage this flow's knobs configure — what
@@ -363,6 +373,14 @@ mod tests {
         for pair in series.windows(2) {
             assert!(pair[1].coupling_edges().len() > pair[0].coupling_edges().len());
         }
+    }
+
+    #[test]
+    fn series_probes_the_placement_table_once() {
+        let flow = fast_flow().with_frequency_strategy(FrequencyStrategy::FiveFrequency);
+        flow.design_series(&grid_profile()).unwrap();
+        let placement = flow.plan().placement_cache();
+        assert_eq!((placement.misses(), placement.hits()), (1, 0));
     }
 
     #[test]
@@ -498,9 +516,8 @@ mod tests {
             builder.four_qubit_bus_at(s);
         }
         let arch = builder.build().unwrap();
-        let model = flow.hardware().model();
         let plan = if five {
-            qpd_topology::pattern_frequency_plan(&arch, model.pattern_frequencies_ghz())
+            qpd_topology::pattern_frequency_plan(&arch, flow.hardware().pattern_frequencies_ghz())
         } else {
             crate::freq::FrequencyAllocator::new()
                 .with_hardware(flow.hardware())
@@ -510,7 +527,7 @@ mod tests {
                 .with_seed(flow.allocation_seed())
                 .allocate(&arch)
         };
-        arch.with_frequencies_in_band(plan, model.allowed_band_ghz()).unwrap()
+        arch.with_frequencies_in_band(plan, flow.hardware().allowed_band_ghz()).unwrap()
     }
 
     #[test]
@@ -563,7 +580,7 @@ mod tests {
             assert_eq!(flow.hardware(), family);
             let facade = flow.design_with_buses(&profile, 0).unwrap();
             // The plan lands in the family band.
-            let band = family.model().allowed_band_ghz();
+            let band = family.allowed_band_ghz();
             assert!(facade.frequencies().unwrap().check_band_within(band).is_ok());
             let suffix = family.name_suffix();
             assert!(

@@ -37,7 +37,7 @@
 //! a monolithic oracle that calls placement, bus selection and frequency
 //! allocation directly, with no stages and no caches.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -128,11 +128,6 @@ struct CacheInner<V> {
     /// Clock ring: every cached key exactly once, insertion order, with
     /// spared keys rotated to the back.
     ring: VecDeque<u64>,
-    /// Every key ever inserted, surviving both eviction and
-    /// [`StageCache::clear`]: the basis of the deterministic
-    /// unique-miss counter (distinct work items computed, independent
-    /// of thread scheduling and duplicate-compute races).
-    seen: HashSet<u64>,
 }
 
 /// A bounded, shared, content-keyed memo table — the per-stage cache of
@@ -161,6 +156,7 @@ pub struct StageCache<V: Clone> {
     cap: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
+    unique_misses: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -179,14 +175,11 @@ impl<V: Clone> StageCache<V> {
     /// An empty cache with an explicit bound (`None` = unbounded).
     pub fn with_cap(cap: Option<usize>) -> Self {
         StageCache {
-            inner: Mutex::new(CacheInner {
-                table: HashMap::new(),
-                ring: VecDeque::new(),
-                seen: HashSet::new(),
-            }),
+            inner: Mutex::new(CacheInner { table: HashMap::new(), ring: VecDeque::new() }),
             cap,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            unique_misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -210,7 +203,8 @@ impl<V: Clone> StageCache<V> {
         found
     }
 
-    /// Records a freshly computed value, counting a miss and evicting
+    /// Records a freshly computed value, counting a miss (and a unique
+    /// miss when the key is absent from the table) and evicting
     /// second-chance if the cache is at its bound. The first value wins
     /// when two computations race on one key (both are identical by the
     /// purity contract).
@@ -218,10 +212,10 @@ impl<V: Clone> StageCache<V> {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut guard = self.inner.lock().expect("stage cache poisoned");
         let inner = &mut *guard;
-        inner.seen.insert(key);
         if inner.table.contains_key(&key) {
             return;
         }
+        self.unique_misses.fetch_add(1, Ordering::Relaxed);
         if let Some(cap) = self.cap {
             while inner.table.len() >= cap.max(1) {
                 let victim = inner.ring.pop_front().expect("ring tracks every entry");
@@ -303,17 +297,18 @@ impl<V: Clone> StageCache<V> {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of **distinct** keys ever inserted — the deterministic
-    /// companion to [`StageCache::misses`].
+    /// Number of inserts that stored a key absent from the table — the
+    /// thread-stable companion to [`StageCache::misses`].
     ///
-    /// A fixed workload demands a fixed set of content keys, so this
-    /// count is identical at every `QPD_THREADS`: a duplicate-compute
-    /// race inflates `misses` but inserts the same key twice, and the
-    /// set deduplicates it. The set survives eviction and
-    /// [`StageCache::clear`], mirroring how the other counters
-    /// accumulate for the cache's lifetime.
+    /// The count equals the distinct keys computed, except that a key
+    /// recomputed after eviction or [`StageCache::clear`] counts again.
+    /// A duplicate-compute race inflates `misses` but inserts the same
+    /// key twice, and the second insert finds it stored, so while
+    /// nothing is evicted a fixed workload reads the same count at
+    /// every `QPD_THREADS`. It costs one counter, however many keys
+    /// the cache has seen.
     pub fn unique_misses(&self) -> u64 {
-        self.inner.lock().expect("stage cache poisoned").seen.len() as u64
+        self.unique_misses.load(Ordering::Relaxed)
     }
 
     /// Number of entries evicted by the second-chance rule.
@@ -361,8 +356,8 @@ pub struct StageCacheStats {
     /// Lookups that computed (scheduling-dependent under parallelism;
     /// see [`StageCache::misses`]).
     pub misses: u64,
-    /// Distinct keys ever inserted (thread-stable; see
-    /// [`StageCache::unique_misses`]).
+    /// Inserts that stored a key absent from the table (thread-stable
+    /// while nothing is evicted; see [`StageCache::unique_misses`]).
     pub unique_misses: u64,
     /// Entries evicted by the second-chance rule.
     pub evictions: u64,
@@ -595,12 +590,12 @@ impl AssembleStage {
 
     /// The hardware family's pattern plan ([`FrequencyStrategy::FiveFrequency`]).
     fn pattern_plan(&self, arch: &Architecture) -> FrequencyPlan {
-        pattern_frequency_plan(arch, self.hardware.model().pattern_frequencies_ghz())
+        pattern_frequency_plan(arch, self.hardware.pattern_frequencies_ghz())
     }
 
     /// Attaches `plan` to `arch` inside the family band.
     fn attach(&self, arch: Architecture, plan: FrequencyPlan) -> Result<Architecture, DesignError> {
-        Ok(arch.with_frequencies_in_band(plan, self.hardware.model().allowed_band_ghz())?)
+        Ok(arch.with_frequencies_in_band(plan, self.hardware.allowed_band_ghz())?)
     }
 }
 
@@ -915,19 +910,20 @@ mod tests {
         cache.insert(1, 10);
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.unique_misses(), 1);
-        // Eviction then re-insertion of a key does not re-count it.
+        // A key recomputed after eviction counts again.
         cache.insert(2, 20); // evicts 1 (cap = 1)
         cache.insert(1, 10);
-        assert_eq!(cache.unique_misses(), 2);
-        // clear() drops values but the seen-set keeps accumulating,
-        // like every other counter.
+        assert_eq!(cache.unique_misses(), 3);
+        // clear() drops values; the counter keeps accumulating, like
+        // every other counter, and a key recomputed after it counts
+        // again.
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.unique_misses(), 2);
-        cache.insert(3, 30);
         assert_eq!(cache.unique_misses(), 3);
+        cache.insert(1, 10);
+        assert_eq!(cache.unique_misses(), 4);
         let stats = StageCacheStats::of(StageKind::Yield, &cache);
-        assert_eq!(stats.unique_misses, 3);
+        assert_eq!(stats.unique_misses, 4);
     }
 
     #[test]

@@ -415,7 +415,7 @@ fn main() {
     let decision_eval = LocalYieldEvaluator::new(
         alloc_trials,
         FabricationModel::new(FabricationModel::PAPER_SIGMA_GHZ),
-        HardwareFamily::FixedFrequencyTransmon.model().collision_params(),
+        HardwareFamily::FixedFrequencyTransmon.collision_params(),
         0,
     );
     let decision_regions = CompiledRegions::new(&arch);

@@ -112,8 +112,7 @@ pub fn generate(
     let mut jobs: Vec<EffJob> = Vec::new();
     // Every bus-count prefix of the flow's order: the Figure 10 series.
     let series = |kind: usize, flow: DesignFlow, jobs: &mut Vec<EffJob>| {
-        let coords = flow.place(profile)?;
-        let order = flow.bus_order(profile)?;
+        let (coords, order) = flow.layout(profile)?;
         let stage = flow.assemble_stage();
         jobs.extend((0..=order.len()).map(|k| EffJob {
             kind,
@@ -150,9 +149,9 @@ pub fn generate(
                         .with_bus_strategy(BusStrategy::Random { seed: settings.seed + s as u64 })
                         .with_max_buses(Some(budget))
                         .with_name_prefix(format!("effrd{s}"));
-                    let squares = flow.bus_order(profile)?;
+                    let (coords, squares) = flow.layout(profile)?;
                     let stage = flow.assemble_stage().clone();
-                    jobs.push(EffJob { kind: i, stage, coords: coords.clone(), squares });
+                    jobs.push(EffJob { kind: i, stage, coords, squares });
                 }
             }
             ConfigKind::EffLayoutOnly => {
@@ -178,9 +177,8 @@ fn layout_only(
     profile: &CouplingProfile,
     settings: &EvalSettings,
 ) -> Result<Vec<Architecture>, EvalError> {
-    let model = settings.hardware.model();
-    let menu = model.pattern_frequencies_ghz();
-    let band = model.allowed_band_ghz();
+    let menu = settings.hardware.pattern_frequencies_ghz();
+    let band = settings.hardware.allowed_band_ghz();
     let mut out = Vec::new();
     // Option A: 2-qubit buses only.
     let mut builder = Architecture::builder(format!("efflayout-{}q-2qbus", profile.num_qubits()));
@@ -292,7 +290,7 @@ mod tests {
         let fixed = designs(ConfigKind::EffLayoutOnly, &quick());
         let hh =
             designs(ConfigKind::EffLayoutOnly, &quick().with_hardware(HardwareFamily::HeavyHex));
-        let (lo, hi) = HardwareFamily::HeavyHex.model().allowed_band_ghz();
+        let (lo, hi) = HardwareFamily::HeavyHex.allowed_band_ghz();
         let freqs = |a: &Architecture| a.frequencies().unwrap().as_slice().to_vec();
         assert_ne!(freqs(&fixed[0]), freqs(&hh[0]), "family change left the plan unchanged");
         for f in freqs(&hh[0]) {

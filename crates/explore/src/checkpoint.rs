@@ -61,10 +61,11 @@ pub const SCHEMA_V1: &str = "qpd-explore-checkpoint/1";
 /// thread count. That is the reason this block is display-only and
 /// excluded from [`Checkpoint::parse`]'s contribution to resumed state.
 ///
-/// `unique_misses` is the exception: it counts **distinct** content
-/// keys computed ([`qpd_core::StageCache::unique_misses`]), which a
-/// fixed workload pins regardless of scheduling — the thread-stable
-/// figure to quote when comparing runs.
+/// `unique_misses` is the exception: it counts the content keys
+/// computed while absent from the table
+/// ([`qpd_core::StageCache::unique_misses`]), which a fixed workload
+/// pins regardless of scheduling while nothing is evicted — the
+/// thread-stable figure to quote when comparing runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageHitRate {
     /// Stage name ([`qpd_core::StageKind::name`]).
@@ -73,7 +74,8 @@ pub struct StageHitRate {
     pub hits: u64,
     /// Lookups that computed (scheduling-dependent).
     pub misses: u64,
-    /// Distinct keys computed (thread-stable).
+    /// Keys computed while absent from the table (thread-stable while
+    /// nothing is evicted).
     pub unique_misses: u64,
 }
 

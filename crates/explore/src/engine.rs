@@ -545,9 +545,10 @@ pub fn pareto_indices(archive: &[Evaluated]) -> Vec<usize> {
 pub struct Explorer {
     space: ExploreSpace,
     config: ExploreConfig,
-    /// The assembly stage under the config's allocation knobs; each
-    /// candidate sets its frequency and hardware family on a clone.
-    assemble: AssembleStage,
+    /// The assembly stage under the config's allocation knobs, once per
+    /// frequency strategy × hardware family; each candidate picks its
+    /// own ([`Self::assemble_stage`]).
+    assemble: Vec<AssembleStage>,
     /// Every stage table. `Arc`-shared so a resident server can hand
     /// every request's engine the same warm caches;
     /// sharing is observation-free — stages are pure functions of their
@@ -599,12 +600,20 @@ impl Explorer {
         config: ExploreConfig,
         caches: Arc<StageCaches>,
     ) -> Result<Self, ExploreError> {
-        let assemble = DesignFlow::new()
+        let base = DesignFlow::new()
             .with_allocation_trials(config.alloc_trials)
             .with_allocation_seed(config.seed)
-            .with_sigma_ghz(config.sigma_ghz)
-            .assemble_stage()
-            .clone();
+            .with_sigma_ghz(config.sigma_ghz);
+        let assemble = [FrequencyStrategy::Optimized, FrequencyStrategy::FiveFrequency]
+            .into_iter()
+            .flat_map(|frequency| {
+                HardwareFamily::ALL.map(|hardware| AssembleStage {
+                    frequency,
+                    hardware,
+                    ..base.assemble_stage().clone()
+                })
+            })
+            .collect();
         let program_key = circuit_key(space.circuit());
         let mut explorer = Explorer {
             space,
@@ -656,27 +665,31 @@ impl Explorer {
         self.caches.stats()
     }
 
-    /// Resolves every spec's layout (fanned out on the worker pool) and
-    /// assembles the chips as one
+    /// The assembly stage of `spec`'s frequency strategy and hardware
+    /// family.
+    fn assemble_stage(&self, spec: &CandidateSpec) -> &AssembleStage {
+        self.assemble
+            .iter()
+            .find(|s| s.frequency == spec.frequency && s.hardware == spec.hardware)
+            .expect("one stage per frequency strategy and hardware family")
+    }
+
+    /// Resolves every spec's layout and assembles the chips as one
     /// [`qpd_core::StagePlan::assemble_batch`]: the assemble-stage misses
     /// run as one seed-major allocation batch over one set of
     /// fabrication-noise planes. Every frequency strategy and
     /// hardware family draws from the one stage plan; both are part of
     /// the assembly content key, so they never collide in it.
     fn assemble(&self, specs: &[CandidateSpec]) -> Result<Vec<Architecture>, ExploreError> {
-        let layouts = qpd_par::par_map(specs, |spec| self.space.resolve(spec));
-        let stages: Vec<AssembleStage> = specs
-            .iter()
-            .map(|spec| AssembleStage {
-                frequency: spec.frequency,
-                hardware: spec.hardware,
-                ..self.assemble.clone()
-            })
-            .collect();
-        let jobs: Vec<AssembleJob<'_>> = stages
+        let layouts: Vec<_> = specs.iter().map(|spec| self.space.resolve(spec)).collect();
+        let jobs: Vec<AssembleJob<'_>> = specs
             .iter()
             .zip(&layouts)
-            .map(|(stage, (coords, squares))| AssembleJob { stage, coords, squares })
+            .map(|(spec, (coords, squares))| AssembleJob {
+                stage: self.assemble_stage(spec),
+                coords,
+                squares,
+            })
             .collect();
         Ok(self.caches.plan.assemble_batch(&jobs)?)
     }

@@ -40,14 +40,13 @@
 #![warn(missing_debug_implementations)]
 
 pub mod error;
-pub mod initial;
+mod initial;
 pub mod layout;
 pub mod sabre;
 pub mod stats;
 pub mod verify;
 
 pub use error::MappingError;
-pub use initial::InitialMapping;
 pub use layout::Layout;
-pub use sabre::{MappedCircuit, RouteProgram, SabreConfig, SabreRouter, ROUTE_MEMO_CAP};
+pub use sabre::{MappedCircuit, RouteProgram, SabreRouter, ROUTE_MEMO_CAP};
 pub use stats::MappingStats;

@@ -1,5 +1,14 @@
 //! The SABRE routing algorithm (Li, Ding, Xie, ASPLOS 2019).
 //!
+//! # Parameters
+//!
+//! The router runs the published algorithm at fixed settings, the only
+//! ones the design flow uses: a degree-matched initial mapping (busy
+//! logical qubits on well-connected, central physical qubits), two
+//! forward/backward refinement rounds before the final pass, a
+//! lookahead of 20 two-qubit gates weighted 0.5, and a decay of 0.001
+//! per swap, reset every 5 swaps.
+//!
 //! # What is prepared once per program
 //!
 //! The explorer and the evaluation runner route one program onto many
@@ -26,17 +35,17 @@
 //! # Why the lookahead memo is exact
 //!
 //! The extended set is a breadth-first walk over the DAG successors of
-//! the front layer, in front order, taking two-qubit gates until
-//! [`SabreConfig::extended_set_size`] are found. Execution is
-//! topological, so every successor of an unexecuted gate is unexecuted;
-//! the walk starts from front gates, which are unexecuted, and so never
-//! meets an executed gate. It reads nothing but the DAG, the operand
-//! table, the ordered front and the size cap, so it is a pure function
-//! of (direction, size cap, ordered front), which is the memo key. A
-//! memo hit returns what the walk would have computed, whatever chip,
-//! layout or thread asked first. Each direction holds at most
-//! [`ROUTE_MEMO_CAP`] entries; past the cap it stops inserting and
-//! computes the walk instead, so the bound changes speed, never a route.
+//! the front layer, in front order, taking two-qubit gates until 20
+//! (`EXTENDED_SET_SIZE`) are found. Execution is topological, so every
+//! successor of an unexecuted gate is unexecuted; the walk starts from
+//! front gates, which are unexecuted, and so never meets an executed
+//! gate. It reads nothing but the DAG, the operand table and the
+//! ordered front, so it is a pure function of (direction, ordered
+//! front), and the ordered front is the memo key. A memo hit returns
+//! what the walk would have computed, whatever chip, layout or thread
+//! asked first. Each direction holds at most [`ROUTE_MEMO_CAP`]
+//! entries; past the cap it stops inserting and computes the walk
+//! instead, so the bound changes speed, never a route.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::RwLock;
@@ -45,39 +54,20 @@ use qpd_circuit::{Circuit, Gate, GateDag, Instruction, Qubit};
 use qpd_topology::Architecture;
 
 use crate::error::MappingError;
-use crate::initial::InitialMapping;
+use crate::initial::degree_matched;
 use crate::layout::Layout;
 use crate::stats::MappingStats;
 
-/// Tunable SABRE parameters; defaults follow the published algorithm.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SabreConfig {
-    /// Maximum number of two-qubit gates in the lookahead extended set.
-    pub extended_set_size: usize,
-    /// Weight of the extended set in the heuristic score.
-    pub extended_set_weight: f64,
-    /// Additive decay applied to a physical qubit each time it swaps.
-    pub decay_delta: f64,
-    /// Decay values reset after this many consecutive SWAP insertions.
-    pub decay_reset_interval: usize,
-    /// Forward/backward refinement rounds before the final forward pass.
-    pub reverse_traversal_rounds: usize,
-    /// Initial mapping strategy seeding the refinement.
-    pub initial_mapping: InitialMapping,
-}
-
-impl Default for SabreConfig {
-    fn default() -> Self {
-        SabreConfig {
-            extended_set_size: 20,
-            extended_set_weight: 0.5,
-            decay_delta: 0.001,
-            decay_reset_interval: 5,
-            reverse_traversal_rounds: 2,
-            initial_mapping: InitialMapping::DegreeMatched,
-        }
-    }
-}
+/// Maximum number of two-qubit gates in the lookahead extended set.
+const EXTENDED_SET_SIZE: usize = 20;
+/// Weight of the extended set in the heuristic score.
+const EXTENDED_SET_WEIGHT: f64 = 0.5;
+/// Additive decay applied to a physical qubit each time it swaps.
+const DECAY_DELTA: f64 = 0.001;
+/// Decay values reset after this many consecutive SWAP insertions.
+const DECAY_RESET_INTERVAL: usize = 5;
+/// Forward/backward refinement rounds before the final forward pass.
+const REVERSE_TRAVERSAL_ROUNDS: usize = 2;
 
 /// A routed circuit: the physical-qubit circuit with inserted SWAPs, the
 /// layouts before and after execution, and cost statistics.
@@ -137,17 +127,16 @@ impl MappedCircuit {
 
 /// Entries each direction of a [`RouteProgram`]'s lookahead memo holds
 /// at most. An entry (a front of up to one gate per qubit, and up to
-/// [`SabreConfig::extended_set_size`] gate indices) measured about
-/// 0.2 KiB on the paper's programs, so a full memo is about 1.6 MiB per
-/// program. Routing one program on 30 chips fills 25 to 7,810 entries.
+/// 20 gate indices) measured about 0.2 KiB on the paper's programs, so
+/// a full memo is about 1.6 MiB per program. Routing one program on 30
+/// chips fills 25 to 7,810 entries.
 pub const ROUTE_MEMO_CAP: usize = 4_096;
 
 /// Operand-table entry of an instruction that is not a two-qubit
 /// unitary (single-qubit gates, measures, barriers).
 const NOT_PAIR: (u32, u32) = (u32::MAX, u32::MAX);
 
-/// Ordered front (prefixed with the extended-set size cap) → the
-/// extended set's gates, in walk order.
+/// Ordered front → the extended set's gates, in walk order.
 type LookaheadMemo = HashMap<Box<[u32]>, Box<[u32]>>;
 
 /// One traversal direction of a [`RouteProgram`].
@@ -293,19 +282,13 @@ pub struct SabreRouter<'a> {
     /// `arch.num_qubits()`): one indexed load per lookup on the swap
     /// scoring path instead of two.
     dist: Vec<u32>,
-    config: SabreConfig,
 }
 
 impl<'a> SabreRouter<'a> {
-    /// Creates a router with default configuration.
+    /// Creates a router for `arch`.
     pub fn new(arch: &'a Architecture) -> Self {
-        Self::with_config(arch, SabreConfig::default())
-    }
-
-    /// Creates a router with an explicit configuration.
-    pub fn with_config(arch: &'a Architecture, config: SabreConfig) -> Self {
         let dist = arch.distance_matrix().into_iter().flatten().collect();
-        SabreRouter { arch, dist, config }
+        SabreRouter { arch, dist }
     }
 
     /// Physical distance between `a` and `b` in coupling-graph hops.
@@ -350,33 +333,6 @@ impl<'a> SabreRouter<'a> {
         Ok(MappingStats::new(program.circuit.gate_count(), swaps, sink.depth()))
     }
 
-    /// Routes a circuit from an explicit initial layout, without
-    /// reverse-traversal refinement.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SabreRouter::route`], plus
-    /// [`MappingError::InvalidLayout`] if the layout's size does not match
-    /// the chip.
-    pub fn route_from(
-        &self,
-        circuit: &Circuit,
-        initial: Layout,
-    ) -> Result<MappedCircuit, MappingError> {
-        let program = RouteProgram::new(circuit);
-        self.validate(&program)?;
-        if initial.len() != self.arch.num_qubits() {
-            return Err(MappingError::InvalidLayout {
-                reason: format!(
-                    "layout covers {} qubits, architecture has {}",
-                    initial.len(),
-                    self.arch.num_qubits()
-                ),
-            });
-        }
-        Ok(self.record(&program, initial))
-    }
-
     fn validate(&self, program: &RouteProgram) -> Result<(), MappingError> {
         if program.circuit.num_qubits() > self.arch.num_qubits() {
             return Err(MappingError::CircuitTooWide {
@@ -393,14 +349,14 @@ impl<'a> SabreRouter<'a> {
         }
     }
 
-    /// Validates, builds the initial mapping and runs the
-    /// reverse-traversal refinement, returning the final pass's initial
-    /// layout. Refinement passes only feed the next pass's layout, so
-    /// they record nothing.
+    /// Validates, builds the degree-matched initial mapping and runs
+    /// the reverse-traversal refinement, returning the final pass's
+    /// initial layout. Refinement passes only feed the next pass's
+    /// layout, so they record nothing.
     fn refine(&self, program: &RouteProgram) -> Result<Layout, MappingError> {
         self.validate(program)?;
-        let mut layout = self.config.initial_mapping.build(&program.circuit, self.arch);
-        for _ in 0..self.config.reverse_traversal_rounds {
+        let mut layout = degree_matched(&program.circuit, self.arch);
+        for _ in 0..REVERSE_TRAVERSAL_ROUNDS {
             layout = self.route_pass(program, 0, layout, &mut ()).0;
             layout = self.route_pass(program, 1, layout, &mut ()).0;
         }
@@ -447,11 +403,6 @@ impl<'a> SabreRouter<'a> {
         let mut swaps = 0usize;
         let mut decay = vec![1.0f64; n_phys];
         let mut swaps_since_reset = 0usize;
-        // A candidate whose front term alone, times its decay, cannot
-        // beat the best score is skipped before the extended sum. Exact
-        // only when neither term can lower the score: the extended term
-        // must be non-negative and every decay at least 0.
-        let prune = self.config.extended_set_weight >= 0.0 && self.config.decay_delta >= 0.0;
 
         // Reused per-blocked-step buffers: the memo key, the front and
         // extended pairs on physical qubits, the front-occupancy flags,
@@ -460,7 +411,7 @@ impl<'a> SabreRouter<'a> {
         let mut front_phys_pairs: Vec<(usize, usize)> = Vec::new();
         let mut ext_phys_pairs: Vec<(usize, usize)> = Vec::new();
         let mut front_phys = vec![false; n_phys];
-        let mut extended: Vec<u32> = Vec::with_capacity(self.config.extended_set_size);
+        let mut extended: Vec<u32> = Vec::with_capacity(EXTENDED_SET_SIZE);
         let mut walk = ExtendedWalk::default();
 
         while !cursor.is_done() {
@@ -501,7 +452,6 @@ impl<'a> SabreRouter<'a> {
             front_phys_pairs
                 .extend(front.iter().map(|&idx| pairs[idx]).filter(|&p| p != NOT_PAIR).map(phys));
             key.clear();
-            key.push(u32::try_from(self.config.extended_set_size).unwrap_or(u32::MAX));
             key.extend(front.iter().map(|&idx| idx as u32));
             self.extended_set(direction, program.memo_cap, &key, &mut extended, &mut walk);
             ext_phys_pairs.clear();
@@ -534,14 +484,18 @@ impl<'a> SabreRouter<'a> {
                 };
                 let d = decay[p1].max(decay[p2]);
                 let mut h = sum(&front_phys_pairs) as f64 / front_phys_pairs.len() as f64;
+                // The extended term is non-negative and every decay
+                // positive, so a candidate whose front term alone,
+                // times its decay, cannot beat the best score is
+                // skipped before the extended sum.
                 if let Some((_, s)) = best {
-                    if prune && d * h >= s - 1e-12 {
+                    if d * h >= s - 1e-12 {
                         continue;
                     }
                 }
                 if !ext_phys_pairs.is_empty() {
                     let e = sum(&ext_phys_pairs) as f64;
-                    h += self.config.extended_set_weight * e / ext_phys_pairs.len() as f64;
+                    h += EXTENDED_SET_WEIGHT * e / ext_phys_pairs.len() as f64;
                 }
                 let score = d * h;
                 let better = match best {
@@ -557,10 +511,10 @@ impl<'a> SabreRouter<'a> {
             sink.swap(p1, p2);
             layout.swap_physical(p1, p2);
             swaps += 1;
-            decay[p1] += self.config.decay_delta;
-            decay[p2] += self.config.decay_delta;
+            decay[p1] += DECAY_DELTA;
+            decay[p2] += DECAY_DELTA;
             swaps_since_reset += 1;
-            if swaps_since_reset >= self.config.decay_reset_interval {
+            if swaps_since_reset >= DECAY_RESET_INTERVAL {
                 decay.fill(1.0);
                 swaps_since_reset = 0;
             }
@@ -569,10 +523,9 @@ impl<'a> SabreRouter<'a> {
         (layout, swaps)
     }
 
-    /// The lookahead extended set of the front `key[1..]` (with
-    /// `key[0]` the size cap) into `out`: served from the direction's
-    /// memo, or walked and then memoized while the memo holds fewer than
-    /// `cap` entries.
+    /// The lookahead extended set of the ordered front `key` into `out`:
+    /// served from the direction's memo, or walked and then memoized
+    /// while the memo holds fewer than `cap` entries.
     fn extended_set(
         &self,
         direction: &Direction,
@@ -588,7 +541,7 @@ impl<'a> SabreRouter<'a> {
                 return;
             }
         }
-        walk.run(direction, &key[1..], self.config.extended_set_size, out);
+        walk.run(direction, key, out);
         if cap > 0 {
             let mut memo = direction.memo.write().expect("memo lock");
             if memo.len() < cap {
@@ -610,10 +563,10 @@ struct ExtendedWalk {
 
 impl ExtendedWalk {
     /// The nearest two-qubit successors of `front` in breadth-first
-    /// order, at most `size` of them, appended to `out`. Every node the
-    /// walk reaches is unexecuted (see the module docs), so it needs no
-    /// execution state.
-    fn run(&mut self, direction: &Direction, front: &[u32], size: usize, out: &mut Vec<u32>) {
+    /// order, at most [`EXTENDED_SET_SIZE`] of them, appended to `out`.
+    /// Every node the walk reaches is unexecuted (see the module docs),
+    /// so it needs no execution state.
+    fn run(&mut self, direction: &Direction, front: &[u32], out: &mut Vec<u32>) {
         let dag = &direction.dag;
         if self.seen.len() != dag.len() {
             self.seen = vec![0; dag.len()];
@@ -639,7 +592,7 @@ impl ExtendedWalk {
         while let Some(idx) = self.queue.pop_front() {
             if direction.pairs[idx as usize] != NOT_PAIR {
                 out.push(idx);
-                if out.len() >= size {
+                if out.len() >= EXTENDED_SET_SIZE {
                     break;
                 }
             }
@@ -668,11 +621,8 @@ mod tests {
         let arch = line(3);
         let mut c = Circuit::new(3);
         c.cx(0, 1).cx(1, 2);
-        let router = SabreRouter::with_config(
-            &arch,
-            SabreConfig { initial_mapping: InitialMapping::Trivial, ..Default::default() },
-        );
-        let mapped = router.route_from(&c, Layout::trivial(3)).unwrap();
+        let router = SabreRouter::new(&arch);
+        let mapped = router.record(&RouteProgram::new(&c), Layout::trivial(3));
         assert_eq!(mapped.swap_count(), 0);
         assert_eq!(mapped.stats().total_gates, 2);
     }
@@ -709,7 +659,7 @@ mod tests {
         let mut c = Circuit::new(4);
         c.cx(0, 3);
         let router = SabreRouter::new(&arch);
-        let mapped = router.route_from(&c, Layout::trivial(4)).unwrap();
+        let mapped = router.record(&RouteProgram::new(&c), Layout::trivial(4));
         assert!(mapped.swap_count() >= 2, "0 and 3 are distance 3 apart");
         verify_mapped(&c, &mapped, &arch).unwrap();
     }
@@ -834,9 +784,8 @@ mod tests {
             seed: 5,
         });
         let refined = SabreRouter::new(&arch).route(&c).unwrap();
-        let unrefined = SabreRouter::new(&arch)
-            .route_from(&c, InitialMapping::DegreeMatched.build(&c, &arch))
-            .unwrap();
+        let unrefined =
+            SabreRouter::new(&arch).record(&RouteProgram::new(&c), degree_matched(&c, &arch));
         // Not guaranteed gate-by-gate, but refinement should not be much
         // worse; allow 10% slack and require both to verify.
         verify_mapped(&c, &refined, &arch).unwrap();

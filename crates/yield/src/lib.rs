@@ -31,10 +31,7 @@ pub mod simulator;
 
 pub use batch::BatchRequest;
 pub use collision::{CollisionChecker, CollisionEvent, CollisionParams};
-pub use hardware::{
-    FixedFrequencyTransmon, HardwareFamily, HardwareModel, HeavyHex, TunableCoupler,
-    HARDWARE_KEY_SALT,
-};
+pub use hardware::{HardwareFamily, HARDWARE_KEY_SALT};
 pub use local::{AllocScratch, CompiledRegions, DecisionBuffers, LocalYieldEvaluator};
 pub use model::FabricationModel;
 pub use simulator::{Fnv64, YieldError, YieldEstimate, YieldSimulator};

@@ -2132,13 +2132,12 @@ mod tests {
         use crate::HardwareFamily;
         let fields = Fields::new(3, 2, 2, 2);
         for (family, size) in HardwareFamily::ALL.into_iter().zip([35, 61, 31]) {
-            let model = family.model();
-            let p = model.collision_params();
-            let candidates = band_grid(model.allowed_band_ghz());
+            let p = family.collision_params();
+            let candidates = band_grid(family.allowed_band_ghz());
             assert_eq!(candidates.len(), size, "{family:?} grid");
             let ctx = tally_ctx(&p, &candidates, fields);
             assert!(ctx.windows.is_some(), "{family:?} grid must take the window path");
-            let tiles = synthetic_tiles(fields, model.allowed_band_ghz(), &p);
+            let tiles = synthetic_tiles(fields, family.allowed_band_ghz(), &p);
             let dense = dense_counts(&ctx, &tiles);
             let total = 40 * 67;
             assert!(dense.iter().any(|&c| c > 0) && dense.iter().any(|&c| c < total));
@@ -2300,9 +2299,8 @@ mod tests {
         for (arch, stride, hole, step, budgets, seed, reuse) in cases {
             let compiled = CompiledRegions::new(arch);
             for family in HardwareFamily::ALL {
-                let model = family.model();
-                let candidates = band_grid(model.allowed_band_ghz());
-                let (lo, _) = model.allowed_band_ghz();
+                let candidates = band_grid(family.allowed_band_ghz());
+                let (lo, _) = family.allowed_band_ghz();
                 let assigned: Vec<Option<f64>> = (0..arch.num_qubits())
                     .map(|q| {
                         (q % stride != hole)
@@ -2313,9 +2311,9 @@ mod tests {
                     let e = LocalYieldEvaluator::new(
                         trials,
                         FabricationModel::new(
-                            model.effective_sigma_ghz(FabricationModel::PAPER_SIGMA_GHZ),
+                            family.effective_sigma_ghz(FabricationModel::PAPER_SIGMA_GHZ),
                         ),
-                        model.collision_params(),
+                        family.collision_params(),
                         seed,
                     );
                     for q in (0..arch.num_qubits()).filter(|q| q % stride == hole) {

@@ -187,7 +187,6 @@ impl fmt::Write for Fnv64 {
 pub struct YieldSimulator {
     trials: u64,
     model: FabricationModel,
-    params: CollisionParams,
     seed: u64,
     hardware: HardwareFamily,
 }
@@ -236,7 +235,6 @@ impl YieldSimulator {
         YieldSimulator {
             trials: 10_000,
             model: FabricationModel::default(),
-            params: CollisionParams::default(),
             seed: 0,
             hardware: HardwareFamily::FixedFrequencyTransmon,
         }
@@ -259,25 +257,18 @@ impl YieldSimulator {
         self
     }
 
-    /// Sets the collision parameters.
-    pub fn with_params(mut self, params: CollisionParams) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// Selects the hardware family: adopts its collision parameters and,
-    /// at sampling time, its effective fabrication noise. The default
+    /// Selects the hardware family, whose collision parameters and
+    /// effective fabrication noise the estimate then uses. The default
     /// family leaves both the behavior and [`Self::content_key`] exactly
     /// as they were before the hardware layer existed.
     pub fn with_hardware(mut self, hardware: HardwareFamily) -> Self {
         self.hardware = hardware;
-        self.params = hardware.model().collision_params();
         self
     }
 
@@ -301,15 +292,14 @@ impl YieldSimulator {
         self.seed
     }
 
-    /// The collision parameters in effect (the hardware family's, once
-    /// [`Self::with_hardware`] has run).
+    /// The collision parameters in effect: the hardware family's.
     pub fn params(&self) -> CollisionParams {
-        self.params
+        self.hardware.collision_params()
     }
 
     /// The fabrication model actually sampled from: the configured sigma
     /// mapped through the hardware family's
-    /// [`effective_sigma_ghz`](crate::hardware::HardwareModel::effective_sigma_ghz)
+    /// [`effective_sigma_ghz`](HardwareFamily::effective_sigma_ghz)
     /// (the identity for the default family).
     pub(crate) fn effective_model(&self) -> FabricationModel {
         FabricationModel::new(self.hardware.effective_sigma_ghz(self.model.sigma_ghz()))
@@ -342,12 +332,13 @@ impl YieldSimulator {
         h.push(self.trials);
         h.push(self.seed);
         h.push(self.model.sigma_ghz().to_bits());
+        let params = self.params();
         for t in [
-            self.params.anharmonicity_ghz,
-            self.params.t_degenerate_ghz,
-            self.params.t_half_ghz,
-            self.params.t_full_ghz,
-            self.params.t_two_photon_ghz,
+            params.anharmonicity_ghz,
+            params.t_degenerate_ghz,
+            params.t_half_ghz,
+            params.t_full_ghz,
+            params.t_two_photon_ghz,
         ] {
             h.push(t.to_bits());
         }
@@ -400,7 +391,7 @@ impl YieldSimulator {
     pub fn condition_breakdown(&self, arch: &Architecture) -> Result<([u64; 7], u64), YieldError> {
         let plan = arch.frequencies().ok_or(YieldError::MissingFrequencyPlan)?;
         let designed = plan.as_slice();
-        let checker = CollisionChecker::with_params(arch, self.params);
+        let checker = CollisionChecker::with_params(arch, self.params());
         let model = self.effective_model();
         let mut breakdown = [0u64; 7];
         let mut clean = 0u64;

@@ -56,13 +56,12 @@ proptest! {
     #[test]
     fn scratch_decision_kernel_matches_retained_path(seed in 0u64..1_000) {
         for family in HardwareFamily::ALL {
-            let model = family.model();
             let evaluator = LocalYieldEvaluator::new(
                 240,
-                FabricationModel::new(model.effective_sigma_ghz(
+                FabricationModel::new(family.effective_sigma_ghz(
                     FabricationModel::PAPER_SIGMA_GHZ,
                 )),
-                model.collision_params(),
+                family.collision_params(),
                 seed,
             );
             let candidates = [5.05, 5.12, 5.19, 5.26, 5.33];
@@ -247,17 +246,18 @@ fn decisions_match_reference_across_the_inline_threshold() {
     let arch = &arches()[1];
     let regions = CompiledRegions::new(arch);
     for family in HardwareFamily::ALL {
-        let model = family.model();
         let candidates = FrequencyAllocator::new().with_hardware(family).candidates().to_vec();
-        let (lo, _) = model.allowed_band_ghz();
+        let (lo, _) = family.allowed_band_ghz();
         let assigned: Vec<Option<f64>> = (0..arch.num_qubits())
             .map(|q| (q % 5 != 2).then(|| lo + 0.01 * ((q * 11) % candidates.len()) as f64))
             .collect();
         for trials in [1_300, 1_400] {
             let evaluator = LocalYieldEvaluator::new(
                 trials,
-                FabricationModel::new(model.effective_sigma_ghz(FabricationModel::PAPER_SIGMA_GHZ)),
-                model.collision_params(),
+                FabricationModel::new(
+                    family.effective_sigma_ghz(FabricationModel::PAPER_SIGMA_GHZ),
+                ),
+                family.collision_params(),
                 29,
             );
             for q in (0..arch.num_qubits()).filter(|q| q % 5 == 2) {

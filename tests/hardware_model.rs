@@ -1,4 +1,4 @@
-//! Behavior-preservation properties of the pluggable hardware layer:
+//! Behavior-preservation properties of the hardware families:
 //! selecting [`HardwareFamily::FixedFrequencyTransmon`] (the default)
 //! must reproduce the pre-refactor pipeline bit-for-bit — collision
 //! verdicts, Monte Carlo yield counts, content keys, and full design
@@ -42,21 +42,21 @@ fn arb_frequencies() -> impl Strategy<Value = Vec<f64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Satellite 4 (collision half): the default family's collision
-    /// model IS the pre-refactor checker — identical event lists (and
-    /// therefore identical counts) for arbitrary frequency assignments.
+    /// The default family's collision thresholds are the plain
+    /// checker's — identical event lists (and therefore identical
+    /// counts) for arbitrary frequency assignments.
     #[test]
     fn fixed_family_collision_events_match_the_default_checker(
         freqs in arb_frequencies(),
     ) {
         let chip = ibm::ibm_16q_2x8(BusMode::MaxFourQubit);
         let reference = CollisionChecker::new(&chip);
-        let via_model = CollisionChecker::with_params(
+        let via_family = CollisionChecker::with_params(
             &chip,
-            HardwareFamily::FixedFrequencyTransmon.model().collision_params(),
+            HardwareFamily::FixedFrequencyTransmon.collision_params(),
         );
-        prop_assert_eq!(reference.has_collision(&freqs), via_model.has_collision(&freqs));
-        prop_assert_eq!(reference.collisions(&freqs), via_model.collisions(&freqs),
+        prop_assert_eq!(reference.has_collision(&freqs), via_family.has_collision(&freqs));
+        prop_assert_eq!(reference.collisions(&freqs), via_family.collisions(&freqs),
             "the default family's thresholds diverged from the pre-refactor checker");
     }
 }
@@ -64,11 +64,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Satellite 4 (yield half): a simulator pointed at the default
-    /// family is bit-identical to one that never heard of hardware
-    /// families — same content key (so the explorer's stage cache
-    /// cannot tell them apart) and the same Monte Carlo success count,
-    /// for arbitrary seeds and noise widths.
+    /// A simulator pointed at the default family is bit-identical to
+    /// one that never heard of hardware families — same content key
+    /// (so the explorer's stage cache cannot tell them apart) and the
+    /// same Monte Carlo success count, for arbitrary seeds and noise
+    /// widths.
     #[test]
     fn fixed_family_simulator_is_bit_identical(
         seed in 0u64..1_000,
@@ -102,10 +102,10 @@ proptest! {
         }
     }
 
-    /// Satellite 4 (flow half): a design flow pointed at the default
-    /// family produces the same architecture, bit for bit, as a flow
-    /// that never heard of hardware families — names, coordinates,
-    /// buses, and the full frequency plan.
+    /// A design flow pointed at the default family produces the same
+    /// architecture, bit for bit, as a flow that never heard of
+    /// hardware families — names, coordinates, buses, and the full
+    /// frequency plan.
     #[test]
     fn fixed_family_design_flow_is_bit_identical(
         profile in arb_profile(8),
@@ -148,9 +148,43 @@ fn non_default_families_redesign_within_their_band() {
             family.as_str(),
             chip.name()
         );
-        let (lo, hi) = family.model().allowed_band_ghz();
+        let (lo, hi) = family.allowed_band_ghz();
         for &f in chip.frequencies().expect("designed chip has a plan").as_slice() {
             assert!((lo..=hi).contains(&f), "{f} GHz outside the {} band", family.as_str());
         }
     }
+}
+
+/// FNV-1a over every family's band, pattern menu, collision parameters,
+/// effective sigma at 0, 15 and 30 MHz, and allocator candidate grid,
+/// each `f64` as its bits, families in [`HardwareFamily::ALL`] order.
+/// Recorded from the trait-based hardware layer, so it pins the exact
+/// constants of the tunable-coupler and heavy-hex families as well as
+/// the default one.
+const HARDWARE_PIN: u64 = 0x0549_eb48_e6e9_b251;
+
+#[test]
+fn family_constants_match_the_recorded_pin() {
+    let mut h = qpd::yield_sim::Fnv64::new();
+    for family in HardwareFamily::ALL {
+        let (lo, hi) = family.allowed_band_ghz();
+        let p = family.collision_params();
+        let allocator = FrequencyAllocator::new().with_hardware(family);
+        let values = [lo, hi]
+            .into_iter()
+            .chain(family.pattern_frequencies_ghz().iter().copied())
+            .chain([
+                p.anharmonicity_ghz,
+                p.t_degenerate_ghz,
+                p.t_half_ghz,
+                p.t_full_ghz,
+                p.t_two_photon_ghz,
+            ])
+            .chain([0.0, 0.015, 0.030].map(|sigma| family.effective_sigma_ghz(sigma)))
+            .chain(allocator.candidates().iter().copied());
+        for v in values {
+            h.push(v.to_bits());
+        }
+    }
+    assert_eq!(h.finish(), HARDWARE_PIN, "a hardware family's constants changed");
 }

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use qpd::circuit::random::{random_circuit, RandomCircuitSpec};
 use qpd::design::StagePlan;
 use qpd::explore::cache::Fnv64;
-use qpd::mapping::{InitialMapping, MappingError, MappingStats, RouteProgram, SabreConfig};
+use qpd::mapping::{MappingError, MappingStats, RouteProgram};
 use qpd::prelude::*;
 use qpd::topology::ibm;
 
@@ -94,15 +94,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Routing a prepared program returns the statistics of the
-    /// recorded route, under default and non-default configurations
-    /// (a random initial layout, a lookahead of one, a negative
-    /// lookahead weight that turns candidate pruning off).
+    /// recorded route.
     #[test]
     fn route_stats_equals_the_recorded_route(
         seed in 0u64..10_000,
         width in 2usize..=12,
         gates in 1usize..120,
-        config_pick in 0usize..4,
     ) {
         let chip = ibm::ibm_16q_2x8(BusMode::MaxFourQubit);
         let circuit = with_barriers_and_measures(
@@ -114,13 +111,7 @@ proptest! {
             }),
             seed,
         );
-        let config = match config_pick {
-            0 => SabreConfig::default(),
-            1 => SabreConfig { initial_mapping: InitialMapping::Random(seed), ..Default::default() },
-            2 => SabreConfig { extended_set_size: 1, ..Default::default() },
-            _ => SabreConfig { extended_set_weight: -0.5, ..Default::default() },
-        };
-        let router = SabreRouter::with_config(&chip, config);
+        let router = SabreRouter::new(&chip);
         let recorded = router.route(&circuit).expect("routes").stats();
         let program = RouteProgram::new(&circuit);
         prop_assert_eq!(router.route_stats(&program).expect("routes"), recorded);

@@ -67,9 +67,8 @@ fn monolithic(flow: &DesignFlow, profile: &CouplingProfile) -> Architecture {
         builder.four_qubit_bus_at(s);
     }
     let arch = builder.build().unwrap();
-    let model = hardware.model();
     let plan = if five {
-        pattern_frequency_plan(&arch, model.pattern_frequencies_ghz())
+        pattern_frequency_plan(&arch, hardware.pattern_frequencies_ghz())
     } else {
         FrequencyAllocator::new()
             .with_hardware(hardware)
@@ -79,7 +78,7 @@ fn monolithic(flow: &DesignFlow, profile: &CouplingProfile) -> Architecture {
             .with_seed(flow.allocation_seed())
             .allocate(&arch)
     };
-    arch.with_frequencies_in_band(plan, model.allowed_band_ghz()).unwrap()
+    arch.with_frequencies_in_band(plan, hardware.allowed_band_ghz()).unwrap()
 }
 
 /// Strategy: one full knob assignment of the flow, over every hardware
