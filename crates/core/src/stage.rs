@@ -668,24 +668,52 @@ impl StagePlan {
         &self,
         jobs: &[AssembleJob<'_>],
     ) -> Result<Vec<Architecture>, DesignError> {
+        Ok(self.assemble_batch_beside(jobs, |_| ())?.0)
+    }
+
+    /// [`Self::assemble_batch`], running `side` on the jobs' chips, one
+    /// per job in job order, alongside the assembly. The side work may
+    /// read only the chips' topology: coordinates, buses and coupling
+    /// edges.
+    ///
+    /// When the batch misses, `side` gets frequency-less chips built
+    /// from each job's layout and runs next to the frequency allocation
+    /// in one [`qpd_par::join`], so work it puts on the pool shares the
+    /// cores allocation leaves idle. When every job hits, `side` runs
+    /// inline on the cached chips after the probe: nothing extra is
+    /// built and the pool is not touched.
+    ///
+    /// # Errors
+    ///
+    /// The assembly's error, as [`Self::assemble_batch`] returns it, once
+    /// any side work has finished. A layout that cannot be built leaves
+    /// nothing to route, so `side` does not run then.
+    pub fn assemble_batch_beside<S: Send>(
+        &self,
+        jobs: &[AssembleJob<'_>],
+        side: impl FnOnce(&[&Architecture]) -> S + Send,
+    ) -> Result<(Vec<Architecture>, S), DesignError> {
         let keys: Vec<u64> = jobs.iter().map(|j| j.stage.key(j.coords, j.squares)).collect();
-        self.assemble.run_batch(&keys, |missed| {
-            let missed: Vec<&AssembleJob<'_>> = missed.iter().map(|&i| &jobs[i]).collect();
+        let mut side = Some(side);
+        let mut side_out = None;
+        let archs = self.assemble.run_batch(&keys, |missed| {
             let built: Vec<Result<Architecture, DesignError>> =
-                missed.iter().map(|j| j.stage.build_architecture(j.coords, j.squares)).collect();
+                jobs.iter().map(|j| j.stage.build_architecture(j.coords, j.squares)).collect();
+            let chips: Option<Vec<&Architecture>> =
+                built.iter().map(|arch| arch.as_ref().ok()).collect();
             let allocators: Vec<Option<FrequencyAllocator>> = missed
                 .iter()
-                .zip(&built)
-                .map(|(job, arch)| {
-                    (arch.is_ok() && job.stage.frequency == FrequencyStrategy::Optimized)
+                .map(|&i| {
+                    let job = &jobs[i];
+                    (built[i].is_ok() && job.stage.frequency == FrequencyStrategy::Optimized)
                         .then(|| job.stage.allocator())
                 })
                 .collect();
             let alloc_jobs: Vec<AllocJob<'_>> = allocators
                 .iter()
-                .zip(&built)
-                .filter_map(|(allocator, arch)| {
-                    Some(AllocJob { allocator: allocator.as_ref()?, arch: arch.as_ref().ok()? })
+                .zip(missed)
+                .filter_map(|(allocator, &i)| {
+                    Some(AllocJob { allocator: allocator.as_ref()?, arch: built[i].as_ref().ok()? })
                 })
                 .collect();
             // The scratch is swapped out of its slot (not locked across
@@ -697,23 +725,33 @@ impl StagePlan {
                 .expect("assemble scratch poisoned")
                 .take()
                 .unwrap_or_default();
-            let mut plans =
-                FrequencyAllocator::allocate_batch(&alloc_jobs, &mut scratch).into_iter();
+            let side = side.take().expect("the side runs once");
+            let (plans, out) = qpd_par::join(
+                || FrequencyAllocator::allocate_batch(&alloc_jobs, &mut scratch),
+                || chips.map(|chips| side(&chips)),
+            );
             *self.assemble_scratch.lock().expect("assemble scratch poisoned") = Some(scratch);
+            side_out = out;
+            let mut plans = plans.into_iter();
+            let mut built: Vec<Option<_>> = built.into_iter().map(Some).collect();
             missed
                 .iter()
-                .zip(built)
                 .zip(&allocators)
-                .map(|((job, arch), allocator)| {
-                    let arch = arch?;
+                .map(|(&i, allocator)| {
+                    let arch = built[i].take().expect("a missed key is assembled once")?;
                     let plan = match allocator {
                         Some(_) => plans.next().expect("one plan per allocation job"),
-                        None => job.stage.pattern_plan(&arch),
+                        None => jobs[i].stage.pattern_plan(&arch),
                     };
-                    job.stage.attach(arch, plan)
+                    jobs[i].stage.attach(arch, plan)
                 })
                 .collect()
-        })
+        })?;
+        let out = match side_out {
+            Some(out) => out,
+            None => (side.take().expect("the side runs once"))(&archs.iter().collect::<Vec<_>>()),
+        };
+        Ok((archs, out))
     }
 
     /// The placement-stage cache.
@@ -1028,6 +1066,78 @@ mod tests {
         assert_eq!(arch.name(), "demo-hh-6q-b0-5freq");
         let plan = arch.frequencies().unwrap();
         assert!(plan.check_band_within(qpd_topology::HEAVY_HEX_BAND_GHZ).is_ok());
+    }
+
+    fn optimized_stage() -> AssembleStage {
+        AssembleStage {
+            frequency: FrequencyStrategy::Optimized,
+            allocation_trials: 100,
+            allocation_sweeps: 1,
+            allocation_seed: 0,
+            sigma_ghz: qpd_yield::FabricationModel::PAPER_SIGMA_GHZ,
+            name_prefix: "demo".into(),
+            hardware: HardwareFamily::FixedFrequencyTransmon,
+        }
+    }
+
+    #[test]
+    fn unbuildable_layout_fails_with_the_assembly_error_and_no_side_work() {
+        let p = profile();
+        let coords = PlacementStage { auxiliary_qubits: 0 }.run(&p).unwrap();
+        let duplicated: Vec<Coord> = coords.iter().chain(&coords[..1]).copied().collect();
+        let stage = optimized_stage();
+        let jobs = [
+            AssembleJob { stage: &stage, coords: &coords, squares: &[] },
+            AssembleJob { stage: &stage, coords: &duplicated, squares: &[] },
+        ];
+        for threads in [1, 2, 8] {
+            let plan = StagePlan::new();
+            let side_ran = std::sync::atomic::AtomicBool::new(false);
+            let result = qpd_par::with_threads(threads, || {
+                plan.assemble_batch_beside(&jobs, |_| side_ran.store(true, Ordering::SeqCst))
+            });
+            let expected =
+                DesignError::InvalidArchitecture(qpd_topology::TopologyError::DuplicateCoord {
+                    coord: coords[0],
+                });
+            assert_eq!(result.err(), Some(expected), "threads = {threads}");
+            assert!(!side_ran.load(Ordering::SeqCst), "nothing to route, nothing started");
+            assert!(plan.assemble_cache().is_empty(), "a failed batch caches nothing");
+        }
+    }
+
+    #[test]
+    fn side_work_overlaps_allocation_only_when_the_batch_misses() {
+        let p = profile();
+        let coords = PlacementStage { auxiliary_qubits: 0 }.run(&p).unwrap();
+        let stage = optimized_stage();
+        let five = AssembleStage { frequency: FrequencyStrategy::FiveFrequency, ..stage.clone() };
+        let jobs = [
+            AssembleJob { stage: &stage, coords: &coords, squares: &[] },
+            AssembleJob { stage: &five, coords: &coords, squares: &[] },
+        ];
+        let caller = std::thread::current().id();
+        let plan = StagePlan::new();
+        // What the side observes: whether an allocation holds the plan's
+        // scratch, whether its chips carry frequencies, and its thread.
+        let observe = |chips: &[&Architecture]| {
+            let allocating = plan.assemble_scratch.lock().unwrap().is_none();
+            let planned: Vec<bool> = chips.iter().map(|c| c.frequencies().is_some()).collect();
+            (allocating, planned, std::thread::current().id() == caller)
+        };
+        qpd_par::with_threads(2, || {
+            let (cold, (allocating, planned, _)) =
+                plan.assemble_batch_beside(&jobs, observe).unwrap();
+            assert!(allocating, "a missing batch runs the side next to its allocation");
+            assert_eq!(planned, [false, false], "the side reads frequency-less chips");
+            let hits = plan.assemble_cache().hits();
+            let (warm, (allocating, planned, inline)) =
+                plan.assemble_batch_beside(&jobs, observe).unwrap();
+            assert_eq!(plan.assemble_cache().hits(), hits + 2);
+            assert!(!allocating && inline, "an all-hit batch runs the side inline, no join");
+            assert_eq!(planned, [true, true], "the side reads the cached chips");
+            assert_eq!(cold, warm);
+        });
     }
 
     #[test]

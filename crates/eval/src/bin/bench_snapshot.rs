@@ -98,7 +98,7 @@
 //! default 3), `QPD_BENCH_QUICK=1` shrinks trial counts for CI smoke
 //! runs, `QPD_THREADS` sizes the worker pool.
 //!
-//! Usage: `bench_snapshot [--out PATH]` (default `BENCH_24.json`), or
+//! Usage: `bench_snapshot [--out PATH]` (default `BENCH_28.json`), or
 //! `bench_snapshot --check-schema FRESH.json COMMITTED.json...` to
 //! validate snapshot *schemas* without timing anything: every file must
 //! carry the snapshot fields and well-formed kernel entries, and the
@@ -135,7 +135,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// The current perf-trajectory point; bump alongside the default
 /// `--out` path when a later PR appends a snapshot.
-const PR: u64 = 24;
+const PR: u64 = 28;
 
 /// Kernels deliberately removed from the snapshot, each with the
 /// trajectory point that retired it: a committed snapshot older than

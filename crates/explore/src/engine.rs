@@ -20,8 +20,9 @@
 //! one candidate from its own RNG stream (walk order), and the whole
 //! round's worth of proposals is submitted as *one batch* — each stage
 //! cache serves it in one [`qpd_core::StageCache::run_batch`], the
-//! distinct missed topologies route on the `qpd-par` pool, and the
-//! distinct yield-cache misses run through
+//! distinct missed topologies route on the `qpd-par` pool alongside the
+//! batch's frequency allocation (routing reads only the topology), and
+//! the distinct yield-cache misses run through
 //! [`qpd_yield::YieldSimulator::evaluate_batch`], which groups
 //! candidates sharing a fabrication-noise trial stream (same seed,
 //! trial budget, effective sigma, and qubit count) and generates each
@@ -524,6 +525,9 @@ pub fn pareto_indices(archive: &[Evaluated]) -> Vec<usize> {
     qpd_core::pareto_front_nd(&points)
 }
 
+/// `(total gates, routed depth)` of one routed chip.
+type Routed = (u64, u64);
+
 /// The engine: a space, a budget, and the shared per-stage caches.
 ///
 /// Evaluation runs the explicit stage cascade: placement and bus
@@ -636,8 +640,8 @@ impl Explorer {
             placement: crate::spec::PlacementVariant::Identity,
             hardware: HardwareFamily::FixedFrequencyTransmon,
         };
-        let chips = explorer.assemble(std::slice::from_ref(&baseline))?;
-        let (gates, depth) = explorer.route(&chips)?[0];
+        let (_, routed) = explorer.assemble(std::slice::from_ref(&baseline))?;
+        let (gates, depth) = routed[0];
         explorer.baseline_gates = gates;
         explorer.baseline_depth = depth;
         Ok(explorer)
@@ -674,13 +678,24 @@ impl Explorer {
             .expect("one stage per frequency strategy and hardware family")
     }
 
-    /// Resolves every spec's layout and assembles the chips as one
-    /// [`qpd_core::StagePlan::assemble_batch`]: the assemble-stage misses
-    /// run as one seed-major allocation batch over one set of
-    /// fabrication-noise planes. Every frequency strategy and
+    /// Resolves every spec's layout, then assembles and routes the chips
+    /// in one [`qpd_core::StagePlan::assemble_batch_beside`], returning
+    /// the chips and their `(total gates, routed depth)`. The
+    /// assemble-stage misses run as one seed-major allocation batch over
+    /// one set of fabrication-noise planes, and [`Self::route`] runs
+    /// alongside that allocation on the frequency-less chips of the same
+    /// layouts: routing reads only the topology. An all-hit assembly
+    /// routes its cached chips inline. Every frequency strategy and
     /// hardware family draws from the one stage plan; both are part of
     /// the assembly content key, so they never collide in it.
-    fn assemble(&self, specs: &[CandidateSpec]) -> Result<Vec<Architecture>, ExploreError> {
+    ///
+    /// # Errors
+    ///
+    /// A design error first, then a routing error.
+    fn assemble(
+        &self,
+        specs: &[CandidateSpec],
+    ) -> Result<(Vec<Architecture>, Vec<Routed>), ExploreError> {
         let layouts: Vec<_> = specs.iter().map(|spec| self.space.resolve(spec)).collect();
         let jobs: Vec<AssembleJob<'_>> = specs
             .iter()
@@ -691,19 +706,23 @@ impl Explorer {
                 squares,
             })
             .collect();
-        Ok(self.caches.plan.assemble_batch(&jobs)?)
+        let (archs, routed) =
+            self.caches.plan.assemble_batch_beside(&jobs, |chips| self.route(chips))?;
+        Ok((archs, routed?))
     }
 
     /// Routes every chip through the route cache: only the distinct
     /// missed topologies fan out on the worker pool, so an all-hit batch
     /// never touches it, and two chips of one topology route once. Every
-    /// miss routes the one prepared program.
-    fn route(&self, archs: &[Architecture]) -> Result<Vec<(u64, u64)>, ExploreError> {
+    /// miss routes the one prepared program. Routes read only the chips'
+    /// topology, so a chip without frequencies routes like the assembled
+    /// one.
+    fn route(&self, archs: &[&Architecture]) -> Result<Vec<Routed>, ExploreError> {
         let stage = RouteStage { circuit_key: self.circuit_key };
         let keys: Vec<u64> = archs.iter().map(|arch| stage.key(arch)).collect();
         Ok(self.caches.routes.run_batch(&keys, |missed| {
             let program = self.program.get_or_init(|| RouteProgram::new(self.space.circuit()));
-            qpd_par::par_map(missed, |&i| stage.run(&archs[i], program)).into_iter().collect()
+            qpd_par::par_map(missed, |&i| stage.run(archs[i], program)).into_iter().collect()
         })?)
     }
 
@@ -752,7 +771,8 @@ impl Explorer {
     /// Each stage serves the whole batch through its cache
     /// ([`qpd_core::StageCache::run_batch`]), one hit or miss per
     /// candidate: chips from [`Self::assemble`], routes from
-    /// [`Self::route`], and the distinct yield misses in one
+    /// [`Self::route`] running alongside the assembly's frequency
+    /// allocation, and the distinct yield misses in one
     /// [`qpd_yield::YieldSimulator::evaluate_batch`], which groups jobs by
     /// shared trial stream and runs the collision kernels SoA across the
     /// batch.
@@ -766,8 +786,7 @@ impl Explorer {
         specs: &[CandidateSpec],
         trials: u64,
     ) -> Result<Vec<Evaluated>, ExploreError> {
-        let archs = self.assemble(specs)?;
-        let routed = self.route(&archs)?;
+        let (archs, routed) = self.assemble(specs)?;
         let (seed, sigma_ghz) = (self.config.seed, self.config.sigma_ghz);
         let stages: Vec<YieldStage> = specs
             .iter()
@@ -1695,7 +1714,11 @@ mod tests {
     fn route_counters_are_thread_stable() {
         // Frequency-only pairs share a topology: in one batch each
         // distinct topology routes once and every occurrence counts a
-        // miss, whatever the thread count.
+        // miss, whatever the thread count. A second batch mixes hits,
+        // a frequency-only miss of a cached topology and a new topology,
+        // so both its assembly and its routing miss; its counters on
+        // all five stages are those of assembling and then routing the
+        // batch one after the other.
         let counts = [1usize, 2, 8].map(|threads| {
             let explorer = quick_explorer(0);
             let full = explorer.space().full_weighted_len();
@@ -1708,15 +1731,37 @@ mod tests {
                     [CandidateSpec { frequency: five, ..spec.clone() }, spec]
                 })
                 .collect();
+            let transposed = crate::spec::PlacementVariant::Transposed;
+            let mixed = vec![
+                specs[1].clone(),
+                CandidateSpec { hardware: HardwareFamily::TunableCoupler, ..specs[5].clone() },
+                CandidateSpec { placement: transposed, ..specs[1].clone() },
+                specs[2].clone(),
+                CandidateSpec { placement: transposed, ..specs[0].clone() },
+            ];
             explorer.caches().clear();
             let routes = &explorer.caches().routes;
             let read = || [routes.hits(), routes.misses(), routes.unique_misses()];
             let before = read();
             qpd_par::with_threads(threads, || explorer.evaluate_all(&specs)).unwrap();
             let after = read();
-            [0, 1, 2].map(|i| after[i] - before[i])
+            let first = [0, 1, 2].map(|i| after[i] - before[i]);
+            let read = || -> Vec<[u64; 3]> {
+                explorer.stage_stats().iter().map(|s| [s.hits, s.misses, s.unique_misses]).collect()
+            };
+            let before = read();
+            qpd_par::with_threads(threads, || explorer.evaluate_all(&mixed)).unwrap();
+            let after = read();
+            let second: Vec<[u64; 3]> =
+                before.iter().zip(&after).map(|(b, a)| [0, 1, 2].map(|i| a[i] - b[i])).collect();
+            (first, second)
         });
-        assert_eq!(counts, [[0, 6, 3]; 3], "(hits, misses, unique) at 1, 2, 8 threads");
+        // Placement and bus never run: the space resolves layouts.
+        let recorded = [[0, 0, 0], [0, 0, 0], [2, 3, 3], [3, 2, 1], [3, 2, 2]];
+        for (threads, (first, second)) in [1, 2, 8].into_iter().zip(counts) {
+            assert_eq!(first, [0, 6, 3], "(hits, misses, unique) at {threads} threads");
+            assert_eq!(second, recorded, "per-stage (hits, misses, unique) at {threads} threads");
+        }
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! The workspace's hot kernels (Monte Carlo yield simulation, local-yield
 //! candidate evaluation, the experiment runner) are embarrassingly
 //! parallel. This crate gives them one shared, lazily-initialized pool of
-//! worker threads — std-only, no external dependencies — with two scoped
-//! primitives:
+//! worker threads — std-only, no external dependencies — with these
+//! scoped primitives:
 //!
 //! - [`par_map`]: map a function over a slice, results in input order;
-//! - [`par_chunks`]: map a function over contiguous chunks of a slice.
+//! - [`par_chunks`]: map a function over contiguous chunks of a slice;
+//! - [`join`]: run two independent closures, one of them on a worker.
 //!
-//! Both are **deterministic**: every index is computed by exactly one
+//! All are **deterministic**: every index is computed by exactly one
 //! worker and written to its own result slot, so the returned vector is
 //! bit-identical regardless of how many threads execute it (including
 //! one). Reductions built on top of them stay deterministic as long as
@@ -19,8 +20,35 @@
 //! be overridden with the `QPD_THREADS` environment variable (read once,
 //! at first use) or per-scope with [`with_threads`]. The calling thread
 //! always participates in the work, so `QPD_THREADS=1` runs everything
-//! inline on the caller with no queueing overhead, and a starved pool can
-//! never deadlock a caller.
+//! inline on the caller with no queueing overhead.
+//!
+//! # Helping
+//!
+//! A caller whose region still has items running on workers does not
+//! idle: while it waits it runs queued pool jobs of its own *region
+//! tree*, and it sleeps only when none is queued. It wakes when its
+//! region completes or when a job is submitted; there is no timed
+//! polling. So a region opened on a worker (say, the side of a [`join`]
+//! that went to the pool) gets the blocked caller's core instead of
+//! running alone.
+//!
+//! A region opened outside any region starts a tree; every region opened
+//! while a thread works for that tree (as the owner, on a pool job, or
+//! helping) joins it. An owner leaves other trees' jobs to the workers:
+//! running one would hold its own caller back for unrelated work, and
+//! the other tree's owner, finding nothing of its own to help with,
+//! would idle until that job ended. Concurrent callers, such as the
+//! daemon's request threads, therefore never run each other's work.
+//!
+//! A starved pool still cannot deadlock a caller. An owner claims and
+//! runs every unclaimed item of its own region before it waits, so a
+//! region completes with no worker at all, and waiting only covers items
+//! other threads have started. Helping cannot close a cycle either: if a
+//! thread waits on a region whose item runs, lower in its stack, on a
+//! second thread that is itself waiting, that second thread opened its
+//! region above the item, so after the first region opened. Following
+//! waits from thread to thread reaches ever later regions, so the chain
+//! ends at a thread that is running.
 //!
 //! # Worked example
 //!
@@ -61,24 +89,39 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Hard ceiling on pool workers; `QPD_THREADS` and [`with_threads`]
 /// requests are clamped to it.
 const MAX_THREADS: usize = 256;
 
-type Job = Box<dyn FnOnce() + Send>;
+/// A queued pool job and the region tree it works for.
+struct Job {
+    tree: u64,
+    run: Box<dyn FnOnce() + Send>,
+}
 
-/// The job queue shared by all persistent workers.
+/// The job queue shared by all persistent workers and blocked owners.
 struct Shared {
     queue: Mutex<VecDeque<Job>>,
+    /// Idle workers wait here for a job.
     ready: Condvar,
+    /// Owners blocked in [`TaskState::wait`] wait here for a job of their
+    /// tree or for their region to complete; both are signalled with the
+    /// queue lock taken, so neither wake-up can fall between a waiter's
+    /// check and its sleep.
+    blocked: Condvar,
 }
 
 fn shared() -> &'static Arc<Shared> {
     static SHARED: OnceLock<Arc<Shared>> = OnceLock::new();
     SHARED.get_or_init(|| {
-        Arc::new(Shared { queue: Mutex::new(VecDeque::new()), ready: Condvar::new() })
+        Arc::new(Shared {
+            queue: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
+            blocked: Condvar::new(),
+        })
     })
 }
 
@@ -93,8 +136,10 @@ fn worker_loop(shared: Arc<Shared>) {
                 queue = shared.ready.wait(queue).expect("pool queue poisoned");
             }
         };
+        TREE.with(|tree| tree.set(job.tree));
         // Jobs never unwind: `TaskState::drain` catches panics itself.
-        job();
+        (job.run)();
+        TREE.with(|tree| tree.set(0));
     }
 }
 
@@ -114,10 +159,17 @@ fn ensure_workers(n: usize) {
     }
 }
 
-fn submit(job: Job) {
+/// Queues `jobs` for the pool, waking one idle worker per job and every
+/// blocked owner (each looks for jobs of its own tree).
+fn submit(jobs: impl IntoIterator<Item = Job>) {
     let shared = shared();
-    shared.queue.lock().expect("pool queue poisoned").push_back(job);
-    shared.ready.notify_one();
+    let mut queue = shared.queue.lock().expect("pool queue poisoned");
+    let before = queue.len();
+    queue.extend(jobs);
+    for _ in before..queue.len() {
+        shared.ready.notify_one();
+    }
+    shared.blocked.notify_all();
 }
 
 /// Parses a `QPD_THREADS`-style value: a positive integer, clamped to
@@ -140,6 +192,18 @@ fn default_threads() -> usize {
 
 thread_local! {
     static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+    /// The region tree this thread works for, or 0 outside any region.
+    static TREE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The tree a region opened on this thread joins: the thread's own, or
+/// a new one outside any region.
+fn region_tree() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    match TREE.with(Cell::get) {
+        0 => NEXT.fetch_add(1, Ordering::Relaxed),
+        tree => tree,
+    }
 }
 
 /// The thread count parallel primitives will use on this thread: the
@@ -150,9 +214,11 @@ pub fn threads() -> usize {
 }
 
 /// Runs `f` with the effective thread count pinned to `n` on the calling
-/// thread (nested parallel calls made directly by `f` observe it; work
-/// already running on pool workers does not). The previous value is
-/// restored afterwards, including on unwind.
+/// thread. Parallel calls made directly by `f` observe it, and so does
+/// the side of a [`join`] that runs on a worker; the items of a
+/// [`par_map`]-style region that run on workers, and jobs this thread
+/// helps with while it waits, see their own thread's count. The
+/// previous value is restored afterwards, including on unwind.
 ///
 /// This is the in-process equivalent of setting `QPD_THREADS=n`, and what
 /// the determinism tests use to prove thread-count invariance.
@@ -194,7 +260,6 @@ struct TaskState {
     work: *const (dyn Fn(usize) + Sync),
     len: usize,
     progress: Mutex<Progress>,
-    done: Condvar,
 }
 
 // SAFETY: `work` is only dereferenced between a successful claim and the
@@ -229,20 +294,43 @@ impl TaskState {
                     p.payload = Some(payload);
                 }
             }
-            if p.finished == p.next && (p.next >= self.len || p.panicked) {
-                self.done.notify_all();
+            if Self::complete(&p, self.len) {
+                drop(p);
+                // Taking the queue lock orders this wake-up after the
+                // owner's check in `wait`; see `Shared::blocked`.
+                let shared = shared();
+                let _queue = shared.queue.lock().expect("pool queue poisoned");
+                shared.blocked.notify_all();
             }
         }
     }
 
-    /// Blocks until every claimed index has finished and no further
-    /// claims are possible, then returns the first panic payload, if any.
-    fn wait(&self) -> Option<Box<dyn Any + Send>> {
-        let mut p = self.progress.lock().expect("task progress poisoned");
-        while !(p.finished == p.next && (p.next >= self.len || p.panicked)) {
-            p = self.done.wait(p).expect("task progress poisoned");
+    /// Whether every claimed index has finished and no further claims
+    /// are possible. Once true it stays true.
+    fn complete(p: &Progress, len: usize) -> bool {
+        p.finished == p.next && (p.next >= len || p.panicked)
+    }
+
+    /// Blocks until the region is complete, running queued pool jobs of
+    /// `tree` meanwhile (see the crate docs on helping), then returns the
+    /// first panic payload, if any.
+    fn wait(&self, tree: u64) -> Option<Box<dyn Any + Send>> {
+        let shared = shared();
+        let mut queue = shared.queue.lock().expect("pool queue poisoned");
+        while !Self::complete(&self.progress.lock().expect("task progress poisoned"), self.len) {
+            let mine = queue.iter().position(|job| job.tree == tree);
+            queue = match mine.and_then(|i| queue.remove(i)) {
+                Some(job) => {
+                    drop(queue);
+                    // Jobs never unwind: `TaskState::drain` catches panics.
+                    (job.run)();
+                    shared.queue.lock().expect("pool queue poisoned")
+                }
+                None => shared.blocked.wait(queue).expect("pool queue poisoned"),
+            };
         }
-        p.payload.take()
+        drop(queue);
+        self.progress.lock().expect("task progress poisoned").payload.take()
     }
 }
 
@@ -260,6 +348,41 @@ impl<T> SendPtr<T> {
 
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
+
+/// Runs one scoped region: `work(0..len)` on the caller and `helpers`
+/// pool jobs. The caller first runs `owner` (catching its panic), then
+/// claims whatever indices remain, then waits, helping with its tree,
+/// until every claimed index has finished. Returns `owner`'s outcome and
+/// the first panic payload of `work`, if any.
+fn run_region<T>(
+    len: usize,
+    helpers: usize,
+    work: &(dyn Fn(usize) + Sync),
+    owner: impl FnOnce() -> T,
+) -> (std::thread::Result<T>, Option<Box<dyn Any + Send>>) {
+    // SAFETY: erase the borrow's lifetime so pool workers can hold the
+    // pointer. `wait` below keeps this frame alive past every dereference,
+    // and nothing between here and it can unwind (`owner` is caught).
+    let work: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(work) };
+    let state = Arc::new(TaskState {
+        work,
+        len,
+        progress: Mutex::new(Progress { next: 0, finished: 0, panicked: false, payload: None }),
+    });
+    let tree = region_tree();
+    ensure_workers(helpers);
+    submit((0..helpers).map(|_| {
+        let helper = Arc::clone(&state);
+        Job { tree, run: Box::new(move || helper.drain()) }
+    }));
+    // Nothing below unwinds, so the thread's tree is restored on return.
+    let outer = TREE.with(|t| t.replace(tree));
+    let owned = catch_unwind(AssertUnwindSafe(owner));
+    state.drain();
+    let panic = state.wait(tree);
+    TREE.with(|t| t.set(outer));
+    (owned, panic)
+}
 
 /// Computes `f(0..len)` into a vector, fanning the indices out over the
 /// pool. Results are written to per-index slots, so the output does not
@@ -282,25 +405,7 @@ where
         // SAFETY: each index is claimed exactly once; distinct slots.
         unsafe { (*out.get().add(i)).write(f(i)) };
     };
-    let work_ref: &(dyn Fn(usize) + Sync) = &work;
-    // SAFETY: erase the borrow's lifetime so pool workers can hold the
-    // pointer. `wait` below keeps this frame alive past every dereference.
-    let work_ptr: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(work_ref) };
-    let state = Arc::new(TaskState {
-        work: work_ptr,
-        len,
-        progress: Mutex::new(Progress { next: 0, finished: 0, panicked: false, payload: None }),
-        done: Condvar::new(),
-    });
-
-    let helpers = (threads - 1).min(len - 1);
-    ensure_workers(helpers);
-    for _ in 0..helpers {
-        let helper = Arc::clone(&state);
-        submit(Box::new(move || helper.drain()));
-    }
-    state.drain();
-    let panic = state.wait();
+    let (_, panic) = run_region(len, (threads - 1).min(len - 1), &work, || ());
     if let Some(payload) = panic {
         // `slots` drops without running destructors of initialized
         // elements; leaking on the panic path is acceptable.
@@ -388,6 +493,48 @@ where
     F: Fn(usize) -> R + Sync,
 {
     run_indexed(len, f)
+}
+
+/// Runs `a` and `b`, which may overlap, and returns both results in
+/// that order.
+///
+/// `a` runs on the caller; `b` is offered to the pool and runs on the
+/// first worker to take it, or on the caller after `a` if none has.
+/// While `b` runs elsewhere the caller helps with queued pool jobs of
+/// its tree, so regions that `b` opens get the caller's core once `a` is
+/// done. The side that runs on a worker sees the caller's [`threads`].
+/// With `threads() == 1` both run inline, `a` first.
+///
+/// A panic on either side is rethrown only after the other side has
+/// finished; `a`'s panic wins if both panic.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    let threads = threads();
+    let (ra, rb) = if threads <= 1 {
+        (catch_unwind(AssertUnwindSafe(a)), catch_unwind(AssertUnwindSafe(b)))
+    } else {
+        let b = Mutex::new(Some(b));
+        let rb = Mutex::new(None);
+        let work = |_: usize| {
+            let b = b.lock().expect("join side poisoned").take().expect("claimed once");
+            let out = with_threads(threads, b);
+            *rb.lock().expect("join result poisoned") = Some(out);
+        };
+        let (ra, panic) = run_region(1, 1, &work, a);
+        let rb = match panic {
+            Some(payload) => Err(payload),
+            None => Ok(rb.into_inner().expect("join result poisoned").expect("side ran")),
+        };
+        (ra, rb)
+    };
+    match (ra, rb) {
+        (Ok(ra), Ok(rb)) => (ra, rb),
+        (Err(payload), _) | (_, Err(payload)) => resume_unwind(payload),
+    }
 }
 
 #[cfg(test)]
@@ -548,6 +695,57 @@ mod tests {
             par_map(&items, |&i| hits[i].fetch_add(1, Ordering::Relaxed));
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn join_returns_both_values_in_order() {
+        for n in [1, 2, 3, 8] {
+            let (a, b) = with_threads(n, || {
+                join(|| (0..1_000).map(mix).fold(0, u64::wrapping_add), || (mix(7), threads()))
+            });
+            assert_eq!(a, (0..1_000).map(mix).fold(0, u64::wrapping_add), "threads = {n}");
+            assert_eq!(b, (mix(7), n), "the side sees the caller's count");
+        }
+    }
+
+    #[test]
+    fn join_rethrows_a_panic_after_the_other_side_finishes() {
+        for threads in [1, 2, 8] {
+            for panicking_side in ["a", "b"] {
+                let finished = AtomicUsize::new(0);
+                let slow = || {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                };
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    with_threads(threads, || match panicking_side {
+                        "a" => join(|| panic!("side a"), slow),
+                        _ => join(slow, || panic!("side b")),
+                    })
+                }));
+                let payload = result.expect_err("the panic propagates");
+                let message = payload.downcast_ref::<&str>().expect("str payload");
+                assert_eq!(*message, format!("side {panicking_side}"));
+                assert_eq!(finished.load(Ordering::SeqCst), 1, "{panicking_side} @ {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn nested_join_inside_par_map_completes() {
+        let outer: Vec<u64> = (0..16).collect();
+        let got = with_threads(4, || {
+            par_map(&outer, |&o| {
+                let (left, right) = join(
+                    || par_map(&[o, o + 1], |&i| mix(i)),
+                    || par_map(&[o + 2, o + 3], |&i| mix(i)),
+                );
+                left.into_iter().chain(right).fold(0u64, u64::wrapping_add)
+            })
+        });
+        let expected: Vec<u64> =
+            (0..16u64).map(|o| (o..o + 4).map(mix).fold(0u64, u64::wrapping_add)).collect();
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -171,3 +171,43 @@ fn errors_keep_their_precedence() {
         assert_eq!(router.route_stats(&program).unwrap_err(), expected);
     }
 }
+
+/// Routing reads only the topology: a chip built from the layout alone,
+/// with no frequencies, keys and routes exactly like the assembled chip
+/// of every frequency strategy and hardware family. The explorer relies
+/// on this to route a batch while its frequencies are still being
+/// allocated.
+#[test]
+fn a_chip_without_frequencies_routes_like_the_assembled_chip() {
+    use qpd::explore::{circuit_key, HardwareFamily, RouteStage};
+    for name in ["qft_16", "sym6_145"] {
+        let circuit = qpd::benchmarks::build(name).expect("benchmark");
+        let profile = CouplingProfile::of(&circuit);
+        let stage = RouteStage { circuit_key: circuit_key(&circuit) };
+        let program = RouteProgram::new(&circuit);
+        for frequency in [FrequencyStrategy::Optimized, FrequencyStrategy::FiveFrequency] {
+            for hardware in HardwareFamily::ALL {
+                let flow = DesignFlow::new()
+                    .with_allocation_trials(200)
+                    .with_frequency_strategy(frequency)
+                    .with_hardware(hardware);
+                let assembled = flow.design(&profile).expect("designs");
+                assert!(assembled.frequencies().is_some());
+                let mut builder = Architecture::builder("layout only");
+                builder.qubits(assembled.coords().iter().copied());
+                for &square in assembled.four_qubit_buses() {
+                    builder.four_qubit_bus_at(square);
+                }
+                let bare = builder.build().expect("the assembled layout builds");
+                assert!(bare.frequencies().is_none());
+                let case = format!("{name} {frequency:?} {hardware:?}");
+                assert_eq!(stage.key(&bare), stage.key(&assembled), "{case}: route keys differ");
+                assert_eq!(
+                    SabreRouter::new(&bare).route_stats(&program).expect("routes"),
+                    SabreRouter::new(&assembled).route_stats(&program).expect("routes"),
+                    "{case}: routes differ"
+                );
+            }
+        }
+    }
+}
